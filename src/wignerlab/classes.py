@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .dyck import DyckPath
 from .errors import BoundPreconditionError
 from .walks import ROOT, Walk, WalkAnalysis, analyze, cached_even_walks
 
@@ -229,7 +230,7 @@ def mu_bound(s: int, sig: MuSignature, k0: int) -> Fraction:
         raise BoundPreconditionError(
             f"kappa_nu reaches {sig.max_kappa_nu} > k0 = {k0}"
         )
-    h = DyckHeight(sig.theta) if sig.theta else 0
+    h = DyckPath(sig.theta).max_height if sig.theta else 0
     mu2 = mu.get(2, 0)
     plain = mu2 - sig.r
     if plain < 0:
@@ -262,16 +263,6 @@ def upsilon_mu(sig: MuSignature, k0: int) -> int:
         if 4 <= m <= k0:
             out *= (2 * k0) ** (m * c)
     return out
-
-
-def DyckHeight(theta: tuple[int, ...]) -> int:
-    height = 0
-    best = 0
-    for st in theta:
-        height += st
-        if height > best:
-            best = height
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +349,7 @@ def nu_domination_report(s: int) -> list[ClassCensusRow]:
         by_key.setdefault(key, {})[sig.d] = by_key.setdefault(key, {}).get(sig.d, 0) + cnt
     rows: list[ClassCensusRow] = []
     for (theta, nu, r, p, rk, ro), d_counts in sorted(by_key.items()):
-        h = DyckHeight(theta)
+        h = DyckPath(theta).max_height
         running = 0
         for d in sorted(d_counts):
             running += d_counts[d]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import sys
 import time
@@ -49,39 +50,35 @@ def _meta(params: dict, no_timestamp: bool) -> dict:
     return meta
 
 
-def write_rows(path: str | None, rows: list[dict], params: dict, fmt: str, no_timestamp: bool):
-    meta = _meta(params, no_timestamp)
-    if fmt == "json":
-        payload = json.dumps({"_meta": meta, "rows": rows}, indent=2, sort_keys=True, default=str)
-        if path:
-            Path(path).write_text(payload + "\n")
-        else:
-            print(payload)
-        return
-    import io
-
-    buf = io.StringIO()
-    for k, v in sorted(meta.items()):
-        buf.write(f"# {k}: {v}\n")
-    if rows:
-        fields = list(rows[0].keys())
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    text = buf.getvalue()
+def _emit(path: str | None, text: str) -> None:
     if path:
         Path(path).write_text(text)
     else:
         sys.stdout.write(text)
 
 
+def _rows_to_csv(rows: list[dict]) -> str:
+    """Header plus rows, keyed by the first row; empty text for no rows."""
+    buf = io.StringIO()
+    if rows:
+        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return buf.getvalue()
+
+
+def write_rows(path: str | None, rows: list[dict], params: dict, fmt: str, no_timestamp: bool):
+    if fmt == "json":
+        write_json(path, {"rows": rows}, params, no_timestamp)
+        return
+    meta = _meta(params, no_timestamp)
+    header = "".join(f"# {k}: {v}\n" for k, v in sorted(meta.items()))
+    _emit(path, header + _rows_to_csv(rows))
+
+
 def write_json(path: str | None, payload: dict, params: dict, no_timestamp: bool):
     payload = {"_meta": _meta(params, no_timestamp), **payload}
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str)
-    if path:
-        Path(path).write_text(text + "\n")
-    else:
-        print(text)
+    _emit(path, json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def load_config_tokens(path: str) -> list[str]:
@@ -126,7 +123,8 @@ def cmd_verify(args) -> int:
             print(f"    FAILED: {label} {detail}")
     golden_dir = Path(args.golden_dir) if args.golden_dir else GOLDEN_DIR
     gold_ok = check_goldens(golden_dir, bless=args.bless, s_max=min(args.max_halfsteps, 5))
-    print(f"[{'PASS' if gold_ok else 'FAIL'}] golden tables ({golden_dir})")
+    shown = args.golden_dir or "wignerlab/goldens"
+    print(f"[{'PASS' if gold_ok else 'FAIL'}] golden tables ({shown})")
     return 0 if (not failed and gold_ok) else 1
 
 
@@ -156,18 +154,6 @@ def golden_tables(s_max: int = 5) -> dict[str, list[dict]]:
         ],
         "class_census_s3.csv": cls.census_csv_rows(3),
     }
-
-
-def _rows_to_csv(rows: list[dict]) -> str:
-    import io
-
-    if not rows:
-        return "\n"
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 def check_goldens(golden_dir: Path, bless: bool = False, s_max: int = 5) -> bool:

@@ -5,6 +5,10 @@ with plane rooted trees, exit-degree counts and their exponential tail bound,
 and the exponential moment of the normalized maximal height of a uniform
 Dyck path (computed from the exact height distribution, never by sampling).
 
+Root-degree and exit-degree counts are closed forms (ballot numbers and
+Lagrange inversion), so they have no enumeration ceiling; `enumerate_dyck`
+is the only walk over paths and serves as their test oracle.
+
 All counts are arbitrary-precision integers; bounds that must be compared
 against exact counts are returned as `Fraction`.
 """
@@ -151,27 +155,10 @@ def exit_degree_profile(path: DyckPath) -> list[int]:
 # Exit-degree counts over trees with s edges.
 
 
-@lru_cache(maxsize=None)
-def _catalan_power(d: int, order: int) -> tuple[int, ...]:
-    """Coefficients of (sum_k t_k x^k)^d up to x^order."""
-    if d == 0:
-        return (1,) + (0,) * order
-    prev = _catalan_power(d - 1, order)
-    cat = [catalan(i) for i in range(order + 1)]
-    out = [0] * (order + 1)
-    for i, p in enumerate(prev):
-        if p == 0:
-            continue
-        for j in range(order + 1 - i):
-            out[i + j] += p * cat[j]
-    return tuple(out)
-
-
 def count_trees_root_degree(s: int, d: int) -> int:
     """Number of plane trees with s edges whose root has exit degree exactly d.
 
-    Equals the d-fold Catalan convolution at order s-d; satisfies the
-    recurrence checked exhaustively in the tests.
+    The ballot number d C(2s-d, s) / (2s-d) for 1 <= d <= s.
     """
     if s < 0 or d < 0:
         raise ValueError("s and d must be nonnegative")
@@ -179,80 +166,52 @@ def count_trees_root_degree(s: int, d: int) -> int:
         return 0
     if d == 0:
         return 1 if s == 0 else 0
-    return _catalan_power(d, s - d)[s - d]
+    return d * math.comb(2 * s - d, s) // (2 * s - d)
 
 
-@lru_cache(maxsize=None)
-def _exit_degree_tables(s: int, ceiling: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(tail, exact) where tail[d] counts trees with max exit degree >= d and
-    exact[d] counts trees having at least one vertex of exit degree == d."""
-    if s > ceiling:
-        raise EnumerationCeilingError("exit-degree tree enumeration", s, ceiling)
-    tail = [0] * (s + 2)
-    exact = [0] * (s + 2)
-    counts: list[int] = []
-    stack = [0]
-
-    def visit(steps: tuple[int, ...]) -> None:
-        counts.clear()
-        stack[:] = [0]
-        for st in steps:
-            if st == 1:
-                stack[-1] += 1
-                stack.append(0)
-            else:
-                counts.append(stack.pop())
-        counts.append(stack.pop())
-        tail[max(counts)] += 1
-        for deg in set(counts):
-            exact[deg] += 1
-
-    steps: list[int] = []
-
-    def rec(ups: int, downs: int) -> None:
-        if ups == s and downs == s:
-            visit(tuple(steps))
-            return
-        if ups < s:
-            steps.append(1)
-            rec(ups + 1, downs)
-            steps.pop()
-        if downs < ups:
-            steps.append(-1)
-            rec(ups, downs + 1)
-            steps.pop()
-
-    rec(0, 0)
-    # turn the max-degree histogram into a tail
-    for dd in range(s, -1, -1):
-        tail[dd] += tail[dd + 1]
-    return tuple(tail), tuple(exact)
+# Trees with s edges whose exit degrees all lie in a set Omega number
+# (1/(s+1)) [u^s] (sum_(i in Omega) u^i)^(s+1) by Lagrange inversion
+# (Flajolet & Sedgewick, Analytic Combinatorics, I.5). Below u^(s+1) the
+# degree series is 1/(1-u) minus the excluded powers, so each count expands
+# into a short alternating sum of binomials.
 
 
-def count_trees_with_exit_degree_ge(
-    s: int, d: int, ceiling: int = DYCK_ENUMERATION_CEILING
-) -> int:
-    """Trees with s edges having some vertex of exit degree >= d (brute force)."""
+def count_trees_with_exit_degree_ge(s: int, d: int) -> int:
+    """Trees with s edges having some vertex of exit degree >= d.
+
+    Complement of Omega = {0, ..., d-1}: [u^s] ((1 - u^d) / (1 - u))^(s+1)
+    = sum_j (-1)^j C(s+1, j) C(2s - jd, s).
+    """
     if s < 0 or d < 0:
         raise ValueError("s and d must be nonnegative")
     if d == 0:
         return catalan(s)
     if d > s:
         return 0
-    return _exit_degree_tables(s, ceiling)[0][d]
+    below = sum(
+        (-1) ** j * math.comb(s + 1, j) * math.comb(2 * s - j * d, s)
+        for j in range(s // d + 1)
+    )
+    return catalan(s) - below // (s + 1)
 
 
-def count_trees_with_exit_degree_eq(
-    s: int, d: int, ceiling: int = DYCK_ENUMERATION_CEILING
-) -> int:
-    """Trees with s edges having some vertex of exit degree exactly d."""
+def count_trees_with_exit_degree_eq(s: int, d: int) -> int:
+    """Trees with s edges having some vertex of exit degree exactly d.
+
+    Complement of Omega = {0, ..., s} minus {d}: [u^s] (1/(1-u) - u^d)^(s+1)
+    = sum_j (-1)^j C(s+1, j) C(2s - jd - j, s - j).
+    """
     if s < 0 or d < 0:
         raise ValueError("s and d must be nonnegative")
     if d == 0:
         return catalan(s)  # leaves always exist
     if d > s:
         return 0
-    return _exit_degree_tables(s, ceiling)[1][d]
+    avoiding = sum(
+        (-1) ** j * math.comb(s + 1, j) * math.comb(2 * s - j * d - j, s - j)
+        for j in range(s // d + 1)
+    )
+    return catalan(s) - avoiding // (s + 1)
 
 
 def exit_degree_tail_bound(s: int, d: int) -> Fraction:

@@ -37,9 +37,6 @@ class RademacherLaw:
             return Fraction(0)
         return self.moment(order) if Fraction(self.v) <= Fraction(cutoff) else Fraction(0)
 
-    def support_bound(self) -> float:
-        return float(self.v)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return (2.0 * rng.integers(0, 2, size=size) - 1.0) * float(self.v)
 
@@ -71,9 +68,6 @@ class GaussianLaw:
         for m in range(1, order // 2 + 1):
             val = (2 * m - 1) * val - 2 * u ** (2 * m - 1) * phi_u
         return sigma**order * val
-
-    def support_bound(self) -> None:
-        return None
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.standard_normal(size) * float(self.v)
@@ -127,9 +121,6 @@ class PowerTailLaw:
         g, p = self.gamma, order
         return g * self.x0**p / (g - p) * (1 - (self.x0 / cutoff) ** (g - p))
 
-    def support_bound(self) -> None:
-        return None
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         mag = self.x0 * (1.0 - rng.random(size)) ** (-1.0 / self.gamma)
         sign = 2.0 * rng.integers(0, 2, size=size) - 1.0
@@ -170,9 +161,6 @@ class ThreePointLaw:
             return Fraction(0)
         return self.moment(order) if Fraction(self.spike) <= Fraction(cutoff) else Fraction(0)
 
-    def support_bound(self) -> float:
-        return float(self.spike)
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)
         out = np.zeros(size)
@@ -208,9 +196,6 @@ class CustomMomentLaw:
 
     def truncated_moment(self, order: int, cutoff: float):
         raise ValueError("custom moment lists do not support truncation")
-
-    def support_bound(self) -> None:
-        return None
 
     def descriptor(self) -> dict:
         return {"law": self.name, "moments": [str(m) for m in self.even_moments]}

@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BoundPreconditionError
-from .laws import GoeLaw, RademacherLaw
+from .laws import GoeLaw
 from .walks import Walk, WalkAnalysis, analyze, cached_even_walks
 
 #: C1 = sup over k >= 2 of 2k / (k!)^(1/k); the supremum is the k -> infinity
@@ -83,9 +83,6 @@ class MomentSpec:
             c = self.dilution_c
             return base * Fraction(c, self.n) / Fraction(c) ** half
         return base / Fraction(self.n) ** half
-
-    def v_squared(self):
-        return self.law.moment(2)
 
     def descriptor(self) -> dict:
         out = {"kind": self.kind, "n": self.n}
@@ -196,11 +193,12 @@ def _falling(n: int, k: int) -> int:
     return out
 
 
-def exact_trace_moment(spec: MomentSpec, s: int) -> MomentResult:
-    """E Tr A^(2s) as the exact weighted walk sum."""
-    total = 0
-    by_weight: dict[int, object] = {}
-    for profile, nv, _maxm, _d, count in _walk_shapes(s):
+def _shape_terms(spec: MomentSpec, s: int):
+    """Yield (contribution, nu weight, max passes, max exit degree) per shape.
+
+    Shapes whose falling factorial or edge-moment product vanishes are skipped.
+    """
+    for profile, nv, maxm, d, count in _walk_shapes(s):
         ff = _falling(spec.n, nv)
         if ff == 0:
             continue
@@ -211,9 +209,15 @@ def exact_trace_moment(spec: MomentSpec, s: int) -> MomentResult:
                 break
         if w == 0:
             continue
-        contrib = count * w * ff
+        yield count * w * ff, s + 1 - nv, maxm, d
+
+
+def exact_trace_moment(spec: MomentSpec, s: int) -> MomentResult:
+    """E Tr A^(2s) as the exact weighted walk sum."""
+    total = 0
+    by_weight: dict[int, object] = {}
+    for contrib, nu1, _maxm, _d in _shape_terms(spec, s):
         total = total + contrib
-        nu1 = s + 1 - nv
         by_weight[nu1] = by_weight.get(nu1, 0) + contrib
     return MomentResult(
         n=spec.n, s=s, total=total, by_nu_weight=by_weight, descriptor=spec.descriptor()
@@ -238,19 +242,7 @@ def z_decomposition(
     parts: dict[int, object] = {1: 0, 2: 0, 3: 0, 4: 0}
     total = 0
     by_weight: dict[int, object] = {}
-    for profile, nv, maxm, d, count in _walk_shapes(s):
-        ff = _falling(n, nv)
-        if ff == 0:
-            continue
-        w = Fraction(1)
-        for passes, is_loop in profile:
-            w = w * spec.edge_moment(passes, is_loop)
-            if w == 0:
-                break
-        if w == 0:
-            continue
-        contrib = count * w * ff
-        nu1 = s + 1 - nv
+    for contrib, nu1, maxm, d in _shape_terms(spec, s):
         if nu1 > threshold:
             idx = 4
         elif maxm <= 2:

@@ -385,11 +385,13 @@ def enumerate_even_walks(
 
 
 def is_tree_structure(walk: Walk) -> bool:
-    """No self-intersections and no loops: the walk is a depth-first tree run."""
-    if any(a == b for a, b in walk.steps()):
-        return False
-    an = analyze(walk)
-    return all(k == 1 for k in an.kappa_nu.values())
+    """No self-intersections and no loops: the walk is a depth-first tree run.
+
+    In an even walk the nu self-intersection degrees sum to s + 1 and each is
+    at least 1, so all equal 1 exactly when there are s + 1 vertices; a loop
+    step would leave at most s.
+    """
+    return walk.is_even() and walk.n_vertices == walk.s + 1
 
 
 @lru_cache(maxsize=None)

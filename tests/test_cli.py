@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from wignerlab import cli
 from wignerlab.cli import main
 
 
@@ -135,7 +136,7 @@ def test_golden_flow(tmp_path, capsys):
     # second run compares clean
     code = run(["verify", "--max-halfsteps", "3", "--golden-dir", str(gold)])
     out = capsys.readouterr().out
-    assert "golden tables" in out
+    assert f"golden tables ({gold})" in out
     assert "golden mismatch" not in out
     # tamper and expect failure
     victim = gold / "catalan.csv"
@@ -144,6 +145,15 @@ def test_golden_flow(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "golden mismatch" in out
+
+
+def test_verify_default_golden_line_is_checkout_independent(capsys, monkeypatch):
+    # only the golden comparison matters here, so skip the suites
+    monkeypatch.setattr(cli, "run_verify_suites", lambda **kwargs: [])
+    assert run(["verify"]) == 0
+    out = capsys.readouterr().out
+    assert out == "[PASS] golden tables (wignerlab/goldens)\n"
+    assert str(cli.GOLDEN_DIR) not in out
 
 
 def test_analyze_subcommand(capsys):

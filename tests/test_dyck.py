@@ -90,24 +90,24 @@ def test_root_degree_counts():
 
 
 def test_root_degree_recurrence():
-    for s in range(2, 13):
+    for s in range(2, 41):
         assert count_trees_root_degree(s, 2) == catalan(s - 1)
         for d in range(2, s + 1):
             prev = count_trees_root_degree(s - 1, d - 2) if s >= 1 else 0
             assert count_trees_root_degree(s, d) == count_trees_root_degree(s, d - 1) - prev
-    for s in range(13):
+    for s in range(41):
         assert sum(count_trees_root_degree(s, d) for d in range(s + 1)) == catalan(s)
 
 
 def test_exit_degree_tail_counts():
     assert count_trees_with_exit_degree_ge(2, 2) == 1
     assert count_trees_with_exit_degree_eq(3, 3) == 1
-    for s in range(1, 9):
+    for s in range(1, 41):
         assert count_trees_with_exit_degree_ge(s, 1) == catalan(s)
 
 
 def test_exit_degree_tail_bound_dominates():
-    for s in range(2, 11):
+    for s in range(2, 41):
         for d in range(2, s + 1):
             ge = count_trees_with_exit_degree_ge(s, d)
             eq = count_trees_with_exit_degree_eq(s, d)
@@ -115,6 +115,25 @@ def test_exit_degree_tail_bound_dominates():
     assert exit_degree_tail_bound(2, 2) == 10
     with pytest.raises(ValueError):
         exit_degree_tail_bound(4, 1)
+
+
+def test_closed_forms_match_enumeration():
+    from collections import Counter
+
+    for s in range(11):
+        max_hist: Counter = Counter()
+        has_hist: Counter = Counter()
+        root_hist: Counter = Counter()
+        for p in enumerate_dyck(s):
+            degrees = exit_degree_profile(p)
+            max_hist[max(degrees)] += 1
+            has_hist.update(set(degrees))
+            root_hist[degrees[-1]] += 1
+        for d in range(s + 2):
+            ge = sum(c for m, c in max_hist.items() if m >= d)
+            assert count_trees_with_exit_degree_ge(s, d) == ge, (s, d)
+            assert count_trees_with_exit_degree_eq(s, d) == has_hist[d], (s, d)
+            assert count_trees_root_degree(s, d) == root_hist[d], (s, d)
 
 
 def _transfer_matrix_le(k: int, h: int) -> int:

@@ -65,6 +65,36 @@ def test_tree_structure_walks_match_catalan():
     assert sum(1 for w in noloop if is_tree_structure(w)) == 5
 
 
+def _closed_sequences(max_steps: int) -> list[Walk]:
+    """Every canonical closed label sequence of at most max_steps steps."""
+    out = []
+
+    def rec(labels: list[int], vmax: int) -> None:
+        if labels[-1] == 1:
+            out.append(Walk(tuple(labels)))
+        if len(labels) > max_steps:
+            return
+        for nxt in range(1, vmax + 2):
+            labels.append(nxt)
+            rec(labels, max(vmax, nxt))
+            labels.pop()
+
+    rec([1], 1)
+    return out
+
+
+def test_tree_structure_matches_analyzer():
+    def by_analyzer(w: Walk) -> bool:
+        no_loop = all(a != b for a, b in w.steps())
+        return no_loop and all(k == 1 for k in analyze(w).kappa_nu.values())
+
+    sequences = _closed_sequences(6)
+    assert len(sequences) == len(set(sequences))
+    assert any(not w.is_even() for w in sequences)
+    for w in [*sequences, *(w for s in range(6) for w in cached_even_walks(s))]:
+        assert is_tree_structure(w) == by_analyzer(w), w.to_string()
+
+
 def test_worked_example_structure():
     an = analyze(W14)
     assert [t for t in range(1, 15) if an.marked[t - 1]] == [1, 2, 3, 5, 6, 8, 10]
