@@ -28,7 +28,7 @@ from .laws import make_law
 from .mc import EnsembleConfig, sample_stats, tail_curve
 from .moments import TruncationSpec
 from .suites import run_verify_suites
-from .walks import analyze, enumerate_even_walks, is_tree_structure, report_to_dict
+from .walks import SHAPE_CEILING, analyze, enumerate_even_walks, is_tree_structure, report_to_dict
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -265,7 +265,7 @@ def cmd_mc(args) -> int:
             "std": stats.trace_std(s),
             "ci": stats.trace_ci(s),
         }
-        if 2 * s <= 12 and config.dilution_c is None and config.truncation is None:
+        if 2 * s <= SHAPE_CEILING and config.truncation is None:
             exact = moments.exact_trace_moment(config.moment_spec(), s).total
             entry["exact"] = float(exact)
             entry["z"] = stats.zscore_against(s, float(exact))

@@ -67,8 +67,15 @@ def _rng(config: EnsembleConfig, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def sample_entries(config: EnsembleConfig, replicate: int) -> np.ndarray:
-    """Raw upper-triangle entries (row-major, diagonal included), untruncated."""
+def sample_entries(
+    config: EnsembleConfig, replicate: int
+) -> tuple[np.random.Generator, np.ndarray]:
+    """The replicate's generator and its raw upper-triangle entries.
+
+    Entries are row-major with the diagonal included, untruncated. The
+    generator is returned so that a caller can keep drawing from the same
+    stream, as `sample_matrix` does for the dilution mask.
+    """
     n = config.n
     rng = _rng(config, replicate)
     return rng, config.law.sample(rng, n * (n + 1) // 2)

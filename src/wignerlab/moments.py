@@ -21,7 +21,7 @@ from itertools import product
 
 from .errors import BoundPreconditionError
 from .laws import GoeLaw
-from .walks import Walk, WalkAnalysis, analyze, cached_even_walks
+from .walks import Walk, WalkAnalysis, analyze, walk_shapes
 
 #: C1 = sup over k >= 2 of 2k / (k!)^(1/k); the supremum is the k -> infinity
 #: limit 2e (the sequence increases to it, not attaining it).
@@ -169,21 +169,13 @@ class MomentResult:
 
 @lru_cache(maxsize=None)
 def _walk_shapes(s: int) -> tuple[tuple[tuple, int, int, int, int], ...]:
-    """Aggregated walk data: (edge profile, n_vertices, max_passes, D) -> count.
+    """Aggregated walk data: (edge profile, n_vertices, max_passes, D, count) rows.
 
     The edge profile is the multiset of (pass count, is_loop) over frame
     edges; together with the vertex count it determines the walk's weight
     for any ensemble, so thousands of walks collapse to a few dozen rows.
     """
-    groups: dict[tuple, int] = {}
-    for walk in cached_even_walks(s):
-        an = analyze(walk)
-        profile = tuple(
-            sorted((m, a == b) for (a, b), m in an.frame_passes.items())
-        )
-        key = (profile, walk.n_vertices, max((m for m, _ in profile), default=0), an.max_exit_degree)
-        groups[key] = groups.get(key, 0) + 1
-    return tuple((*key, cnt) for key, cnt in sorted(groups.items()))
+    return tuple((*key, cnt) for key, cnt in sorted(walk_shapes(s).items()))
 
 
 def _falling(n: int, k: int) -> int:
@@ -197,14 +189,19 @@ def _shape_terms(spec: MomentSpec, s: int):
     """Yield (contribution, nu weight, max passes, max exit degree) per shape.
 
     Shapes whose falling factorial or edge-moment product vanishes are skipped.
+    Each distinct (passes, is_loop) edge moment is computed once per call.
     """
+    edge_moments: dict[tuple[int, bool], object] = {}
     for profile, nv, maxm, d, count in _walk_shapes(s):
         ff = _falling(spec.n, nv)
         if ff == 0:
             continue
         w = Fraction(1)
-        for passes, is_loop in profile:
-            w = w * spec.edge_moment(passes, is_loop)
+        for edge in profile:
+            m = edge_moments.get(edge)
+            if m is None:
+                m = edge_moments[edge] = spec.edge_moment(*edge)
+            w = w * m
             if w == 0:
                 break
         if w == 0:

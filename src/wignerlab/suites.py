@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import classes as cls
 from . import dyck, moments, series
-from .laws import GaussianLaw, PowerTailLaw, RademacherLaw, ThreePointLaw
+from .laws import GaussianLaw, RademacherLaw, ThreePointLaw
 from .walks import (
     Walk,
     analyze,

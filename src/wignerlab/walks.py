@@ -19,6 +19,8 @@ from .errors import EnumerationCeilingError
 
 #: Default ceiling on the number of steps 2s for exhaustive walk enumeration.
 WALK_ENUMERATION_CEILING = 12
+#: Ceiling on 2s for the walk-shape table, which counts walks without building them.
+SHAPE_CEILING = 14
 
 ROOT = 1
 
@@ -344,6 +346,52 @@ def analyze(walk: Walk) -> WalkAnalysis:
 # Enumeration.
 
 
+def _even_walk_dfs(s: int, allow_loops: bool, leaf) -> None:
+    """Depth-first search over canonical even closed walks of 2s steps.
+
+    Calls leaf(labels, passes, exits, n_vertices) once per walk, in
+    lexicographic label order. passes maps each frame edge to its pass count;
+    exits[v] counts the marked steps leaving v, a step being marked when its
+    edge had an even pass count before it (as in analyze's exit clusters).
+    The arguments are live state: a leaf must copy what it keeps.
+    """
+    labels = [ROOT]
+    passes: dict[tuple[int, int], int] = {}
+    exits = [0] * (s + 2)
+    two_s = 2 * s
+
+    def rec(t: int, cur: int, vmax: int, nopen: int) -> None:
+        remaining = two_s - t
+        if remaining == 0:
+            if cur == ROOT and nopen == 0:
+                leaf(labels, passes, exits, vmax)
+            return
+        closing_only = nopen == remaining
+        hi = vmax + 1 if (vmax <= s and not closing_only) else vmax
+        for nxt in range(1, hi + 1):
+            if nxt == cur and not allow_loops:
+                continue
+            e = (cur, nxt) if cur <= nxt else (nxt, cur)
+            m = passes.get(e, 0)
+            odd = m & 1
+            if closing_only and not odd:
+                continue
+            passes[e] = m + 1
+            if not odd:
+                exits[cur] += 1
+            labels.append(nxt)
+            rec(t + 1, nxt, nxt if nxt > vmax else vmax, nopen - 1 if odd else nopen + 1)
+            labels.pop()
+            if not odd:
+                exits[cur] -= 1
+            if m:
+                passes[e] = m
+            else:
+                del passes[e]
+
+    rec(0, ROOT, 1, 0)
+
+
 def enumerate_even_walks(
     s: int,
     allow_loops: bool = True,
@@ -352,36 +400,29 @@ def enumerate_even_walks(
     """All canonical even closed walks of 2s steps, in lexicographic label order."""
     if 2 * s > ceiling:
         raise EnumerationCeilingError("enumerate_even_walks", 2 * s, ceiling)
-    if s == 0:
-        return [Walk((ROOT,))]
     results: list[Walk] = []
-    labels = [ROOT]
-    parity: dict[tuple[int, int], int] = {}
-    two_s = 2 * s
-
-    def rec(t: int, cur: int, vmax: int, nopen: int) -> None:
-        remaining = two_s - t
-        if remaining == 0:
-            if cur == ROOT and nopen == 0:
-                results.append(Walk(tuple(labels)))
-            return
-        closing_only = nopen == remaining
-        hi = vmax + 1 if (vmax <= s and not closing_only) else vmax
-        for nxt in range(1, hi + 1):
-            if nxt == cur and not allow_loops:
-                continue
-            e = _frame_key(cur, nxt)
-            odd = parity.get(e, 0) == 1
-            if closing_only and not odd:
-                continue
-            parity[e] = parity.get(e, 0) ^ 1
-            labels.append(nxt)
-            rec(t + 1, nxt, max(vmax, nxt), nopen - 1 if odd else nopen + 1)
-            labels.pop()
-            parity[e] = parity.get(e, 0) ^ 1
-
-    rec(0, ROOT, 1, 0)
+    _even_walk_dfs(s, allow_loops, lambda labels, *_: results.append(Walk(tuple(labels))))
     return results
+
+
+def walk_shapes(s: int) -> dict[tuple[tuple, int, int, int], int]:
+    """Count even walks of 2s steps by shape, without building any walk.
+
+    The shape is (sorted (pass count, is_loop) profile of the frame edges,
+    |V|, max pass count, max exit degree): all that an exact trace moment
+    and its four-way census split read from a walk.
+    """
+    if 2 * s > SHAPE_CEILING:
+        raise EnumerationCeilingError("walk_shapes", 2 * s, SHAPE_CEILING)
+    groups: dict[tuple[tuple, int, int, int], int] = {}
+
+    def leaf(labels, passes, exits, n_vertices) -> None:
+        profile = tuple(sorted([(m, a == b) for (a, b), m in passes.items()]))
+        key = (profile, n_vertices, profile[-1][0] if profile else 0, max(exits))
+        groups[key] = groups.get(key, 0) + 1
+
+    _even_walk_dfs(s, True, leaf)
+    return groups
 
 
 def is_tree_structure(walk: Walk) -> bool:

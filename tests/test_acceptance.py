@@ -16,7 +16,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy import integrate
 
 from wignerlab import dyck

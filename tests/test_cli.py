@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -204,3 +203,22 @@ def test_mc_subcommand(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "2s=4" in out and "z=" in out
+
+
+def test_mc_dilute_compares_with_exact(capsys):
+    code = run(
+        ["mc", "--n", "30", "--s", "3", "--c", "5", "--replicates", "400", "--seed", "7", "--no-timestamp"]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    summary = json.loads(out[out.index("{") :])
+    assert summary["config"]["dilution_c"] == 5
+    for entry in summary["traces"].values():
+        assert "exact" in entry and "z" in entry
+        assert abs(entry["z"]) < 4
+
+
+def test_moments_beyond_shape_ceiling(capsys):
+    code = run(["moments", "--n", "10", "--s", "8", "--no-timestamp"])
+    assert code == 1
+    assert "enumeration ceiling 14" in capsys.readouterr().err

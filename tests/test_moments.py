@@ -27,9 +27,11 @@ from wignerlab.moments import (
     truncated_spec,
     weight_bound_check,
     wigner_spec,
+    _walk_shapes,
     z_decomposition,
 )
-from wignerlab.walks import cached_even_walks
+from wignerlab.errors import EnumerationCeilingError
+from wignerlab.walks import analyze, cached_even_walks, walk_shapes
 
 RAD = RademacherLaw(Fraction(1, 2))
 GAU = GaussianLaw(Fraction(1, 2))
@@ -271,6 +273,33 @@ def test_by_nu_weight_breakdown_matches_per_walk_sum():
     res = exact_trace_moment(spec, s)
     assert res.by_nu_weight == expect
     assert sum(expect.values()) == res.total
+
+
+def _shapes_by_analyzer(s: int) -> tuple:
+    """The shape table aggregated walk by walk from the full analyzer."""
+    groups: dict[tuple, int] = {}
+    for walk in cached_even_walks(s):
+        an = analyze(walk)
+        profile = tuple(sorted((m, a == b) for (a, b), m in an.frame_passes.items()))
+        key = (profile, walk.n_vertices, max((m for m, _ in profile), default=0), an.max_exit_degree)
+        groups[key] = groups.get(key, 0) + 1
+    return tuple((*key, cnt) for key, cnt in sorted(groups.items()))
+
+
+def test_shape_table_matches_analyzer():
+    assert _walk_shapes(0) == (((), 1, 0, 0, 1),)
+    for s in range(6):
+        assert _walk_shapes(s) == _shapes_by_analyzer(s)
+
+
+def test_shape_table_sizes():
+    # (rows, walks) per s; s = 7 is past the walk-enumeration ceiling
+    for s, rows, walks in ((6, 226, 65_032), (7, 475, 1_039_064)):
+        table = _walk_shapes(s)
+        assert (len(table), sum(row[-1] for row in table)) == (rows, walks)
+    assert sum(row[-1] for row in _walk_shapes(6)) == len(cached_even_walks(6))
+    with pytest.raises(EnumerationCeilingError):
+        walk_shapes(8)
 
 
 def test_moment_result_serialization():

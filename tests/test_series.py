@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
 from wignerlab.dyck import catalan
 from wignerlab.series import (
     Series,

@@ -1,9 +1,11 @@
+import csv
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab.cli import GOLDEN_DIR
 from wignerlab.dyck import catalan
 from wignerlab.errors import EnumerationCeilingError
 from wignerlab.walks import (
@@ -81,6 +83,26 @@ def _closed_sequences(max_steps: int) -> list[Walk]:
 
     rec([1], 1)
     return out
+
+
+def test_enumeration_matches_goldens_and_oracle():
+    # walk_counts.csv fixes how many canonical even walks there are, so
+    # distinct, even and strictly increasing lists of that length are the lists
+    with open(GOLDEN_DIR / "walk_counts.csv") as fh:
+        golden = {int(row["s"]): row for row in csv.DictReader(fh)}
+    for s in range(6):
+        for allow_loops, column in ((True, "even_walks"), (False, "loopless")):
+            walks = enumerate_even_walks(s, allow_loops=allow_loops)
+            labels = [w.labels for w in walks]
+            assert len(walks) == int(golden[s][column])
+            assert all(a < b for a, b in zip(labels, labels[1:]))
+            assert all(w.is_even() and w.n_steps == 2 * s for w in walks)
+            assert allow_loops or all(a != b for w in walks for a, b in w.steps())
+        assert sum(1 for w in cached_even_walks(s) if is_tree_structure(w)) == int(golden[s]["tree_walks"])
+    # independent oracle: filter every canonical closed sequence of <= 6 steps
+    brute = sorted(w.labels for w in _closed_sequences(6) if w.is_even())
+    ours = sorted(w.labels for s in range(4) for w in enumerate_even_walks(s))
+    assert ours == brute
 
 
 def test_tree_structure_matches_analyzer():
