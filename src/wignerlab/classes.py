@@ -12,8 +12,9 @@ suffer rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 
 from .dyck import DyckPath
 from .errors import BoundPreconditionError
@@ -283,57 +284,55 @@ class ClassCensusRow:
         return float(Fraction(self.bound) / self.exact)
 
 
-def nu_census(s: int, ceiling: int | None = None) -> dict[NuSignature, int]:
+@lru_cache(maxsize=None)
+def _census(s: int) -> tuple[dict[NuSignature, int], dict[MuSignature, int]]:
+    """Exact nu and mu class sizes among even walks of 2s steps, one analysis per walk."""
+    nu: dict[NuSignature, int] = {}
+    mu: dict[MuSignature, int] = {}
+    for walk in cached_even_walks(s):
+        an = analyze(walk)
+        sig_nu = classify_nu(walk, an)
+        nu[sig_nu] = nu.get(sig_nu, 0) + 1
+        sig_mu = classify_mu(walk, an)
+        mu[sig_mu] = mu.get(sig_mu, 0) + 1
+    return nu, mu
+
+
+def nu_census(s: int) -> dict[NuSignature, int]:
     """Exact cardinality of every realized nu class among even walks of 2s steps."""
-    kwargs = {} if ceiling is None else {"ceiling": ceiling}
-    census: dict[NuSignature, int] = {}
-    for walk in cached_even_walks(s, **kwargs):
-        sig = classify_nu(walk)
-        census[sig] = census.get(sig, 0) + 1
-    return census
+    return dict(_census(s)[0])
 
 
-def mu_census(s: int, ceiling: int | None = None) -> dict[MuSignature, int]:
-    kwargs = {} if ceiling is None else {"ceiling": ceiling}
-    census: dict[MuSignature, int] = {}
-    for walk in cached_even_walks(s, **kwargs):
-        sig = classify_mu(walk)
-        census[sig] = census.get(sig, 0) + 1
-    return census
+def mu_census(s: int) -> dict[MuSignature, int]:
+    """Exact cardinality of every realized mu class among even walks of 2s steps."""
+    return dict(_census(s)[1])
 
 
 def exact_class_size(s: int, signature: NuSignature | MuSignature) -> int:
     """Count enumerated walks matching the signature.
 
     A None theta in the signature matches any Dyck path (aggregate count).
+    A nu signature caps the exit degree (d <= signature.d) and ignores the
+    root fields; a mu signature must match in every field but max_kappa_nu.
     Formally infeasible signatures simply match nothing and count 0.
     """
-    total = 0
-    for walk in cached_even_walks(s):
-        an = analyze(walk)
-        if isinstance(signature, NuSignature):
-            sig = classify_nu(walk, an)
-            if (
-                (signature.theta is None or sig.theta == signature.theta)
-                and sig.nu == signature.nu
-                and sig.r == signature.r
-                and sig.p == signature.p
-                and sig.d <= signature.d
-            ):
-                total += 1
-        else:
-            sig = classify_mu(walk, an)
-            if (
-                (signature.theta is None or sig.theta == signature.theta)
-                and sig.mu == signature.mu
-                and sig.p_count == signature.p_count
-                and sig.double_mu == signature.double_mu
-                and sig.q_counts == signature.q_counts
-                and sig.r == signature.r
-                and sig.d == signature.d
-            ):
-                total += 1
-    return total
+    nu, mu = _census(s)
+    if isinstance(signature, NuSignature):
+        key = (signature.nu, signature.r, signature.p)
+        return sum(
+            cnt
+            for sig, cnt in nu.items()
+            if signature.theta in (None, sig.theta)
+            and (sig.nu, sig.r, sig.p) == key
+            and sig.d <= signature.d
+        )
+    key = replace(signature, theta=None, max_kappa_nu=0)
+    return sum(
+        cnt
+        for sig, cnt in mu.items()
+        if signature.theta in (None, sig.theta)
+        and replace(sig, theta=None, max_kappa_nu=0) == key
+    )
 
 
 def nu_domination_report(s: int) -> list[ClassCensusRow]:
@@ -342,11 +341,12 @@ def nu_domination_report(s: int) -> list[ClassCensusRow]:
     The nu class bound caps the exit degree, so for a given key the exact
     count at cap d aggregates all walks of the key with max exit degree <= d.
     """
-    census = nu_census(s)
     by_key: dict[tuple, dict[int, int]] = {}
-    for sig, cnt in census.items():
-        key = (sig.theta, sig.nu, sig.r, sig.p, sig.root_kappa, sig.root_open)
-        by_key.setdefault(key, {})[sig.d] = by_key.setdefault(key, {}).get(sig.d, 0) + cnt
+    for sig, cnt in nu_census(s).items():
+        d_counts = by_key.setdefault(
+            (sig.theta, sig.nu, sig.r, sig.p, sig.root_kappa, sig.root_open), {}
+        )
+        d_counts[sig.d] = d_counts.get(sig.d, 0) + cnt
     rows: list[ClassCensusRow] = []
     for (theta, nu, r, p, rk, ro), d_counts in sorted(by_key.items()):
         h = DyckPath(theta).max_height
@@ -371,45 +371,30 @@ def mu_domination_report(s: int, k0: int = 4) -> list[ClassCensusRow]:
     return rows
 
 
+def _csv_row(family: str, s: int, row: ClassCensusRow, profile, p_or_pp, ppp="", q="") -> dict:
+    sig = row.signature
+    return {
+        "family": family,
+        "s": s,
+        "theta": "".join("U" if x == 1 else "D" for x in sig.theta),
+        "profile": ";".join(f"{k}:{c}" for k, c in profile),
+        "r": sig.r,
+        "p_or_Pp": p_or_pp,
+        "Ppp": ppp,
+        "Q": q,
+        "d": sig.d,
+        "exact": row.exact,
+        "bound": "" if row.bound is None else str(row.bound),
+        "slack": "" if row.slack is None else f"{row.slack:.6g}",
+        "note": row.note,
+    }
+
+
 def census_csv_rows(s: int, k0: int = 4) -> list[dict]:
     """Flat census rows (both class families) for CSV emission."""
-    out: list[dict] = []
-    for row in nu_domination_report(s):
-        sig = row.signature
-        out.append(
-            {
-                "family": "nu",
-                "s": s,
-                "theta": "".join("U" if x == 1 else "D" for x in sig.theta),
-                "profile": ";".join(f"{k}:{c}" for k, c in sig.nu),
-                "r": sig.r,
-                "p_or_Pp": sig.p,
-                "Ppp": "",
-                "Q": "",
-                "d": sig.d,
-                "exact": row.exact,
-                "bound": "" if row.bound is None else str(row.bound),
-                "slack": "" if row.slack is None else f"{row.slack:.6g}",
-                "note": row.note,
-            }
-        )
+    out = [_csv_row("nu", s, row, row.signature.nu, row.signature.p) for row in nu_domination_report(s)]
     for row in mu_domination_report(s, k0):
         sig = row.signature
-        out.append(
-            {
-                "family": "mu",
-                "s": s,
-                "theta": "".join("U" if x == 1 else "D" for x in sig.theta),
-                "profile": ";".join(f"{m}:{c}" for m, c in sig.mu),
-                "r": sig.r,
-                "p_or_Pp": sig.p_count,
-                "Ppp": sig.double_mu,
-                "Q": ";".join(str(q) for q in sig.q_counts),
-                "d": sig.d,
-                "exact": row.exact,
-                "bound": "" if row.bound is None else str(row.bound),
-                "slack": "" if row.slack is None else f"{row.slack:.6g}",
-                "note": row.note,
-            }
-        )
+        q = ";".join(str(c) for c in sig.q_counts)
+        out.append(_csv_row("mu", s, row, sig.mu, sig.p_count, sig.double_mu, q))
     return out

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import sys
@@ -25,7 +24,7 @@ from . import __version__
 from . import classes as cls
 from . import dyck, moments, series
 from .laws import make_law
-from .mc import EnsembleConfig, sample_stats, tail_curve
+from .mc import EnsembleConfig, fingerprint as _digest, sample_stats, tail_curve
 from .moments import TruncationSpec
 from .suites import run_verify_suites
 from .walks import SHAPE_CEILING, analyze, enumerate_even_walks, is_tree_structure, report_to_dict
@@ -38,9 +37,7 @@ _VOLATILE_KEYS = {"out", "func", "config", "no_timestamp", "format", "bless", "g
 
 
 def fingerprint(params: dict) -> str:
-    semantic = {k: v for k, v in params.items() if k not in _VOLATILE_KEYS}
-    blob = json.dumps(semantic, sort_keys=True, default=str).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    return _digest({k: v for k, v in params.items() if k not in _VOLATILE_KEYS})
 
 
 def _meta(params: dict, no_timestamp: bool) -> dict:
@@ -82,7 +79,10 @@ def write_json(path: str | None, payload: dict, params: dict, no_timestamp: bool
 
 
 def load_config_tokens(path: str) -> list[str]:
-    """Turn `key = value` lines into CLI tokens so flags can override them."""
+    """Turn `key = value` lines into CLI tokens so flags can override them.
+
+    A true/yes/on value becomes a bare switch; false/no/off gives no token.
+    """
     tokens = []
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -94,13 +94,22 @@ def load_config_tokens(path: str) -> list[str]:
         key = key.replace("_", "-")
         if value.lower() in ("true", "yes", "on"):
             tokens.append(f"--{key}")
-        else:
+        elif value.lower() not in ("false", "no", "off"):
             tokens.extend([f"--{key}", value])
     return tokens
 
 
+def build_law(args):
+    return make_law(args.ensemble, Fraction(args.v), gamma=getattr(args, "gamma", 24.0))
+
+
+def build_config(args) -> EnsembleConfig:
+    dilution_c = int(args.c) if args.c else None
+    return EnsembleConfig(n=args.n, law=build_law(args), dilution_c=dilution_c, seed=args.seed)
+
+
 def build_spec(args) -> moments.MomentSpec:
-    law = make_law(args.ensemble, Fraction(args.v), gamma=getattr(args, "gamma", 24.0))
+    law = build_law(args)
     if getattr(args, "c", None):
         return moments.dilute_spec(law, args.n, int(args.c))
     if getattr(args, "truncate", False):
@@ -204,7 +213,9 @@ def cmd_classify(args) -> int:
 def cmd_moments(args) -> int:
     spec = build_spec(args)
     result = moments.exact_trace_moment(spec, args.s)
-    print(f"E Tr A^{2*args.s} = {float(result.total)}  (exact {result.total})")
+    exact = moments.exact_text(result.total)
+    label = "float" if exact is None else f"exact {exact}"
+    print(f"E Tr A^{2*args.s} = {float(result.total)}  ({label})")
     write_json(args.out, result.to_dict(), vars(args).copy(), args.no_timestamp)
     return 0
 
@@ -218,11 +229,13 @@ def cmd_zparts(args) -> int:
         f"parts={parts}"
     )
     if args.format == "csv":
+        # a float total has no exact column
+        exact = moments.exact_text(result.total) is not None
         rows = [
             {
                 "part": f"Z{i}",
                 "value": float(v),
-                "value_exact": str(v),
+                "value_exact": str(v) if exact else "",
                 "fraction": float(v) / float(result.total) if float(result.total) else 0.0,
             }
             for i, v in sorted(result.z_parts.items())
@@ -231,7 +244,7 @@ def cmd_zparts(args) -> int:
             {
                 "part": "total",
                 "value": float(result.total),
-                "value_exact": str(result.total),
+                "value_exact": str(result.total) if exact else "",
                 "fraction": 1.0,
             }
         )
@@ -242,13 +255,7 @@ def cmd_zparts(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    law = make_law(args.ensemble, Fraction(args.v), gamma=args.gamma)
-    config = EnsembleConfig(
-        n=args.n,
-        law=law,
-        dilution_c=int(args.c) if args.c else None,
-        seed=args.seed,
-    )
+    config = build_config(args)
     s_list = tuple(range(1, args.s + 1))
     stats = sample_stats(config, args.replicates, s_list=s_list)
     summary = {
@@ -281,13 +288,7 @@ def cmd_mc(args) -> int:
 
 
 def cmd_tail(args) -> int:
-    law = make_law(args.ensemble, Fraction(args.v), gamma=args.gamma)
-    config = EnsembleConfig(
-        n=args.n,
-        law=law,
-        dilution_c=int(args.c) if args.c else None,
-        seed=args.seed,
-    )
+    config = build_config(args)
     xs = tuple(float(tok) for tok in args.x.split(","))
     curve = tail_curve(
         config, xs, scale=args.scale, replicates=args.replicates, chebyshev_s=args.chebyshev_s
@@ -302,7 +303,7 @@ def cmd_tail(args) -> int:
 
 
 def cmd_dilute(args) -> int:
-    law = make_law(args.ensemble, Fraction(args.v))
+    law = build_law(args)
     spec = moments.dilute_spec(law, args.n, int(args.c))
     total = moments.exact_trace_moment(spec, args.s).total
     bound = moments.dilute_lower_bound(law, args.n, int(args.c), args.s)
@@ -479,16 +480,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # expand --config into tokens placed right after the subcommand, so
-    # explicitly given flags (parsed later) override the file values
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
+    # expand --config FILE (or --config=FILE) into tokens placed right after
+    # the subcommand, so explicitly given flags (parsed later) override them
+    idx = next((i for i, tok in enumerate(argv) if tok.partition("=")[0] == "--config"), None)
+    if idx is not None:
+        _, eq, path = argv[idx].partition("=")
+        width = 1 if eq else 2
+        if not eq and idx + 1 < len(argv):
+            path = argv[idx + 1]
+        if not path:
             print("error: --config needs a path", file=sys.stderr)
             return 2
-        tokens = load_config_tokens(argv[idx + 1])
-        rest = argv[:idx] + argv[idx + 2 :]
-        argv = rest[:1] + tokens + rest[1:]
+        rest = argv[:idx] + argv[idx + width :]
+        argv = rest[:1] + load_config_tokens(path) + rest[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

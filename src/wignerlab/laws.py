@@ -135,7 +135,8 @@ class ThreePointLaw:
     """a = +-spike with probability q each, else 0; heavy even moments.
 
     With spike=2, q=1/32 this realizes v^2 = 1/4 together with the moment
-    chain 1 <= V_4 <= ... <= V_12 that the walk-weight bound assumes.
+    chain 1 <= V_4 <= ... <= V_12 that the walk-weight bound assumes; at
+    q=1/32 the spike 4v gives standard deviation v.
     """
 
     spike: Fraction = Fraction(2)
@@ -222,5 +223,5 @@ def make_law(name: str, v: float | Fraction = 1, gamma: float = 24.0):
     if name in ("power-tail", "powertail", "pareto"):
         return PowerTailLaw(float(v), gamma)
     if name in ("three-point", "threepoint"):
-        return ThreePointLaw()
+        return ThreePointLaw(spike=4 * Fraction(v))
     raise ValueError(f"unknown entry law {name!r}")

@@ -20,6 +20,12 @@ from .laws import GoeLaw
 from .moments import MomentSpec, TruncationSpec, dilute_spec, truncated_spec, wigner_spec
 
 
+def fingerprint(payload: dict) -> str:
+    """First 16 hex digits of the sha256 of the sorted-key JSON of payload."""
+    blob = json.dumps(payload, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     n: int
@@ -47,8 +53,7 @@ class EnsembleConfig:
         return out
 
     def fingerprint(self) -> str:
-        blob = json.dumps(self.descriptor(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        return fingerprint(self.descriptor())
 
     def moment_spec(self) -> MomentSpec:
         """The exact-moment counterpart of this sampling configuration."""

@@ -127,6 +127,11 @@ def semicircle_moment(order: int, v):
     return float(v) ** (2 * k) * cat
 
 
+def exact_text(value) -> str | None:
+    """The rational string of an exact value; None for a float."""
+    return str(value) if isinstance(value, (int, Fraction)) else None
+
+
 @dataclass
 class MomentResult:
     """Trace moment with its per-class breakdown and the four-way split."""
@@ -154,7 +159,7 @@ class MomentResult:
             "n": self.n,
             "s": self.s,
             "total": float(self.total),
-            "total_exact": str(self.total),
+            "total_exact": exact_text(self.total),
             "normalized": self.normalized(),
             "by_nu_weight": {str(k): float(val) for k, val in sorted(self.by_nu_weight.items())},
         }

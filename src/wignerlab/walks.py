@@ -127,21 +127,16 @@ class WalkAnalysis:
     kappa_nu: dict[int, int]
     open_instants: tuple[int, ...]
     open_by_vertex: dict[int, tuple[int, ...]]
-    exit_clusters: dict[int, tuple[int, ...]]
     exit_degree: dict[int, int]
     max_exit_degree: int
     mu_edges: dict[tuple[int, int], int]
     p_edges: dict[tuple[int, int], int]
     q_layers: tuple[tuple[int, ...], ...]
-    step_roles: dict[int, str]
     kappa_mu: dict[int, int]
     p_count: int
     double_mu_count: int
-    double_mu_pairs: tuple[tuple[int, int], ...]
     q_counts: tuple[int, ...]
     reduced: Walk
-    reduced_raw: tuple[int, ...]
-    reduced_step_map: tuple[int, ...]
     bts_instants: tuple[int, ...]
     primary_cells: dict[int, tuple[int, ...]]
     imported_cells: dict[int, tuple[int, ...]]
@@ -217,7 +212,7 @@ def analyze(walk: Walk) -> WalkAnalysis:
 
     frame_passes: dict[tuple[int, int], int] = {}
     marked_arrivals: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
-    exit_clusters: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
+    exit_degree: dict[int, int] = {v: 0 for v in range(1, walk.n_vertices + 1)}
     open_instants: list[int] = []
     open_by_vertex: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
     directed_marked: dict[tuple[int, int], list[int]] = {}
@@ -237,7 +232,7 @@ def analyze(walk: Walk) -> WalkAnalysis:
                 open_instants.append(t)
                 open_by_vertex[b].append(t)
             marked_arrivals[b].append(t)
-            exit_clusters[a].append(t)
+            exit_degree[a] += 1
             directed_marked.setdefault((a, b), []).append(t)
         frame_passes[e] = frame_passes.get(e, 0) + 1
         delta = 1 if frame_passes[e] % 2 == 1 else -1
@@ -257,16 +252,12 @@ def analyze(walk: Walk) -> WalkAnalysis:
     mu_edges: dict[tuple[int, int], int] = {}
     p_edges: dict[tuple[int, int], int] = {}
     q_layer_map: dict[int, list[int]] = {}
-    step_roles: dict[int, str] = {}
     for edge, instants in directed_marked.items():
         mu_edges[edge] = instants[-1]
-        step_roles[instants[-1]] = "mu"
         if len(instants) >= 2:
             p_edges[edge] = instants[-2]
-            step_roles[instants[-2]] = "p"
         for depth, t in enumerate(reversed(instants[:-2]), start=1):
             q_layer_map.setdefault(depth, []).append(t)
-            step_roles[t] = f"q{depth}"
     q_layers = tuple(
         tuple(sorted(q_layer_map[j])) for j in sorted(q_layer_map)
     )
@@ -276,13 +267,6 @@ def analyze(walk: Walk) -> WalkAnalysis:
     for v in range(1, walk.n_vertices + 1):
         m = sum(1 for (_, head) in mu_edges if head == v)
         kappa_mu[v] = m + (1 if v == ROOT else 0)
-
-    double_pairs: list[tuple[int, int]] = []
-    for (a, b), t in mu_edges.items():
-        if a < b and (b, a) in mu_edges:
-            t2 = mu_edges[(b, a)]
-            double_pairs.append((min(t, t2), max(t, t2)))
-    double_pairs.sort()
 
     # reduction, BTS instants, cells
     raw, step_map = _reduce_raw(lab)
@@ -308,7 +292,6 @@ def analyze(walk: Walk) -> WalkAnalysis:
     if walk.is_even():
         theta = DyckPath(tuple(1 if m else -1 for m in marked))
 
-    exit_degree = {v: len(exit_clusters[v]) for v in exit_clusters}
     return WalkAnalysis(
         walk=walk,
         s=s,
@@ -319,21 +302,16 @@ def analyze(walk: Walk) -> WalkAnalysis:
         kappa_nu=kappa_nu,
         open_instants=tuple(open_instants),
         open_by_vertex={v: tuple(ts) for v, ts in open_by_vertex.items()},
-        exit_clusters={v: tuple(ts) for v, ts in exit_clusters.items()},
         exit_degree=exit_degree,
         max_exit_degree=max(exit_degree.values(), default=0),
         mu_edges=mu_edges,
         p_edges=p_edges,
         q_layers=q_layers,
-        step_roles=step_roles,
         kappa_mu=kappa_mu,
         p_count=len(p_edges),
-        double_mu_count=len(double_pairs),
-        double_mu_pairs=tuple(double_pairs),
+        double_mu_count=sum(1 for a, b in mu_edges if a < b and (b, a) in mu_edges),
         q_counts=q_counts,
         reduced=reduced,
-        reduced_raw=raw,
-        reduced_step_map=step_map,
         bts_instants=tuple(bts),
         primary_cells=primary_cells,
         imported_cells={v: tuple(ts) for v, ts in imported.items()},
@@ -352,7 +330,7 @@ def _even_walk_dfs(s: int, allow_loops: bool, leaf) -> None:
     Calls leaf(labels, passes, exits, n_vertices) once per walk, in
     lexicographic label order. passes maps each frame edge to its pass count;
     exits[v] counts the marked steps leaving v, a step being marked when its
-    edge had an even pass count before it (as in analyze's exit clusters).
+    edge had an even pass count before it (as in analyze's exit degrees).
     The arguments are live state: a leaf must copy what it keeps.
     """
     labels = [ROOT]

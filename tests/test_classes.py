@@ -1,10 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from wignerlab import classes
 from wignerlab.classes import (
     MuSignature,
     NuSignature,
+    census_csv_rows,
     classify_mu,
     classify_nu,
     exact_class_size,
@@ -145,3 +148,101 @@ def test_exact_class_size_examples():
     # the worked walk's mu class is realized (witness membership)
     mu14 = classify_mu(W14)
     assert mu14.mu == ((1, 4), (3, 1))  # nonempty class by witness
+
+
+# The per-walk loops the census replaced, kept as its oracle.
+
+
+def oracle_census(s):
+    nu, mu = {}, {}
+    for walk in cached_even_walks(s):
+        sig = classify_nu(walk)
+        nu[sig] = nu.get(sig, 0) + 1
+        sig = classify_mu(walk)
+        mu[sig] = mu.get(sig, 0) + 1
+    return nu, mu
+
+
+def oracle_class_size(s, signature):
+    total = 0
+    for walk in cached_even_walks(s):
+        if isinstance(signature, NuSignature):
+            sig = classify_nu(walk)
+            if (
+                (signature.theta is None or sig.theta == signature.theta)
+                and sig.nu == signature.nu
+                and sig.r == signature.r
+                and sig.p == signature.p
+                and sig.d <= signature.d
+            ):
+                total += 1
+        else:
+            sig = classify_mu(walk)
+            if (
+                (signature.theta is None or sig.theta == signature.theta)
+                and sig.mu == signature.mu
+                and sig.p_count == signature.p_count
+                and sig.double_mu == signature.double_mu
+                and sig.q_counts == signature.q_counts
+                and sig.r == signature.r
+                and sig.d == signature.d
+            ):
+                total += 1
+    return total
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_census_matches_per_walk_oracle(s):
+    nu, mu = oracle_census(s)
+    assert nu_census(s) == nu
+    assert mu_census(s) == mu
+
+
+def test_census_returns_fresh_dicts():
+    nu_census(2).clear()
+    mu_census(2).clear()
+    assert sum(nu_census(2).values()) == sum(mu_census(2).values()) == len(cached_even_walks(2))
+
+
+def test_exact_class_size_matches_oracle():
+    s = 4
+    nu_sigs = list(nu_census(s))[::40]
+    mu_sigs = list(mu_census(s))[::40]
+    samples = [
+        NuSignature(theta=None, nu=(), r=0, p=0, d=4),
+        NuSignature(theta=None, nu=((2, 3),), r=0, p=0, d=4),
+        classify_mu(cached_even_walks(s)[-1]),
+    ]
+    for sig in nu_sigs:
+        # wildcard theta, a tighter exit-degree cap, and root fields ignored
+        samples += [
+            replace(sig, theta=None),
+            replace(sig, d=sig.d - 1),
+            replace(sig, root_kappa=sig.root_kappa + 1, root_open=not sig.root_open),
+        ]
+    for sig in mu_sigs:
+        # wildcard theta, max_kappa_nu ignored, and a mismatching exit degree
+        samples += [replace(sig, theta=None), replace(sig, max_kappa_nu=9), replace(sig, d=sig.d + 1)]
+    assert len(samples) == 42
+    sizes = []
+    for sig in samples:
+        sizes.append(exact_class_size(s, sig))
+        assert sizes[-1] == oracle_class_size(s, sig), sig
+    assert sizes[:2] == [14, 0] and max(sizes) > 1
+
+
+def test_census_analyzes_each_walk_once(monkeypatch):
+    s = 4
+    mu_sig = classify_mu(cached_even_walks(s)[-1])
+    analyzed = []
+    real = classes.analyze
+    monkeypatch.setattr(classes, "analyze", lambda walk: analyzed.append(walk) or real(walk))
+    classes._census.cache_clear()
+    nu_census(s)
+    mu_census(s)
+    nu_domination_report(s)
+    mu_domination_report(s)
+    census_csv_rows(s)
+    assert exact_class_size(s, NuSignature(theta=None, nu=(), r=0, p=0, d=4)) == 14
+    assert exact_class_size(s, mu_sig) >= 1
+    assert len(analyzed) == len(cached_even_walks(s)) == 433

@@ -1,9 +1,13 @@
 import json
+from fractions import Fraction
 
 import pytest
 
 from wignerlab import cli
 from wignerlab.cli import main
+from wignerlab.laws import GaussianLaw
+from wignerlab.mc import EnsembleConfig
+from wignerlab.moments import TruncationSpec
 
 
 def run(args):
@@ -222,3 +226,59 @@ def test_moments_beyond_shape_ceiling(capsys):
     code = run(["moments", "--n", "10", "--s", "8", "--no-timestamp"])
     assert code == 1
     assert "enumeration ceiling 14" in capsys.readouterr().err
+
+
+def test_config_equals_form_and_false_values(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\ns = 2\nensemble = rademacher\nv = 0.5\nno-timestamp = false\n")
+    assert cli.load_config_tokens(str(cfg)) == [
+        "--n", "2", "--s", "2", "--ensemble", "rademacher", "--v", "0.5",
+    ]
+    # the equals form loads the file exactly as the space form does
+    for form in (["--config", str(cfg)], [f"--config={cfg}"]):
+        code = run(["moments", *form, "--no-timestamp"])
+        out = capsys.readouterr().out
+        assert code == 0 and "(exact 3/16)" in out
+    # a false switch leaves the timestamp on
+    assert run(["moments", f"--config={cfg}"]) == 0
+    assert "generated_at" in capsys.readouterr().out
+    assert run(["moments", "--config="]) == 2
+
+
+def test_three_point_reads_v(capsys):
+    for v, exact in (("1", "20"), ("1/2", "5/4"), ("0.5", "5/4")):
+        code = run(["moments", "--n", "3", "--s", "2", "--ensemble", "three-point", "--v", v, "--no-timestamp"])
+        out = capsys.readouterr().out
+        assert code == 0 and f"(exact {exact})" in out
+        payload = json.loads(out[out.index("{") :])
+        assert payload["total_exact"] == exact
+        assert payload["ensemble"]["spike"] == ("4" if v == "1" else "2")
+
+
+def zparts_rows(out):
+    return [line.split(",") for line in out.splitlines() if line.startswith(("Z", "total,"))]
+
+
+def test_float_totals_are_labelled_float(capsys):
+    code = run(["moments", "--n", "3", "--s", "2", "--ensemble", "gaussian", "--truncate", "--no-timestamp"])
+    out = capsys.readouterr().out
+    assert code == 0 and "(float)" in out and "exact" not in out.split("\n")[0]
+    assert json.loads(out[out.index("{") :])["total_exact"] is None
+    args = ["zparts", "--n", "3", "--s", "2", "--no-timestamp", "--format", "csv", "--ensemble"]
+    assert run(args + ["power-tail"]) == 0
+    rows = zparts_rows(capsys.readouterr().out)
+    assert len(rows) == 5 and all(row[2] == "" for row in rows)
+    # rational totals keep their exact column
+    assert run(args + ["rademacher"]) == 0
+    rows = zparts_rows(capsys.readouterr().out)
+    assert rows[-1][:3] == ["total", "0.3125", "5/16"]
+
+
+def test_fingerprints_unchanged():
+    law = GaussianLaw(Fraction(1, 2))
+    assert EnsembleConfig(n=12, law=law, seed=7).fingerprint() == "3ae0680981f40164"
+    truncated = EnsembleConfig(n=12, law=law, truncation=TruncationSpec(law, delta=0.05), seed=7)
+    assert truncated.fingerprint() == "00c6c868c89dc135"
+    args = cli.build_parser().parse_args(["mc", "--n", "12", "--s", "2", "--seed", "7", "--no-timestamp"])
+    assert cli.fingerprint(vars(args)) == "7f87dbddaa3c8aee"
+    assert cli.build_config(args) == EnsembleConfig(n=12, law=cli.build_law(args), seed=7)
