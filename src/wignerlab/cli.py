@@ -82,6 +82,7 @@ def load_config_tokens(path: str) -> list[str]:
     """Turn `key = value` lines into CLI tokens so flags can override them.
 
     A true/yes/on value becomes a bare switch; false/no/off gives no token.
+    An unreadable file or a line without '=' raises OSError or ValueError.
     """
     tokens = []
     for raw in Path(path).read_text().splitlines():
@@ -89,7 +90,7 @@ def load_config_tokens(path: str) -> list[str]:
         if not line:
             continue
         if "=" not in line:
-            raise SystemExit(f"config line without '=': {raw!r}")
+            raise ValueError(f"config line without '=': {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("_", "-")
         if value.lower() in ("true", "yes", "on"):
@@ -308,8 +309,11 @@ def cmd_dilute(args) -> int:
     total = moments.exact_trace_moment(spec, args.s).total
     bound = moments.dilute_lower_bound(law, args.n, int(args.c), args.s)
     ok = total >= bound
+    exact = moments.exact_text(total)
+    moment = f"dilute moment {float(total):.6g}"
+    label = f"exact {moment}" if exact is not None else f"{moment} (float)"
     print(
-        f"exact dilute moment {float(total):.6g} vs lower bound {float(bound):.6g}: "
+        f"{label} vs lower bound {float(bound):.6g}: "
         f"{'OK' if ok else 'VIOLATED'}"
     )
     write_json(
@@ -319,7 +323,7 @@ def cmd_dilute(args) -> int:
             "s": args.s,
             "c": int(args.c),
             "exact": float(total),
-            "exact_rational": str(total),
+            "exact_rational": exact,
             "lower_bound": float(bound),
             "satisfied": ok,
         },
@@ -491,8 +495,13 @@ def main(argv: list[str] | None = None) -> int:
         if not path:
             print("error: --config needs a path", file=sys.stderr)
             return 2
+        try:
+            tokens = load_config_tokens(path)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         rest = argv[:idx] + argv[idx + width :]
-        argv = rest[:1] + load_config_tokens(path) + rest[1:]
+        argv = rest[:1] + tokens + rest[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -127,7 +127,7 @@ class SampleStats:
     """Per-replicate spectral statistics plus aggregates."""
 
     config: EnsembleConfig
-    replicates: int
+    replicates: int  # filled replicates; the dropped ones are in failed_replicates
     s_list: tuple[int, ...]
     lambda_max: np.ndarray = field(repr=False, default=None)
     traces: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
@@ -180,7 +180,7 @@ def sample_stats(
     traces = {s: a[:filled] for s, a in traces.items()}
     return SampleStats(
         config=config,
-        replicates=replicates,
+        replicates=filled,
         s_list=tuple(s_list),
         lambda_max=lam,
         traces=traces,

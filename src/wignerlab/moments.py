@@ -8,12 +8,15 @@ trajectories; grouping trajectories by their canonical walk turns it into
 The per-edge moment function carries the whole ensemble (entry law,
 truncation, dilution and the matrix normalization), so one enumeration
 serves every ensemble. A brute-force sum over all n^(2s) index tuples is
-kept alongside as the oracle.
+kept alongside as the oracle: it tallies every index tuple by its edge
+profile once per (n, s), independently of the walk layer, and weights the
+tallies per ensemble.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -268,12 +271,15 @@ def z_decomposition(
     )
 
 
-def brute_force_trace_moment(spec: MomentSpec, s: int, max_n: int = 4):
-    """Oracle: sum E[a_{i0 i1} ... a_{i_{2s-1} i0}] over all n^(2s) index tuples."""
-    n = spec.n
-    if n > max_n:
-        raise ValueError(f"brute force oracle limited to n <= {max_n}")
-    total = 0
+@lru_cache(maxsize=None)
+def _tuple_profiles(n: int, s: int) -> tuple[tuple[tuple, int], ...]:
+    """(edge profile, tuple count) rows over all n^(2s) closed index tuples.
+
+    A tuple's edge profile is the sorted multiset of (pass count, is_loop)
+    over its distinct undirected edges; it fixes the tuple's weight for any
+    ensemble, so the tuples are enumerated once and weighted per spec.
+    """
+    counts: Counter = Counter()
     for tup in product(range(n), repeat=2 * s):
         passes: dict[tuple[int, int], int] = {}
         closed = tup + (tup[0],)
@@ -281,12 +287,23 @@ def brute_force_trace_moment(spec: MomentSpec, s: int, max_n: int = 4):
             a, b = closed[t], closed[t + 1]
             e = (a, b) if a <= b else (b, a)
             passes[e] = passes.get(e, 0) + 1
+        counts[tuple(sorted((m, a == b) for (a, b), m in passes.items()))] += 1
+    return tuple(sorted(counts.items()))
+
+
+def brute_force_trace_moment(spec: MomentSpec, s: int, max_n: int = 4):
+    """Oracle: sum E[a_{i0 i1} ... a_{i_{2s-1} i0}] over all n^(2s) index tuples."""
+    n = spec.n
+    if n > max_n:
+        raise ValueError(f"brute force oracle limited to n <= {max_n}")
+    total = 0
+    for profile, count in _tuple_profiles(n, s):
         w = Fraction(1)
-        for (a, b), m in passes.items():
-            w = w * spec.edge_moment(m, a == b)
+        for edge in profile:
+            w = w * spec.edge_moment(*edge)
             if w == 0:
                 break
-        total = total + w
+        total = total + count * w
     return total
 
 

@@ -50,9 +50,9 @@ class SuiteResult:
 
 def _timed(fn):
     def wrapper(*args, **kwargs) -> SuiteResult:
-        t0 = time.time()
+        t0 = time.perf_counter()
         res = fn(*args, **kwargs)
-        res.elapsed = time.time() - t0
+        res.elapsed = time.perf_counter() - t0
         return res
 
     return wrapper

@@ -245,6 +245,20 @@ def test_config_equals_form_and_false_values(tmp_path, capsys):
     assert run(["moments", "--config="]) == 2
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "no-equals"])
+def test_config_file_errors_are_usage_errors(tmp_path, capsys, kind):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("n = 2\nnot a key value line\n")
+    path = {"missing": tmp_path / "nonexistent.cfg", "directory": tmp_path, "no-equals": bad}[kind]
+    for form in (["--config", str(path)], [f"--config={path}"]):
+        assert run(["moments", *form, "--no-timestamp"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
 def test_three_point_reads_v(capsys):
     for v, exact in (("1", "20"), ("1/2", "5/4"), ("0.5", "5/4")):
         code = run(["moments", "--n", "3", "--s", "2", "--ensemble", "three-point", "--v", v, "--no-timestamp"])
@@ -272,6 +286,21 @@ def test_float_totals_are_labelled_float(capsys):
     assert run(args + ["rademacher"]) == 0
     rows = zparts_rows(capsys.readouterr().out)
     assert rows[-1][:3] == ["total", "0.3125", "5/16"]
+
+
+def test_dilute_labels_float_totals(capsys):
+    args = ["dilute", "--n", "10", "--s", "2", "--c", "2", "--no-timestamp"]
+    assert run(args + ["--ensemble", "power-tail"]) == 0
+    out = capsys.readouterr().out
+    first = out.split("\n")[0]
+    assert first.startswith("dilute moment 1.4401 (float) vs lower bound") and "exact" not in first
+    payload = json.loads(out[out.index("{") :])
+    assert payload["exact_rational"] is None and payload["exact"] == pytest.approx(1.4401041666666667)
+    # a rational total keeps its exact label and string
+    assert run(args) == 0
+    out = capsys.readouterr().out
+    assert out.split("\n")[0] == "exact dilute moment 2.0625 vs lower bound 1.13281: OK"
+    assert json.loads(out[out.index("{") :])["exact_rational"] == "33/16"
 
 
 def test_fingerprints_unchanged():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from wignerlab import mc
 from wignerlab.laws import GaussianLaw, GoeLaw, PowerTailLaw, RademacherLaw
 from wignerlab.mc import (
     EnsembleConfig,
@@ -153,6 +154,26 @@ def test_sample_stats_reproducible():
     assert np.array_equal(a.lambda_max, b.lambda_max)
     assert np.array_equal(a.traces[2], b.traces[2])
     assert a.rows() == b.rows()
+
+
+def test_sample_stats_counts_filled_replicates(monkeypatch):
+    real = mc.spectral_stats
+    calls = []
+
+    def flaky(mat, s_list):
+        calls.append(mat)
+        if len(calls) == 4:  # replicate 3
+            raise np.linalg.LinAlgError("eigvalsh did not converge")
+        return real(mat, s_list)
+
+    monkeypatch.setattr(mc, "spectral_stats", flaky)
+    cfg = EnsembleConfig(n=6, law=RAD, seed=2)
+    stats = sample_stats(cfg, 10, s_list=(1, 2))
+    assert stats.replicates == 9
+    assert stats.failed_replicates == [3]
+    assert len(stats.lambda_max) == 9
+    assert all(len(stats.traces[s]) == 9 for s in (1, 2))
+    assert len(stats.rows()) == 9
 
 
 def test_wilson_interval():

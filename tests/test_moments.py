@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from wignerlab import moments
 from wignerlab.laws import (
     GaussianLaw,
     GoeLaw,
@@ -27,10 +29,12 @@ from wignerlab.moments import (
     truncated_spec,
     weight_bound_check,
     wigner_spec,
+    _tuple_profiles,
     _walk_shapes,
     z_decomposition,
 )
 from wignerlab.errors import EnumerationCeilingError
+from wignerlab.suites import criterion_7_moment_oracle
 from wignerlab.walks import analyze, cached_even_walks, walk_shapes
 
 RAD = RademacherLaw(Fraction(1, 2))
@@ -343,3 +347,83 @@ def test_walk_sum_identity_for_arbitrary_moment_assignments():
         assert exact_trace_moment(spec, s).total == brute_force_trace_moment(spec, s)
 
     inner()
+
+
+def per_tuple_oracle(spec, s):
+    """The index-tuple sum weighted tuple by tuple, with no tallying."""
+    n = spec.n
+    total = 0
+    for tup in product(range(n), repeat=2 * s):
+        passes: dict[tuple[int, int], int] = {}
+        closed = tup + (tup[0],)
+        for t in range(2 * s):
+            a, b = closed[t], closed[t + 1]
+            e = (a, b) if a <= b else (b, a)
+            passes[e] = passes.get(e, 0) + 1
+        w = Fraction(1)
+        for (a, b), m in passes.items():
+            w = w * spec.edge_moment(m, a == b)
+            if w == 0:
+                break
+        total = total + w
+    return total
+
+
+def oracle_specs(n):
+    trunc = TruncationSpec(ThreePointLaw(), delta=0.05)
+    return [
+        wigner_spec(RAD, n),
+        wigner_spec(GAU, n),
+        MomentSpec(n=n, law=GAU, kind="goe"),
+        truncated_spec(trunc, n),
+        dilute_spec(RAD, n, 1),
+        dilute_spec(RAD, n, n),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_tallied_oracle_matches_per_tuple_oracle(n, s):
+    for spec in oracle_specs(n):
+        want = per_tuple_oracle(spec, s)
+        got = brute_force_trace_moment(spec, s)
+        assert got == want and type(got) is type(want), spec.descriptor()
+    # float moments: the tallied sum adds in another order, so equal to rounding
+    for law in (GAU, PowerTailLaw()):
+        spec = truncated_spec(TruncationSpec(law, delta=0.05), n)
+        want = per_tuple_oracle(spec, s)
+        got = brute_force_trace_moment(spec, s)
+        assert isinstance(got, float) and got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tuple_profiles_cover_every_tuple(n):
+    for s in range(1, 5):
+        rows = _tuple_profiles(n, s)
+        assert sum(count for _profile, count in rows) == n ** (2 * s)
+        assert all(sum(m for m, _loop in profile) == 2 * s for profile, _count in rows)
+    assert len(_tuple_profiles(4, 4)) == 53
+
+
+def test_brute_force_oracle_is_independent_of_walks(monkeypatch):
+    want = {
+        (n, s): [per_tuple_oracle(spec, s) for spec in oracle_specs(n)]
+        for n in (2, 3)
+        for s in (2, 3)
+    }
+
+    def refuse(*_args):
+        raise AssertionError("the brute-force oracle must not read the walk layer")
+
+    monkeypatch.setattr(moments, "_walk_shapes", refuse)
+    monkeypatch.setattr(moments, "walk_shapes", refuse)
+    _tuple_profiles.cache_clear()
+    for (n, s), values in want.items():
+        assert [brute_force_trace_moment(spec, s) for spec in oracle_specs(n)] == values
+
+
+def test_criterion_7_enumerates_each_n_s_once():
+    _tuple_profiles.cache_clear()
+    assert criterion_7_moment_oracle().passed
+    info = _tuple_profiles.cache_info()
+    assert info.misses == 16 and info.hits == 112 - 16
