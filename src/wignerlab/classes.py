@@ -164,17 +164,6 @@ def psi_bound(s: int, nu: dict[int, int]) -> tuple[Fraction, Fraction]:
     return psi_exact(s, nu), psi_product_bound(s, nu)
 
 
-def psi_exact_with_root(s: int, nu: dict[int, int], n_root: int) -> Fraction:
-    """Partition count with the root's N marked arrivals kept as a separate plet."""
-    used = sum(k * c for k, c in nu.items()) + n_root
-    if used > s:
-        raise BoundPreconditionError("infeasible nu profile with root arrivals")
-    denom = math.factorial(s - used) * math.factorial(n_root)
-    for k, c in nu.items():
-        denom *= math.factorial(k) ** c * math.factorial(c)
-    return Fraction(math.factorial(s), denom)
-
-
 def upsilon_nu(k: int) -> int:
     """Exit-prescription bound (2k)^k used for self-intersections of degree k >= 3."""
     return (2 * k) ** k

@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -27,7 +28,15 @@ from .laws import make_law
 from .mc import EnsembleConfig, fingerprint as _digest, sample_stats, tail_curve
 from .moments import TruncationSpec
 from .suites import run_verify_suites
-from .walks import SHAPE_CEILING, analyze, enumerate_even_walks, is_tree_structure, report_to_dict
+from .walks import (
+    WALK_ENUMERATION_CEILING,
+    Walk,
+    analyze,
+    cached_even_walks,
+    enumerate_even_walks,
+    is_tree_structure,
+    report_to_json,
+)
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -132,16 +141,16 @@ def cmd_verify(args) -> int:
             failed = True
             print(f"    FAILED: {label} {detail}")
     golden_dir = Path(args.golden_dir) if args.golden_dir else GOLDEN_DIR
-    gold_ok = check_goldens(golden_dir, bless=args.bless, s_max=min(args.max_halfsteps, 5))
+    gold_ok = check_goldens(golden_dir, bless=args.bless)
     shown = args.golden_dir or "wignerlab/goldens"
     print(f"[{'PASS' if gold_ok else 'FAIL'}] golden tables ({shown})")
     return 0 if (not failed and gold_ok) else 1
 
 
-def golden_tables(s_max: int = 5) -> dict[str, list[dict]]:
+def golden_tables() -> dict[str, list[dict]]:
     walk_rows = []
-    for s in range(min(s_max, 5) + 1):
-        walks = enumerate_even_walks(s)
+    for s in range(6):
+        walks = cached_even_walks(s)
         walk_rows.append(
             {
                 "s": s,
@@ -166,8 +175,8 @@ def golden_tables(s_max: int = 5) -> dict[str, list[dict]]:
     }
 
 
-def check_goldens(golden_dir: Path, bless: bool = False, s_max: int = 5) -> bool:
-    tables = golden_tables(s_max)
+def check_goldens(golden_dir: Path, bless: bool = False) -> bool:
+    tables = golden_tables()
     golden_dir.mkdir(parents=True, exist_ok=True)
     ok = True
     for name, rows in tables.items():
@@ -188,9 +197,7 @@ def cmd_enumerate(args) -> int:
         paths = dyck.enumerate_dyck(args.dyck)
         rows = [{"index": i, "path": str(p), "max_height": p.max_height} for i, p in enumerate(paths)]
     else:
-        walks = enumerate_even_walks(
-            args.s, allow_loops=not args.no_loops, ceiling=max(2 * args.s, 12)
-        )
+        walks = enumerate_even_walks(args.s, allow_loops=not args.no_loops)
         if args.no_self_intersections:
             walks = [w for w in walks if is_tree_structure(w)]
         rows = [{"index": i, "walk": w.to_string()} for i, w in enumerate(walks)]
@@ -212,6 +219,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    if args.truncate and args.c:
+        print("error: --truncate and --c exclude each other", file=sys.stderr)
+        return 2
     spec = build_spec(args)
     result = moments.exact_trace_moment(spec, args.s)
     exact = moments.exact_text(result.total)
@@ -273,7 +283,7 @@ def cmd_mc(args) -> int:
             "std": stats.trace_std(s),
             "ci": stats.trace_ci(s),
         }
-        if 2 * s <= SHAPE_CEILING and config.truncation is None:
+        if 2 * s <= WALK_ENUMERATION_CEILING and config.truncation is None:
             exact = moments.exact_trace_moment(config.moment_spec(), s).total
             entry["exact"] = float(exact)
             entry["z"] = stats.zscore_against(s, float(exact))
@@ -365,10 +375,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    from .walks import Walk
-
-    walk = Walk.from_string(args.walk)
-    print(json.dumps(report_to_dict(analyze(walk)), sort_keys=True, indent=2))
+    print(report_to_json(analyze(Walk.from_string(args.walk))))
     return 0
 
 
@@ -505,7 +512,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: send the rest, and the interpreter's last flush, to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

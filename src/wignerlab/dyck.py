@@ -22,8 +22,8 @@ from functools import lru_cache
 
 from .errors import EnumerationCeilingError
 
-#: Default ceiling on the half-length k for exhaustive enumerations.
-#: catalan(14) = 2_674_440 paths is the largest batch we accept by default.
+#: Ceiling on the half-length k for exhaustive path enumeration:
+#: catalan(14) = 2_674_440 paths is the largest batch accepted.
 DYCK_ENUMERATION_CEILING = 14
 
 
@@ -88,10 +88,10 @@ class PlaneTree:
         return out
 
 
-def enumerate_dyck(k: int, ceiling: int = DYCK_ENUMERATION_CEILING) -> list[DyckPath]:
+def enumerate_dyck(k: int) -> list[DyckPath]:
     """All Dyck paths of half-length k, lexicographic with up-steps first."""
-    if k > ceiling:
-        raise EnumerationCeilingError("enumerate_dyck", k, ceiling)
+    if k > DYCK_ENUMERATION_CEILING:
+        raise EnumerationCeilingError("enumerate_dyck", k, DYCK_ENUMERATION_CEILING)
     paths: list[DyckPath] = []
     steps: list[int] = []
 

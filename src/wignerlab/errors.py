@@ -2,15 +2,14 @@
 
 
 class EnumerationCeilingError(ValueError):
-    """Requested exhaustive enumeration exceeds the configured ceiling."""
+    """Requested exhaustive enumeration exceeds its enumerator's fixed ceiling."""
 
     def __init__(self, what: str, requested: int, ceiling: int):
         self.what = what
         self.requested = requested
         self.ceiling = ceiling
         super().__init__(
-            f"{what}: requested size {requested} exceeds enumeration ceiling "
-            f"{ceiling}; raise the ceiling explicitly if you really want this"
+            f"{what}: requested size {requested} exceeds enumeration ceiling {ceiling}"
         )
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special
 
 
 def _double_factorial_odd(m: int) -> int:
@@ -64,7 +63,7 @@ class GaussianLaw:
         sigma = float(self.v)
         u = cutoff / sigma
         phi_u = math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
-        val = special.erf(u / math.sqrt(2))  # E[1_{|Z|<=u}]
+        val = math.erf(u / math.sqrt(2))  # E[1_{|Z|<=u}]
         for m in range(1, order // 2 + 1):
             val = (2 * m - 1) * val - 2 * u ** (2 * m - 1) * phi_u
         return sigma**order * val
@@ -174,44 +173,6 @@ class ThreePointLaw:
         return {"law": self.name, "spike": str(self.spike), "q": str(self.q)}
 
 
-@dataclass(frozen=True)
-class CustomMomentLaw:
-    """Ensemble defined only by a finite list of even moments (no sampler)."""
-
-    even_moments: tuple  # index m -> E a^(2m), starting at m=1
-    name: str = "custom"
-
-    @property
-    def v(self) -> float:
-        return math.sqrt(float(self.even_moments[0]))
-
-    def moment(self, order: int):
-        if order % 2:
-            return 0
-        if order == 0:
-            return 1
-        m = order // 2
-        if m > len(self.even_moments):
-            raise ValueError(f"moment of order {order} not supplied")
-        return self.even_moments[m - 1]
-
-    def truncated_moment(self, order: int, cutoff: float):
-        raise ValueError("custom moment lists do not support truncation")
-
-    def descriptor(self) -> dict:
-        return {"law": self.name, "moments": [str(m) for m in self.even_moments]}
-
-
-def quadrature_moment(density, order: int, cutoff: float) -> float:
-    """E[a^order; |a| <= cutoff] for a symmetric density, by adaptive quadrature."""
-    if order % 2:
-        return 0.0
-    val, _err = integrate.quad(
-        lambda x: 2 * x**order * density(x), 0, cutoff, epsrel=1e-12, limit=200
-    )
-    return val
-
-
 def make_law(name: str, v: float | Fraction = 1, gamma: float = 24.0):
     name = name.lower()
     if name == "rademacher":
@@ -220,8 +181,8 @@ def make_law(name: str, v: float | Fraction = 1, gamma: float = 24.0):
         return GaussianLaw(Fraction(v))
     if name == "goe":
         return GoeLaw(Fraction(v))
-    if name in ("power-tail", "powertail", "pareto"):
+    if name == "power-tail":
         return PowerTailLaw(float(v), gamma)
-    if name in ("three-point", "threepoint"):
+    if name == "three-point":
         return ThreePointLaw(spike=4 * Fraction(v))
     raise ValueError(f"unknown entry law {name!r}")

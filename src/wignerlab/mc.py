@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,13 +87,25 @@ def sample_entries(
     return rng, config.law.sample(rng, n * (n + 1) // 2)
 
 
+@lru_cache(maxsize=None)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n), read-only and built once per n.
+
+    Rebuilding it for every replicate churned enough heap that the allocator
+    returned memory to the system and faulted it back in on each draw.
+    """
+    rows, cols = np.triu_indices(n)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def sample_matrix(config: EnsembleConfig, replicate: int) -> np.ndarray:
     """One symmetric matrix draw, scaled by 1/sqrt(n) (or masked and 1/sqrt(c))."""
     n = config.n
     rng, vals = sample_entries(config, replicate)
     if isinstance(config.law, GoeLaw):
         # double the diagonal variance
-        iu = np.triu_indices(n)
+        iu = _upper_triangle(n)
         diag_positions = np.flatnonzero(iu[0] == iu[1])
         vals = vals.copy()
         vals[diag_positions] *= math.sqrt(2.0)
@@ -106,7 +119,7 @@ def sample_matrix(config: EnsembleConfig, replicate: int) -> np.ndarray:
     else:
         vals = vals / math.sqrt(n)
     mat = np.zeros((n, n))
-    iu = np.triu_indices(n)
+    iu = _upper_triangle(n)
     mat[iu] = vals
     mat.T[iu] = vals
     return mat
@@ -313,7 +326,9 @@ def universality_compare(
     return {
         "n": n,
         "s": s,
-        "replicates": replicates,
+        "replicates": min(a.replicates, b.replicates),
+        "failed_replicates_a": a.failed_replicates,
+        "failed_replicates_b": b.failed_replicates,
         "mean_a": mean_a,
         "mean_b": mean_b,
         "difference": diff,

@@ -307,12 +307,11 @@ def brute_force_trace_moment(spec: MomentSpec, s: int, max_n: int = 4):
     return total
 
 
-def trace_moment_formula_s2(spec: MomentSpec, symbolic_n=None):
+def trace_moment_formula_s2(spec: MomentSpec):
     """Closed form at s = 2 for undiluted specs: V4_scaled + 2 (n-1) v^4-type check."""
-    n = symbolic_n if symbolic_n is not None else spec.n
     v4 = spec.entry_moment(4)
     v2 = spec.entry_moment(2)
-    return Fraction(v4) + 2 * (n - 1) * Fraction(v2) ** 2
+    return Fraction(v4) + 2 * (spec.n - 1) * Fraction(v2) ** 2
 
 
 def truncated_moments(trunc: TruncationSpec, n: int, max_order: int = 12) -> list:

@@ -72,20 +72,8 @@ class Series:
             return Series((Fraction(0),))
         return Series(tuple(Fraction(k) * self.coeffs[k] for k in range(1, self.order + 1)))
 
-    def pow(self, e: int) -> "Series":
-        out = Series((Fraction(1),) + (Fraction(0),) * self.order)
-        for _ in range(e):
-            out = out * self
-        return out
-
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def le(self, other: "Series") -> bool:
-        """Coefficientwise comparison up to the common order."""
-        n = min(self.order, other.order)
-        return all(self[k] <= other[k] for k in range(n + 1))
-
 
 def catalan_gf(order: int) -> Series:
     """phi(t) = sum_k t_k t^k."""
@@ -169,24 +157,9 @@ def n2_series(order: int) -> Series:
     return phi_prime - 3 * inv + 2 * phi
 
 
-def n2_closed_form_shifted(order: int) -> Series:
-    """(1-3t)/sqrt(1-4t) + (2t-1) phi(t), which equals t * n2_series(t)."""
-    inv = invsqrt_one_minus_4t(order)
-    phi = catalan_gf(order)
-    one_minus_3t = Series((Fraction(1), Fraction(-3)) + (Fraction(0),) * (order - 1))
-    two_t_minus_1 = Series((Fraction(-1), Fraction(2)) + (Fraction(0),) * (order - 1))
-    return one_minus_3t * inv + two_t_minus_1 * phi
-
-
 def nm_bound(m: int, s: int) -> int:
     """The companion inequality: nm_count(m, s) <= 2^m * s * t_s."""
     return (2**m) * s * catalan(s)
-
-
-def g_series(level: int, order: int) -> Series:
-    """G^(l)(t) = (2 t phi(t))^l / sqrt(1-4t); coefficientwise decreasing in l."""
-    base = (2 * catalan_gf(order)).shift(1)
-    return base.pow(level) * invsqrt_one_minus_4t(order)
 
 
 def brute_force_same_cluster_pairs(s: int, m: int = 2) -> int:

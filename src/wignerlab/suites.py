@@ -284,31 +284,6 @@ def criterion_7_moment_oracle(n_max: int = 4, s_max: int = 4) -> SuiteResult:
 
 
 @_timed
-def criterion_8_semicircle(s_list=(2, 3, 4)) -> SuiteResult:
-    res = SuiteResult("8 semicircle convergence")
-    rad = RademacherLaw(Fraction(1, 2))
-    v = Fraction(1, 2)
-    ok = True
-    detail = ""
-    for s in s_list:
-        err = {}
-        for n in (100, 200):
-            total = moments.exact_trace_moment(moments.wigner_spec(rad, n), s).total
-            err[n] = abs(Fraction(total, n) - moments.semicircle_moment(2 * s, v))
-        ratio = float(err[100] / err[200])
-        if not 1.4 <= ratio <= 2.6:
-            ok = False
-            detail = f"s={s}: ratio {ratio:.3f}"
-    res.add("error halves from n=100 to n=200", ok, detail)
-    exact_s1 = all(
-        moments.exact_trace_moment(moments.wigner_spec(rad, n), 1).total == n * v * v
-        for n in (100, 200)
-    )
-    res.add("s=1 normalized moment is exactly m_2", exact_s1)
-    return res
-
-
-@_timed
 def criterion_10_excursion() -> SuiteResult:
     res = SuiteResult("10 excursion functional")
     res.add(
@@ -367,19 +342,6 @@ def criterion_11_dilute(
                     detail = f"s={s} n={n} c={c}: {float(total):.4f} < {float(bound):.4f}"
     res.add("exact dilute moment >= n m_2s (1 + (s-3) V4 / c)", ok, detail)
     return res
-
-
-VERIFY_SUITES = {
-    1: criterion_1_catalan,
-    2: criterion_2_exit_degree_tail,
-    3: criterion_3_genfun,
-    4: criterion_4_walk_structure,
-    5: criterion_5_worked_example,
-    6: criterion_6_class_bounds,
-    7: criterion_7_moment_oracle,
-    10: criterion_10_excursion,
-    11: criterion_11_dilute,
-}
 
 
 def run_verify_suites(max_halfsteps: int = 5, k0: int = 4) -> list[SuiteResult]:

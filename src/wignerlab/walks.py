@@ -17,10 +17,8 @@ from functools import lru_cache
 from .dyck import DyckPath
 from .errors import EnumerationCeilingError
 
-#: Default ceiling on the number of steps 2s for exhaustive walk enumeration.
-WALK_ENUMERATION_CEILING = 12
-#: Ceiling on 2s for the walk-shape table, which counts walks without building them.
-SHAPE_CEILING = 14
+#: Ceiling on the number of steps 2s for every even-walk search: s <= 7.
+WALK_ENUMERATION_CEILING = 14
 
 ROOT = 1
 
@@ -169,10 +167,6 @@ class WalkAnalysis:
         for _, m in self.kappa_mu.items():
             prof[m] = prof.get(m, 0) + 1
         return prof
-
-    def nu_weight(self) -> int:
-        """Sum of (k-1) over self-intersection degrees: equals s+1 - |V|."""
-        return sum(k - 1 for k in self.kappa_nu.values())
 
 
 def _reduce_raw(labels: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -333,6 +327,8 @@ def _even_walk_dfs(s: int, allow_loops: bool, leaf) -> None:
     edge had an even pass count before it (as in analyze's exit degrees).
     The arguments are live state: a leaf must copy what it keeps.
     """
+    if 2 * s > WALK_ENUMERATION_CEILING:
+        raise EnumerationCeilingError("even-walk enumeration", 2 * s, WALK_ENUMERATION_CEILING)
     labels = [ROOT]
     passes: dict[tuple[int, int], int] = {}
     exits = [0] * (s + 2)
@@ -370,14 +366,8 @@ def _even_walk_dfs(s: int, allow_loops: bool, leaf) -> None:
     rec(0, ROOT, 1, 0)
 
 
-def enumerate_even_walks(
-    s: int,
-    allow_loops: bool = True,
-    ceiling: int = WALK_ENUMERATION_CEILING,
-) -> list[Walk]:
+def enumerate_even_walks(s: int, allow_loops: bool = True) -> list[Walk]:
     """All canonical even closed walks of 2s steps, in lexicographic label order."""
-    if 2 * s > ceiling:
-        raise EnumerationCeilingError("enumerate_even_walks", 2 * s, ceiling)
     results: list[Walk] = []
     _even_walk_dfs(s, allow_loops, lambda labels, *_: results.append(Walk(tuple(labels))))
     return results
@@ -390,8 +380,6 @@ def walk_shapes(s: int) -> dict[tuple[tuple, int, int, int], int]:
     |V|, max pass count, max exit degree): all that an exact trace moment
     and its four-way census split read from a walk.
     """
-    if 2 * s > SHAPE_CEILING:
-        raise EnumerationCeilingError("walk_shapes", 2 * s, SHAPE_CEILING)
     groups: dict[tuple[tuple, int, int, int], int] = {}
 
     def leaf(labels, passes, exits, n_vertices) -> None:
@@ -414,8 +402,8 @@ def is_tree_structure(walk: Walk) -> bool:
 
 
 @lru_cache(maxsize=None)
-def cached_even_walks(s: int, ceiling: int = WALK_ENUMERATION_CEILING) -> tuple[Walk, ...]:
-    return tuple(enumerate_even_walks(s, ceiling=ceiling))
+def cached_even_walks(s: int) -> tuple[Walk, ...]:
+    return tuple(enumerate_even_walks(s))
 
 
 # ---------------------------------------------------------------------------

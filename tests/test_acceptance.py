@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import integrate
 
-from wignerlab import dyck
+from wignerlab import dyck, moments
 from wignerlab.laws import GaussianLaw, PowerTailLaw, RademacherLaw
 from wignerlab.mc import (
     EnsembleConfig,
@@ -30,6 +30,7 @@ from wignerlab.mc import (
 from wignerlab.moments import TruncationSpec, exact_trace_moment
 from wignerlab.suites import (
     SuiteResult,
+    _timed,
     criterion_1_catalan,
     criterion_2_exit_degree_tail,
     criterion_3_genfun,
@@ -37,7 +38,6 @@ from wignerlab.suites import (
     criterion_5_worked_example,
     criterion_6_class_bounds,
     criterion_7_moment_oracle,
-    criterion_8_semicircle,
     criterion_11_dilute,
 )
 
@@ -79,6 +79,31 @@ def test_criterion_06_class_bounds():
 
 def test_criterion_07_moment_oracle():
     _report(criterion_7_moment_oracle(n_max=4, s_max=4))
+
+
+@_timed
+def criterion_8_semicircle(s_list=(2, 3, 4)) -> SuiteResult:
+    res = SuiteResult("8 semicircle convergence")
+    rad = RademacherLaw(Fraction(1, 2))
+    v = Fraction(1, 2)
+    ok = True
+    detail = ""
+    for s in s_list:
+        err = {}
+        for n in (100, 200):
+            total = moments.exact_trace_moment(moments.wigner_spec(rad, n), s).total
+            err[n] = abs(Fraction(total, n) - moments.semicircle_moment(2 * s, v))
+        ratio = float(err[100] / err[200])
+        if not 1.4 <= ratio <= 2.6:
+            ok = False
+            detail = f"s={s}: ratio {ratio:.3f}"
+    res.add("error halves from n=100 to n=200", ok, detail)
+    exact_s1 = all(
+        moments.exact_trace_moment(moments.wigner_spec(rad, n), 1).total == n * v * v
+        for n in (100, 200)
+    )
+    res.add("s=1 normalized moment is exactly m_2", exact_s1)
+    return res
 
 
 def test_criterion_08_semicircle_convergence():

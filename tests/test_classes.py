@@ -17,7 +17,6 @@ from wignerlab.classes import (
     nu_census,
     nu_domination_report,
     psi_bound,
-    psi_exact_with_root,
     ss_bound,
 )
 from wignerlab.errors import BoundPreconditionError
@@ -44,12 +43,6 @@ def test_psi_exact_below_bound():
 def test_psi_infeasible_raises():
     with pytest.raises(BoundPreconditionError):
         psi_bound(3, {2: 2})
-
-
-def test_psi_with_root():
-    # root arrivals occupy marked instants like any other plet
-    assert psi_exact_with_root(3, {}, 1) == 3
-    assert psi_exact_with_root(4, {2: 1}, 1) == Fraction(24, 2)
 
 
 def test_classify_examples():

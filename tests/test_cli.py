@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from wignerlab import cli
+from wignerlab import cli, walks
 from wignerlab.cli import main
 from wignerlab.laws import GaussianLaw
 from wignerlab.mc import EnsembleConfig
@@ -159,6 +164,17 @@ def test_verify_default_golden_line_is_checkout_independent(capsys, monkeypatch)
     assert str(cli.GOLDEN_DIR) not in out
 
 
+def test_verify_goldens_ignore_max_halfsteps(tmp_path, capsys, monkeypatch):
+    # a shallow walk depth narrows the suites, never the golden tables
+    monkeypatch.setattr(cli, "run_verify_suites", lambda **kwargs: [])
+    assert run(["verify", "--max-halfsteps", "3"]) == 0
+    assert capsys.readouterr().out == "[PASS] golden tables (wignerlab/goldens)\n"
+    gold = tmp_path / "goldens"
+    assert run(["verify", "--max-halfsteps", "3", "--bless", "--golden-dir", str(gold)]) == 0
+    blessed = {p.name: p.read_bytes() for p in gold.iterdir()}
+    assert blessed == {p.name: p.read_bytes() for p in cli.GOLDEN_DIR.glob("*.csv")}
+
+
 def test_analyze_subcommand(capsys):
     code = run(["analyze", "1,2,3,4,3,5,2,3,4,3,2,5,3,2,1"])
     assert code == 0
@@ -226,6 +242,68 @@ def test_moments_beyond_shape_ceiling(capsys):
     code = run(["moments", "--n", "10", "--s", "8", "--no-timestamp"])
     assert code == 1
     assert "enumeration ceiling 14" in capsys.readouterr().err
+
+
+def test_enumerate_past_walk_ceiling_fails_at_once(capsys, monkeypatch):
+    def no_walks(labels):
+        raise AssertionError("a walk was built past the ceiling")
+
+    monkeypatch.setattr(walks, "Walk", no_walks)
+    start = time.perf_counter()
+    code = run(["enumerate", "--walks", "--s", "8", "--no-timestamp"])
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "enumeration ceiling 14" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_moments_truncate_with_dilution_is_usage_error(capsys):
+    code = run(["moments", "--n", "10", "--s", "2", "--c", "2", "--truncate", "--no-timestamp"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert run(["moments", "--n", "10", "--s", "2", "--c", "2", "--no-timestamp"]) == 0
+    assert "23/16" in capsys.readouterr().out
+
+
+def test_closed_stdout_ends_quietly(tmp_path, capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+        def fileno(self):
+            return sink.fileno()
+
+    with (tmp_path / "stdout").open("w") as sink:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert run(["genfun", "--order", "3", "--no-timestamp"]) == 1
+        # stdout's descriptor now points at devnull
+        os.write(sink.fileno(), b"late flush")
+    assert (tmp_path / "stdout").read_bytes() == b""
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_stdout_pipe_in_a_process():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "wignerlab.cli", "genfun", "--order", "40", "--no-timestamp"],
+        stdout=write_end,
+        stderr=subprocess.PIPE,
+        env=env,
+        timeout=60,
+    )
+    os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_config_equals_form_and_false_values(tmp_path, capsys):

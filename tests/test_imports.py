@@ -50,3 +50,42 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = {name: line for name, line in _imported(tree).items() if name not in used}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _module_names(tree: ast.Module) -> dict[str, int]:
+    """Module-level function, class and assigned constant names -> line."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return out
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names loaded, attributes accessed and names imported (which exports them)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_no_test_only_names():
+    # every top-level name in the package is read by the package itself or
+    # re-exported by __init__.py; oracles that only tests need live in tests/
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "wignerlab").glob("*.py"))}
+    read = set().union(*map(_read, trees.values()))
+    unread = [
+        f"{module}:{line} {name}"
+        for module, tree in trees.items()
+        for name, line in _module_names(tree).items()
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert not unread, f"names only the tests read: {unread}"

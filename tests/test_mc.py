@@ -228,6 +228,28 @@ def test_universality_reports_systematic_difference():
     assert rep["difference"] == pytest.approx(expected, abs=4 * rep["se_of_difference"])
 
 
+def test_universality_reports_dropped_replicates(monkeypatch):
+    real = mc.spectral_stats
+    calls = []
+
+    def flaky(mat, s_list):
+        calls.append(mat)
+        if len(calls) == 4:  # replicate 3 of the first ensemble
+            raise np.linalg.LinAlgError("eigvalsh did not converge")
+        return real(mat, s_list)
+
+    monkeypatch.setattr(mc, "spectral_stats", flaky)
+    a = EnsembleConfig(n=6, law=RAD, seed=1)
+    b = EnsembleConfig(n=6, law=RAD, seed=2)
+    rep = universality_compare(a, b, s=2, replicates=10)
+    assert rep["replicates"] == 9
+    assert rep["failed_replicates_a"] == [3]
+    assert rep["failed_replicates_b"] == []
+    clean = universality_compare(a, b, s=2, replicates=10)
+    assert clean["replicates"] == 10
+    assert clean["failed_replicates_a"] == clean["failed_replicates_b"] == []
+
+
 def test_truncation_event_rate_bounded_law():
     law = RademacherLaw(Fraction(1))
     tr = TruncationSpec(law, delta=0.01)

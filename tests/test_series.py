@@ -7,14 +7,21 @@ from wignerlab.series import (
     catalan_gf,
     check_catalan_identities,
     coefficient_table,
-    g_series,
     invsqrt_one_minus_4t,
-    n2_closed_form_shifted,
     n2_count,
     n2_series,
     nm_bound,
     nm_count,
 )
+
+
+def n2_closed_form_shifted(order: int) -> Series:
+    """(1-3t)/sqrt(1-4t) + (2t-1) phi(t), which equals t * n2_series(t)."""
+    inv = invsqrt_one_minus_4t(order)
+    phi = catalan_gf(order)
+    one_minus_3t = Series((Fraction(1), Fraction(-3)) + (Fraction(0),) * (order - 1))
+    two_t_minus_1 = Series((Fraction(-1), Fraction(2)) + (Fraction(0),) * (order - 1))
+    return one_minus_3t * inv + two_t_minus_1 * phi
 
 
 def test_series_arithmetic_exact():
@@ -73,12 +80,6 @@ def test_nm_bound():
     for m in range(2, 6):
         for s in range(m, 13):
             assert nm_count(m, s) <= nm_bound(m, s)
-
-
-def test_g_series_chain():
-    for level in range(1, 7):
-        assert g_series(level, 30).le(g_series(level - 1, 30))
-    assert g_series(3, 20).le(invsqrt_one_minus_4t(20))
 
 
 def test_coefficient_table():

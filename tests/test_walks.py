@@ -54,7 +54,7 @@ def test_enumeration_small():
 
 def test_enumeration_ceiling():
     with pytest.raises(EnumerationCeilingError):
-        enumerate_even_walks(7)
+        enumerate_even_walks(8)
 
 
 def test_tree_structure_walks_match_catalan():
