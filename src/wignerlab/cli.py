@@ -114,13 +114,13 @@ def build_law(args):
 
 
 def build_config(args) -> EnsembleConfig:
-    dilution_c = int(args.c) if args.c else None
+    dilution_c = int(args.c) if args.c is not None else None
     return EnsembleConfig(n=args.n, law=build_law(args), dilution_c=dilution_c, seed=args.seed)
 
 
 def build_spec(args) -> moments.MomentSpec:
     law = build_law(args)
-    if getattr(args, "c", None):
+    if getattr(args, "c", None) is not None:
         return moments.dilute_spec(law, args.n, int(args.c))
     if getattr(args, "truncate", False):
         trunc = TruncationSpec(law, delta=args.delta, delta0=getattr(args, "delta0", None))
@@ -219,7 +219,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_moments(args) -> int:
-    if args.truncate and args.c:
+    if args.truncate and args.c is not None:
         print("error: --truncate and --c exclude each other", file=sys.stderr)
         return 2
     spec = build_spec(args)
@@ -389,10 +389,23 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key = value file mirroring the flags")
 
 
+def _integer_text(text: str) -> str:
+    """argparse type of --c: the text as given, once int() accepts it.
+
+    The value enters fingerprints as text, so a valid --c keeps the
+    fingerprint it always had, and a malformed one is a usage error.
+    """
+    try:
+        int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    return text
+
+
 def _ensemble_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ensemble", default="rademacher", help="rademacher | gaussian | goe | power-tail | three-point")
     p.add_argument("--v", default="0.5", help="entry standard deviation (rational ok)")
-    p.add_argument("--c", default=None, help="dilution concentration")
+    p.add_argument("--c", type=_integer_text, default=None, help="dilution concentration")
     p.add_argument("--gamma", type=float, default=24.0, help="power-tail index")
 
 
@@ -467,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--ensemble", default="gaussian")
     p.add_argument("--v", default="0.5")
-    p.add_argument("--c", required=True)
+    p.add_argument("--c", type=_integer_text, required=True)
     _common(p)
     p.set_defaults(func=cmd_dilute)
 

@@ -99,16 +99,23 @@ def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@lru_cache(maxsize=None)
+def _diagonal_positions(n: int) -> np.ndarray:
+    """Positions of the diagonal in the row-major upper triangle, read-only, once per n."""
+    rows, cols = _upper_triangle(n)
+    positions = np.flatnonzero(rows == cols)
+    positions.flags.writeable = False
+    return positions
+
+
 def sample_matrix(config: EnsembleConfig, replicate: int) -> np.ndarray:
     """One symmetric matrix draw, scaled by 1/sqrt(n) (or masked and 1/sqrt(c))."""
     n = config.n
     rng, vals = sample_entries(config, replicate)
     if isinstance(config.law, GoeLaw):
         # double the diagonal variance
-        iu = _upper_triangle(n)
-        diag_positions = np.flatnonzero(iu[0] == iu[1])
         vals = vals.copy()
-        vals[diag_positions] *= math.sqrt(2.0)
+        vals[_diagonal_positions(n)] *= math.sqrt(2.0)
     if config.truncation is not None:
         cutoff = config.truncation.cutoff(n)
         vals = np.where(np.abs(vals) <= cutoff, vals, 0.0)
@@ -133,6 +140,20 @@ def spectral_stats(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict:
         "lambda_max": float(lam),
         "traces": {s: float(np.sum(eigs ** (2 * s))) for s in s_list},
     }
+
+
+def trace_powers(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict[int, float]:
+    """Tr A^(2s) = ||A^s||_F^2 for symmetric A, without an eigen-solve.
+
+    A^s comes from repeated squaring (`np.linalg.matrix_power`); s = 0 gives
+    the dimension n. The values agree with the eigenvalue power sums of
+    `spectral_stats` to rounding.
+    """
+    out = {}
+    for s in s_list:
+        power = np.linalg.matrix_power(matrix, s)
+        out[s] = float(np.vdot(power, power))
+    return out
 
 
 @dataclass
@@ -171,32 +192,36 @@ class SampleStats:
         return out
 
 
-def sample_stats(
-    config: EnsembleConfig, replicates: int, s_list: tuple[int, ...] = (1, 2, 3, 4)
-) -> SampleStats:
-    lam = np.empty(replicates)
-    traces = {s: np.empty(replicates) for s in s_list}
+def _replicate_loop(
+    config: EnsembleConfig, replicates: int, s_list: tuple[int, ...], statistic
+) -> tuple[list, list[int]]:
+    """statistic(matrix, s_list) for each replicate's draw, in replicate order.
+
+    A replicate whose statistic raises LinAlgError is dropped. Returns the
+    statistics of the filled replicates and the indices of the dropped ones.
+    """
+    filled: list = []
     failed: list[int] = []
-    filled = 0
     for rep in range(replicates):
         mat = sample_matrix(config, rep)
         try:
-            stats = spectral_stats(mat, tuple(s_list))
+            filled.append(statistic(mat, s_list))
         except np.linalg.LinAlgError:
             failed.append(rep)
-            continue
-        lam[filled] = stats["lambda_max"]
-        for s in s_list:
-            traces[s][filled] = stats["traces"][s]
-        filled += 1
-    lam = lam[:filled]
-    traces = {s: a[:filled] for s, a in traces.items()}
+    return filled, failed
+
+
+def sample_stats(
+    config: EnsembleConfig, replicates: int, s_list: tuple[int, ...] = (1, 2, 3, 4)
+) -> SampleStats:
+    s_list = tuple(s_list)
+    filled, failed = _replicate_loop(config, replicates, s_list, spectral_stats)
     return SampleStats(
         config=config,
-        replicates=filled,
-        s_list=tuple(s_list),
-        lambda_max=lam,
-        traces=traces,
+        replicates=len(filled),
+        s_list=s_list,
+        lambda_max=np.array([st["lambda_max"] for st in filled], dtype=float),
+        traces={s: np.array([st["traces"][s] for st in filled], dtype=float) for s in s_list},
         failed_replicates=failed,
     )
 
@@ -304,6 +329,9 @@ def universality_compare(
 ) -> dict:
     """Compare mean (1/n) Tr A^(2s) between two ensembles of the same (n, v).
 
+    The traces come from matrix products (`trace_powers`): no eigenvalue is
+    needed, so no replicate goes through an eigen-solve.
+
     The agreement verdict asks whether the difference of means stays within
     three pooled per-replicate standard deviations: the exact finite-n means
     of two entry laws provably differ at order 1/n, so with many replicates a
@@ -313,22 +341,24 @@ def universality_compare(
     """
     if config_a.n != config_b.n:
         raise ValueError("configs must share the dimension n")
-    a = sample_stats(config_a, replicates, s_list=(s,))
-    b = sample_stats(config_b, replicates, s_list=(s,))
+    a, failed_a = _replicate_loop(config_a, replicates, (s,), trace_powers)
+    b, failed_b = _replicate_loop(config_b, replicates, (s,), trace_powers)
+    traces_a = np.array([t[s] for t in a], dtype=float)
+    traces_b = np.array([t[s] for t in b], dtype=float)
     n = config_a.n
-    mean_a = a.trace_mean(s) / n
-    mean_b = b.trace_mean(s) / n
-    sd_a = a.trace_std(s) / n
-    sd_b = b.trace_std(s) / n
+    mean_a = float(np.mean(traces_a)) / n
+    mean_b = float(np.mean(traces_b)) / n
+    sd_a = float(np.std(traces_a, ddof=1)) / n
+    sd_b = float(np.std(traces_b, ddof=1)) / n
     pooled_sd = math.sqrt((sd_a**2 + sd_b**2) / 2)
-    se = math.sqrt(sd_a**2 / len(a.traces[s]) + sd_b**2 / len(b.traces[s]))
+    se = math.sqrt(sd_a**2 / len(traces_a) + sd_b**2 / len(traces_b))
     diff = mean_a - mean_b
     return {
         "n": n,
         "s": s,
-        "replicates": min(a.replicates, b.replicates),
-        "failed_replicates_a": a.failed_replicates,
-        "failed_replicates_b": b.failed_replicates,
+        "replicates": min(len(traces_a), len(traces_b)),
+        "failed_replicates_a": failed_a,
+        "failed_replicates_b": failed_b,
         "mean_a": mean_a,
         "mean_b": mean_b,
         "difference": diff,

@@ -169,32 +169,32 @@ class WalkAnalysis:
         return prof
 
 
-def _reduce_raw(labels: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Erase marked backtracks to a fixed point.
+def _reduce_raw(
+    labels: tuple[int, ...], marked: list[bool] | tuple[bool, ...]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Erase marked backtracks to a fixed point, in one stack pass.
 
     Removes instants t where step t is marked and w(t+1) = w(t-1) (the step
     t+1 is then the non-marked closure of the same frame edge) until none
-    remain. Returns (raw label sequence, surviving original step indices).
+    remain. `marked` holds the walk's `_marked_flags`. Erasing a backtrack
+    removes two passes of one frame edge, so no surviving step changes its
+    flag, and an erasure exposes no new backtrack below the top of the
+    stack. Returns (raw label sequence, surviving original step indices).
     """
-    seq = list(labels)
-    step_ids = list(range(1, len(labels)))
-    while True:
-        marked = _marked_flags(tuple(seq))
-        found = -1
-        for t in range(1, len(seq) - 1):
-            if marked[t - 1] and seq[t + 1] == seq[t - 1]:
-                found = t
-                break
-        if found < 0:
-            break
-        del seq[found : found + 2]
-        del step_ids[found - 1 : found + 1]
+    seq = [labels[0]]
+    step_ids: list[int] = []
+    for t in range(1, len(labels)):
+        seq.append(labels[t])
+        step_ids.append(t)
+        if len(seq) >= 3 and seq[-1] == seq[-3] and marked[step_ids[-2] - 1]:
+            del seq[-2:]
+            del step_ids[-2:]
     return tuple(seq), tuple(step_ids)
 
 
 def reduce_walk(walk: Walk) -> Walk:
     """Fixed point of the backtrack-erasing reduction, canonically relabeled."""
-    raw, _ = _reduce_raw(walk.labels)
+    raw, _ = _reduce_raw(walk.labels, _marked_flags(walk.labels))
     return Walk.from_labels(raw)
 
 
@@ -263,9 +263,9 @@ def analyze(walk: Walk) -> WalkAnalysis:
         kappa_mu[v] = m + (1 if v == ROOT else 0)
 
     # reduction, BTS instants, cells
-    raw, step_map = _reduce_raw(lab)
+    raw, step_map = _reduce_raw(lab, marked)
     reduced = Walk.from_labels(raw)
-    red_marked = _marked_flags(raw)
+    red_marked = [marked[t - 1] for t in step_map]
     bts: list[int] = []
     primary_cells = {v: tuple(marked_arrivals[v]) for v in range(1, walk.n_vertices + 1)}
     imported: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}

@@ -389,3 +389,76 @@ def test_fingerprints_unchanged():
     args = cli.build_parser().parse_args(["mc", "--n", "12", "--s", "2", "--seed", "7", "--no-timestamp"])
     assert cli.fingerprint(vars(args)) == "7f87dbddaa3c8aee"
     assert cli.build_config(args) == EnsembleConfig(n=12, law=cli.build_law(args), seed=7)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--n", "10", "--s", "2", "--c", "1.5"],
+        ["zparts", "--n", "10", "--s", "2", "--c", "two"],
+        ["mc", "--n", "10", "--c", "2.0"],
+        ["tail", "--n", "10", "--c", ""],
+        ["dilute", "--n", "10", "--s", "2", "--c", "x"],
+    ],
+)
+def test_malformed_c_is_usage_error(argv, capsys):
+    # argparse rejects a flag value it can parse: exit 2
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--no-timestamp"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --c: invalid int value" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--n", "0", "--replicates", "10"],
+        ["mc", "--n", "10", "--replicates", "10", "--c", "0"],
+        ["moments", "--n", "10", "--s", "2", "--c", "0"],
+        ["moments", "--n", "10", "--s", "2", "--c", "11"],
+        ["dilute", "--n", "10", "--s", "2", "--c", "0"],
+    ],
+)
+def test_domain_errors_exit_1(argv, capsys):
+    # a well-formed value the model rejects is a computation failure: exit 1
+    assert run(argv + ["--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+MOMENTS_C2 = """\
+E Tr A^4 = 1.4375  (exact 23/16)
+{
+  "_meta": {
+    "fingerprint": "fdf44c21f5287ae4",
+    "tool": "wignerlab",
+    "version": "0.1.0"
+  },
+  "by_nu_weight": {
+    "0": 0.9,
+    "1": 0.50625,
+    "2": 0.03125
+  },
+  "ensemble": {
+    "dilution_c": 2,
+    "kind": "dilute",
+    "law": "rademacher",
+    "n": 10,
+    "v": "1/2"
+  },
+  "n": 10,
+  "normalized": 0.14375,
+  "s": 2,
+  "total": 1.4375,
+  "total_exact": "23/16"
+}
+"""
+
+
+def test_valid_c_output_pinned(capsys):
+    # --c enters the fingerprint as the text given, so valid runs keep their bytes
+    assert run(["moments", "--n", "10", "--s", "2", "--c", "2", "--no-timestamp"]) == 0
+    assert capsys.readouterr().out == MOMENTS_C2

@@ -9,10 +9,12 @@ from wignerlab import mc
 from wignerlab.laws import GaussianLaw, GoeLaw, PowerTailLaw, RademacherLaw
 from wignerlab.mc import (
     EnsembleConfig,
+    sample_entries,
     sample_matrix,
     sample_stats,
     spectral_stats,
     tail_curve,
+    trace_powers,
     truncation_event_rate,
     universality_compare,
     wilson_interval,
@@ -147,6 +149,105 @@ def test_mc_agrees_with_exact_moments_all_ensembles():
             assert abs(z) <= 4, (cfg.law.name, s, z)
 
 
+def test_goe_draws_match_rebuilt_diagonal_index():
+    # the cached diagonal positions give the draws that rebuilding the
+    # index on every replicate gave
+    for n in (1, 2, 7, 40):
+        cfg = EnsembleConfig(n=n, law=GoeLaw(Fraction(1, 2)), seed=60 + n)
+        for rep in range(3):
+            _, vals = sample_entries(cfg, rep)
+            iu = np.triu_indices(n)
+            vals = vals.copy()
+            vals[np.flatnonzero(iu[0] == iu[1])] *= math.sqrt(2.0)
+            vals = vals / math.sqrt(n)
+            expected = np.zeros((n, n))
+            expected[iu] = vals
+            expected.T[iu] = vals
+            assert np.array_equal(sample_matrix(cfg, rep), expected)
+    positions = mc._diagonal_positions(40)
+    assert positions is mc._diagonal_positions(40)
+    assert not positions.flags.writeable
+
+
+def _trace_configs(n):
+    pt = PowerTailLaw(v=1.0, gamma=24.0)
+    return [
+        EnsembleConfig(n=n, law=RAD, seed=70),
+        EnsembleConfig(n=n, law=GoeLaw(Fraction(1, 2)), seed=71),
+        EnsembleConfig(n=n, law=RademacherLaw(Fraction(1)), dilution_c=max(1, n // 3), seed=72),
+        EnsembleConfig(n=n, law=pt, truncation=TruncationSpec(pt, delta=0.05), seed=73),
+    ]
+
+
+def test_trace_powers_match_eigenvalue_sums():
+    s_list = tuple(range(7))
+    for n in (1, 2, 6, 30, 200):
+        for cfg in _trace_configs(n):
+            mat = sample_matrix(cfg, 0)
+            got = trace_powers(mat, s_list)
+            want = spectral_stats(mat, s_list)["traces"]
+            assert got[0] == n
+            for s in s_list:
+                assert math.isclose(got[s], want[s], rel_tol=1e-12), (n, cfg.law.name, s)
+
+
+def _universality_by_eigenvalues(config_a, config_b, s, replicates):
+    """universality_compare with its traces taken from eigenvalues (sample_stats)."""
+    a = sample_stats(config_a, replicates, s_list=(s,))
+    b = sample_stats(config_b, replicates, s_list=(s,))
+    n = config_a.n
+    mean_a = a.trace_mean(s) / n
+    mean_b = b.trace_mean(s) / n
+    sd_a = a.trace_std(s) / n
+    sd_b = b.trace_std(s) / n
+    pooled_sd = math.sqrt((sd_a**2 + sd_b**2) / 2)
+    se = math.sqrt(sd_a**2 / len(a.traces[s]) + sd_b**2 / len(b.traces[s]))
+    diff = mean_a - mean_b
+    return {
+        "n": n,
+        "s": s,
+        "replicates": min(a.replicates, b.replicates),
+        "failed_replicates_a": a.failed_replicates,
+        "failed_replicates_b": b.failed_replicates,
+        "mean_a": mean_a,
+        "mean_b": mean_b,
+        "difference": diff,
+        "pooled_sd": pooled_sd,
+        "se_of_difference": se,
+        "z_vs_se": diff / se if se else math.inf,
+        "effect_in_sd": diff / pooled_sd if pooled_sd else math.inf,
+        "agrees_within_3sd": abs(diff) <= 3 * pooled_sd,
+    }
+
+
+def test_universality_matches_eigenvalue_oracle():
+    pairs = [
+        (EnsembleConfig(n=40, law=RAD, seed=81), EnsembleConfig(n=40, law=GaussianLaw(Fraction(1, 2)), seed=82), 3),
+        (_trace_configs(30)[1], _trace_configs(30)[2], 4),
+        (_trace_configs(12)[3], EnsembleConfig(n=12, law=RAD, seed=83), 5),
+    ]
+    for a, b, s in pairs:
+        got = universality_compare(a, b, s=s, replicates=150)
+        want = _universality_by_eigenvalues(a, b, s, 150)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert math.isclose(got[key], value, rel_tol=1e-9), key
+            else:
+                assert got[key] == value and type(got[key]) is type(value), key
+
+
+def test_universality_makes_no_eigen_solve(monkeypatch):
+    def no_eigen(*args, **kwargs):
+        raise AssertionError("universality_compare called eigvalsh")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigen)
+    a = EnsembleConfig(n=20, law=RAD, seed=1)
+    b = EnsembleConfig(n=20, law=GaussianLaw(Fraction(1, 2)), seed=2)
+    rep = universality_compare(a, b, s=4, replicates=30)
+    assert rep["replicates"] == 30
+
+
 def test_sample_stats_reproducible():
     cfg = EnsembleConfig(n=10, law=RAD, seed=1000)
     a = sample_stats(cfg, 50, s_list=(1, 2))
@@ -229,7 +330,7 @@ def test_universality_reports_systematic_difference():
 
 
 def test_universality_reports_dropped_replicates(monkeypatch):
-    real = mc.spectral_stats
+    real = mc.trace_powers
     calls = []
 
     def flaky(mat, s_list):
@@ -238,7 +339,7 @@ def test_universality_reports_dropped_replicates(monkeypatch):
             raise np.linalg.LinAlgError("eigvalsh did not converge")
         return real(mat, s_list)
 
-    monkeypatch.setattr(mc, "spectral_stats", flaky)
+    monkeypatch.setattr(mc, "trace_powers", flaky)
     a = EnsembleConfig(n=6, law=RAD, seed=1)
     b = EnsembleConfig(n=6, law=RAD, seed=2)
     rep = universality_compare(a, b, s=2, replicates=10)

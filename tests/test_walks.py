@@ -299,6 +299,56 @@ def test_reduction_confluent_under_random_order():
             assert reduce_random(w, rng) == expected
 
 
+def _reduce_fixed_point(labels):
+    """Erase the leftmost marked backtrack, recomputing every flag, until none remain."""
+    from wignerlab.walks import _marked_flags
+
+    seq = list(labels)
+    step_ids = list(range(1, len(labels)))
+    while True:
+        marked = _marked_flags(tuple(seq))
+        found = -1
+        for t in range(1, len(seq) - 1):
+            if marked[t - 1] and seq[t + 1] == seq[t - 1]:
+                found = t
+                break
+        if found < 0:
+            break
+        del seq[found : found + 2]
+        del step_ids[found - 1 : found + 1]
+    return tuple(seq), tuple(step_ids)
+
+
+def _closed_label_sequences(steps):
+    """Every canonical closed label sequence of `steps` steps, loops included."""
+    out = []
+
+    def extend(seq, top):
+        if len(seq) == steps + 1:
+            if seq[-1] == 1:
+                out.append(tuple(seq))
+            return
+        for x in range(1, top + 2):
+            extend(seq + [x], max(top, x))
+
+    extend([1], 1)
+    return out
+
+
+def test_one_pass_reduction_matches_fixed_point():
+    from wignerlab.walks import _marked_flags, _reduce_raw
+
+    cases = [w.labels for s in range(7) for w in cached_even_walks(s)]
+    cases += [lab for steps in range(9) for lab in _closed_label_sequences(steps)]
+    assert len(cases) == 70_331 + 5_296
+    for lab in cases:
+        marked = _marked_flags(lab)
+        raw, step_ids = _reduce_raw(lab, marked)
+        assert (raw, step_ids) == _reduce_fixed_point(lab), lab
+        # the surviving steps keep their flags, as analyze assumes
+        assert [marked[t - 1] for t in step_ids] == _marked_flags(raw)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=5))
 def test_random_trajectory_walk_invariants(body):
