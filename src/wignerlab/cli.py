@@ -84,7 +84,8 @@ def write_rows(path: str | None, rows: list[dict], params: dict, fmt: str, no_ti
 
 def write_json(path: str | None, payload: dict, params: dict, no_timestamp: bool):
     payload = {"_meta": _meta(params, no_timestamp), **payload}
-    _emit(path, json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n")
+    # strict JSON: a NaN or infinity is an error here, never a bare token in the file
+    _emit(path, json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n")
 
 
 def load_config_tokens(path: str) -> list[str]:
@@ -274,7 +275,7 @@ def cmd_mc(args) -> int:
         "fingerprint": config.fingerprint(),
         "replicates": stats.replicates,
         "failed_replicates": stats.failed_replicates,
-        "lambda_max_mean": float(stats.lambda_max.mean()),
+        "lambda_max_mean": float(stats.lambda_max.mean()) if stats.replicates else None,
         "traces": {},
     }
     for s in s_list:
@@ -288,7 +289,10 @@ def cmd_mc(args) -> int:
             entry["exact"] = float(exact)
             entry["z"] = stats.zscore_against(s, float(exact))
         summary["traces"][str(2 * s)] = entry
-        print(f"2s={2*s}: mean={entry['mean']:.6g}" + (f" z={entry['z']:+.2f}" if "z" in entry else ""))
+        mean, z = entry["mean"], entry.get("z")
+        print(
+            f"2s={2*s}: mean=" + ("n/a" if mean is None else f"{mean:.6g}") + ("" if z is None else f" z={z:+.2f}")
+        )
     if args.out:
         write_rows(args.out, stats.rows(), vars(args).copy(), args.format, args.no_timestamp)
         summary_path = Path(args.out).with_suffix(".summary.json")
@@ -390,21 +394,42 @@ def _common(p: argparse.ArgumentParser) -> None:
 
 
 def _integer_text(text: str) -> str:
-    """argparse type of --c: the text as given, once int() accepts it.
+    """argparse type of --c: the integer's decimal digits, once int() accepts it.
 
-    The value enters fingerprints as text, so a valid --c keeps the
-    fingerprint it always had, and a malformed one is a usage error.
+    The value enters fingerprints as text, so 07 and 7 give one fingerprint,
+    a canonical --c keeps the one it always had, and a malformed one is a
+    usage error.
     """
     try:
-        int(text)
+        return str(int(text))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    return text
+
+
+def _rational_text(text: str) -> str:
+    """argparse type of --v: one spelling per rational value.
+
+    The value enters fingerprints as text, so 1/2, .50 and 0.5 all become
+    0.5: the exact decimal where the value has one (its denominator divides
+    a power of ten), p/q otherwise. A canonical --v keeps the fingerprint it
+    always had, and a malformed one is a usage error.
+    """
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid rational value: {text!r}") from None
+    q = value.denominator
+    places = next((k for k in range(q.bit_length()) if 10**k % q == 0), None)
+    if places is None:
+        return str(value)
+    digits = str(abs(value.numerator) * 10**places // q).rjust(places + 1, "0")
+    sign = "-" if value < 0 else ""
+    return sign + digits if places == 0 else f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 def _ensemble_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ensemble", default="rademacher", help="rademacher | gaussian | goe | power-tail | three-point")
-    p.add_argument("--v", default="0.5", help="entry standard deviation (rational ok)")
+    p.add_argument("--v", type=_rational_text, default="0.5", help="entry standard deviation (rational ok)")
     p.add_argument("--c", type=_integer_text, default=None, help="dilution concentration")
     p.add_argument("--gamma", type=float, default=24.0, help="power-tail index")
 
@@ -479,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--ensemble", default="gaussian")
-    p.add_argument("--v", default="0.5")
+    p.add_argument("--v", type=_rational_text, default="0.5")
     p.add_argument("--c", type=_integer_text, required=True)
     _common(p)
     p.set_defaults(func=cmd_dilute)

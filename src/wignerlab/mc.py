@@ -156,6 +156,11 @@ def trace_powers(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict[int, float
     return out
 
 
+def _sample_std(values: np.ndarray) -> float | None:
+    """Standard deviation with ddof=1, or None when fewer than two values hold it."""
+    return float(np.std(values, ddof=1)) if len(values) >= 2 else None
+
+
 @dataclass
 class SampleStats:
     """Per-replicate spectral statistics plus aggregates."""
@@ -167,20 +172,28 @@ class SampleStats:
     traces: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
     failed_replicates: list[int] = field(default_factory=list)
 
-    def trace_mean(self, s: int) -> float:
-        return float(np.mean(self.traces[s]))
+    def trace_mean(self, s: int) -> float | None:
+        """Mean over the filled replicates; None when none was filled."""
+        return float(np.mean(self.traces[s])) if len(self.traces[s]) else None
 
-    def trace_std(self, s: int) -> float:
-        return float(np.std(self.traces[s], ddof=1))
+    def trace_std(self, s: int) -> float | None:
+        """Sample standard deviation (ddof=1); None below two filled replicates."""
+        return _sample_std(self.traces[s])
 
-    def trace_ci(self, s: int, z: float = 1.96) -> tuple[float, float]:
-        half = z * self.trace_std(s) / math.sqrt(len(self.traces[s]))
+    def trace_ci(self, s: int, z: float = 1.96) -> tuple[float, float] | None:
+        sd = self.trace_std(s)
+        if sd is None:
+            return None
+        half = z * sd / math.sqrt(len(self.traces[s]))
         m = self.trace_mean(s)
         return (m - half, m + half)
 
-    def zscore_against(self, s: int, exact_value: float) -> float:
-        se = self.trace_std(s) / math.sqrt(len(self.traces[s]))
-        return (self.trace_mean(s) - exact_value) / se
+    def zscore_against(self, s: int, exact_value: float) -> float | None:
+        """(mean - exact) / standard error; None when the spread is unknown or zero."""
+        sd = self.trace_std(s)
+        if not sd:
+            return None
+        return (self.trace_mean(s) - exact_value) / (sd / math.sqrt(len(self.traces[s])))
 
     def rows(self) -> list[dict]:
         out = []
@@ -246,7 +259,7 @@ class TailCurve:
     exceed_counts: tuple[int, ...]
     replicates: int
     chebyshev_s: int | None = None
-    chebyshev_bounds: tuple[float, ...] | None = None
+    chebyshev_bounds: tuple[float | None, ...] | None = None  # None where threshold <= 0
 
     def probabilities(self) -> list[float]:
         return [c / self.replicates for c in self.exceed_counts]
@@ -306,7 +319,7 @@ def tail_curve(
     if chebyshev_s:
         mean_trace = stats.trace_mean(chebyshev_s)
         cheb = tuple(
-            mean_trace / thr ** (2 * chebyshev_s) if thr > 0 else math.inf
+            mean_trace / thr ** (2 * chebyshev_s) if thr > 0 else None
             for thr in thresholds
         )
     return TailCurve(
@@ -346,27 +359,34 @@ def universality_compare(
     traces_a = np.array([t[s] for t in a], dtype=float)
     traces_b = np.array([t[s] for t in b], dtype=float)
     n = config_a.n
-    mean_a = float(np.mean(traces_a)) / n
-    mean_b = float(np.mean(traces_b)) / n
-    sd_a = float(np.std(traces_a, ddof=1)) / n
-    sd_b = float(np.std(traces_b, ddof=1)) / n
-    pooled_sd = math.sqrt((sd_a**2 + sd_b**2) / 2)
-    se = math.sqrt(sd_a**2 / len(traces_a) + sd_b**2 / len(traces_b))
-    diff = mean_a - mean_b
+    filled = min(len(traces_a), len(traces_b))
+    # means need one filled replicate a side and spreads two; what is missing is None
+    mean_a = float(np.mean(traces_a)) / n if filled else None
+    mean_b = float(np.mean(traces_b)) / n if filled else None
+    diff = mean_a - mean_b if filled else None
+    spread = dict.fromkeys(("pooled_sd", "se_of_difference", "z_vs_se", "effect_in_sd", "agrees_within_3sd"))
+    if filled >= 2:
+        sd_a = _sample_std(traces_a) / n
+        sd_b = _sample_std(traces_b) / n
+        pooled_sd = math.sqrt((sd_a**2 + sd_b**2) / 2)
+        se = math.sqrt(sd_a**2 / len(traces_a) + sd_b**2 / len(traces_b))
+        spread = {
+            "pooled_sd": pooled_sd,
+            "se_of_difference": se,
+            "z_vs_se": diff / se if se else math.inf,
+            "effect_in_sd": diff / pooled_sd if pooled_sd else math.inf,
+            "agrees_within_3sd": abs(diff) <= 3 * pooled_sd,
+        }
     return {
         "n": n,
         "s": s,
-        "replicates": min(len(traces_a), len(traces_b)),
+        "replicates": filled,
         "failed_replicates_a": failed_a,
         "failed_replicates_b": failed_b,
         "mean_a": mean_a,
         "mean_b": mean_b,
         "difference": diff,
-        "pooled_sd": pooled_sd,
-        "se_of_difference": se,
-        "z_vs_se": diff / se if se else math.inf,
-        "effect_in_sd": diff / pooled_sd if pooled_sd else math.inf,
-        "agrees_within_3sd": abs(diff) <= 3 * pooled_sd,
+        **spread,
     }
 
 

@@ -6,11 +6,11 @@ trajectories; grouping trajectories by their canonical walk turns it into
     E Tr A^(2s) = sum_w [ prod_(frame edges) edge_moment(passes) ] * n(n-1)...(n-|V(w)|+1).
 
 The per-edge moment function carries the whole ensemble (entry law,
-truncation, dilution and the matrix normalization), so one enumeration
-serves every ensemble. A brute-force sum over all n^(2s) index tuples is
-kept alongside as the oracle: it tallies every index tuple by its edge
-profile once per (n, s), independently of the walk layer, and weights the
-tallies per ensemble.
+truncation, dilution and the matrix normalization), so one committed table
+of walk counts by shape serves every ensemble. A brute-force sum over all
+n^(2s) index tuples is kept alongside as the oracle: it tallies every index
+tuple by its edge profile once per (n, s), independently of the walk layer,
+and weights the tallies per ensemble.
 """
 
 from __future__ import annotations
@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from pathlib import Path
 
-from .errors import BoundPreconditionError
+from .errors import BoundPreconditionError, EnumerationCeilingError
 from .laws import GoeLaw
-from .walks import Walk, WalkAnalysis, analyze, walk_shapes
+from .walks import WALK_ENUMERATION_CEILING, Walk, WalkAnalysis, analyze
 
 #: C1 = sup over k >= 2 of 2k / (k!)^(1/k); the supremum is the k -> infinity
 #: limit 2e (the sequence increases to it, not attaining it).
@@ -175,15 +176,35 @@ class MomentResult:
         return out
 
 
+#: Even walks counted by shape for every s within the walk ceiling, one
+#: (s, profile, n_vertices, max_passes, max_exit_degree, count) row per shape.
+SHAPE_TABLE = Path(__file__).parent / "tables" / "walk_shapes.csv"
+
+
 @lru_cache(maxsize=None)
 def _walk_shapes(s: int) -> tuple[tuple[tuple, int, int, int, int], ...]:
     """Aggregated walk data: (edge profile, n_vertices, max_passes, D, count) rows.
 
     The edge profile is the multiset of (pass count, is_loop) over frame
     edges; together with the vertex count it determines the walk's weight
-    for any ensemble, so thousands of walks collapse to a few dozen rows.
+    for any ensemble, so thousands of walks collapse to a few hundred rows.
+    The counts depend on neither n nor the law, so they are read from the
+    committed `SHAPE_TABLE`, whose profile cell lists the pass counts with
+    an L marking a loop. The tests rebuild every row from the walk search.
     """
-    return tuple((*key, cnt) for key, cnt in sorted(walk_shapes(s).items()))
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    if 2 * s > WALK_ENUMERATION_CEILING:
+        raise EnumerationCeilingError("walk-shape table", 2 * s, WALK_ENUMERATION_CEILING)
+    prefix = f"{s},"
+    rows = []
+    with SHAPE_TABLE.open() as fh:
+        for line in fh:
+            if line.startswith(prefix):
+                _s, profile, nv, maxm, d, count = line.split(",")
+                edges = tuple((int(tok.rstrip("L")), tok.endswith("L")) for tok in profile.split())
+                rows.append((edges, int(nv), int(maxm), int(d), int(count)))
+    return tuple(rows)
 
 
 def _falling(n: int, k: int) -> int:

@@ -325,7 +325,8 @@ def _even_walk_dfs(s: int, allow_loops: bool, leaf) -> None:
     lexicographic label order. passes maps each frame edge to its pass count;
     exits[v] counts the marked steps leaving v, a step being marked when its
     edge had an even pass count before it (as in analyze's exit degrees).
-    The arguments are live state: a leaf must copy what it keeps.
+    The arguments are live state: a leaf must copy what it keeps. The tests
+    rebuild the committed walk-shape table (`moments.SHAPE_TABLE`) from it.
     """
     if 2 * s > WALK_ENUMERATION_CEILING:
         raise EnumerationCeilingError("even-walk enumeration", 2 * s, WALK_ENUMERATION_CEILING)
@@ -371,24 +372,6 @@ def enumerate_even_walks(s: int, allow_loops: bool = True) -> list[Walk]:
     results: list[Walk] = []
     _even_walk_dfs(s, allow_loops, lambda labels, *_: results.append(Walk(tuple(labels))))
     return results
-
-
-def walk_shapes(s: int) -> dict[tuple[tuple, int, int, int], int]:
-    """Count even walks of 2s steps by shape, without building any walk.
-
-    The shape is (sorted (pass count, is_loop) profile of the frame edges,
-    |V|, max pass count, max exit degree): all that an exact trace moment
-    and its four-way census split read from a walk.
-    """
-    groups: dict[tuple[tuple, int, int, int], int] = {}
-
-    def leaf(labels, passes, exits, n_vertices) -> None:
-        profile = tuple(sorted([(m, a == b) for (a, b), m in passes.items()]))
-        key = (profile, n_vertices, profile[-1][0] if profile else 0, max(exits))
-        groups[key] = groups.get(key, 0) + 1
-
-    _even_walk_dfs(s, True, leaf)
-    return groups
 
 
 def is_tree_structure(walk: Walk) -> bool:

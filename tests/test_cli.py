@@ -418,6 +418,8 @@ def test_malformed_c_is_usage_error(argv, capsys):
         ["mc", "--n", "10", "--replicates", "10", "--c", "0"],
         ["moments", "--n", "10", "--s", "2", "--c", "0"],
         ["moments", "--n", "10", "--s", "2", "--c", "11"],
+        ["moments", "--n", "10", "--s", "-1"],
+        ["moments", "--n", "10", "--s", "8"],
         ["dilute", "--n", "10", "--s", "2", "--c", "0"],
     ],
 )
@@ -459,6 +461,105 @@ E Tr A^4 = 1.4375  (exact 23/16)
 
 
 def test_valid_c_output_pinned(capsys):
-    # --c enters the fingerprint as the text given, so valid runs keep their bytes
+    # a canonical --c enters the fingerprint as given, so valid runs keep their bytes
     assert run(["moments", "--n", "10", "--s", "2", "--c", "2", "--no-timestamp"]) == 0
     assert capsys.readouterr().out == MOMENTS_C2
+
+
+def _strict_json(text: str):
+    """json.loads that refuses the NaN and Infinity tokens Python would accept."""
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("replicates", [0, 1, 2])
+def test_mc_summary_is_strict_json(replicates, tmp_path, capsys):
+    # spreads need two filled replicates and means one; what is missing is null
+    argv = ["mc", "--n", "5", "--s", "2", "--replicates", str(replicates), "--no-timestamp"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    summary = _strict_json(out[out.index("{") :])
+    assert summary["replicates"] == replicates
+    assert (summary["lambda_max_mean"] is None) == (replicates == 0)
+    for entry in summary["traces"].values():
+        assert (entry["mean"] is None) == (replicates == 0)
+        assert (entry["std"] is None) == (entry["ci"] is None) == (replicates < 2)
+        assert entry["z"] is None or replicates >= 2
+    # the --out form writes the same summary to its own file
+    out_file = tmp_path / "mc.csv"
+    assert run(argv + ["--out", str(out_file)]) == 0
+    assert _strict_json(out_file.with_suffix(".summary.json").read_text()) == summary
+
+
+def test_tail_json_has_no_bound_below_zero_threshold(capsys):
+    # the Markov bound needs a positive threshold; at x = -5, n = 8 it is -0.25
+    argv = ["tail", "--n", "8", "--x=-5,0", "--chebyshev-s", "2", "--replicates", "100"]
+    assert run(argv + ["--format", "json", "--no-timestamp"]) == 0
+    out = capsys.readouterr().out
+    rows = _strict_json(out[out.index("{") :])["rows"]
+    assert rows[0]["threshold"] < 0 and rows[0]["chebyshev_bound"] is None
+    assert rows[1]["chebyshev_bound"] > 0
+
+
+def test_write_json_refuses_non_finite_values(capsys):
+    with pytest.raises(ValueError):
+        cli.write_json(None, {"x": float("nan")}, {}, True)
+    assert capsys.readouterr().out == ""
+
+
+def _decimal_and_ratio(value: Fraction) -> tuple[str, str]:
+    """Two spellings of a value whose denominator divides a power of ten."""
+    places = value.denominator.bit_length()
+    scaled = abs(value) * 10**places
+    assert scaled.denominator == 1
+    digits = str(scaled.numerator).rjust(places + 1, "0")
+    decimal = f"{'-' if value < 0 else ''}{digits[:-places]}.{digits[-places:]}"
+    return decimal, f"{value.numerator * 3}/{value.denominator * 3}"
+
+
+def test_rational_flag_spellings_share_a_fingerprint(tmp_path):
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    cfg = tmp_path / "run.cfg"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.integers(0, 6),
+        st.integers(0, 6),
+        st.sampled_from(["mc", "tail", "moments", "zparts"]),
+        st.integers(1, 9),
+    )
+    def inner(numerator, twos, fives, command, c):
+        value = Fraction(numerator, 2**twos * 5**fives)
+        decimal, ratio = _decimal_and_ratio(value)
+        base = [command, "--n", "12", "--c", str(c)] + (["--s", "2"] if command != "tail" else [])
+        parsed = {}
+        for v in (decimal, ratio, str(value)):
+            for c_text in (str(c), f"0{c}", f" +{c}"):
+                argv = base[:4] + [c_text] + base[5:] + ["--v", v]
+                args = cli.build_parser().parse_args(argv)
+                assert Fraction(args.v) == value and int(args.c) == c
+                parsed[(v, c_text)] = cli.fingerprint(vars(args))
+        assert len(set(parsed.values())) == 1, parsed
+        # a config file holding the same flags parses to the same arguments
+        cfg.write_text(f"n = 12\nc = {c}\nv = {ratio}\n" + ("s = 2\n" if command != "tail" else ""))
+        from_file = cli.build_parser().parse_args([command, *cli.load_config_tokens(str(cfg))])
+        assert vars(from_file) == vars(cli.build_parser().parse_args(base + ["--v", decimal]))
+        # the canonical text parses to itself
+        again = cli.build_parser().parse_args(base + ["--v", from_file.v])
+        assert again.v == from_file.v
+
+    inner()
+
+
+@pytest.mark.parametrize("bad", ["x", "1/0", "0.5.1", ""])
+def test_malformed_v_is_usage_error(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["moments", "--n", "10", "--s", "2", "--v", bad, "--no-timestamp"])
+    assert exc.value.code == 2
+    assert "argument --v: invalid rational value" in capsys.readouterr().err

@@ -369,3 +369,28 @@ def test_truncation_event_rate_power_tail():
         rates[n] = out["rate"]
         assert out["rate"] <= out["union_bound"] + (out["ci_high"] - out["rate"])
     assert rates[200] < rates[50]
+
+
+@pytest.mark.parametrize("replicates", [0, 1])
+def test_spreads_need_two_replicates(replicates):
+    # below two filled replicates a spread is None, never NaN
+    a = EnsembleConfig(n=6, law=RAD, seed=3)
+    b = EnsembleConfig(n=6, law=GaussianLaw(Fraction(1, 2)), seed=4)
+    st = sample_stats(a, replicates, s_list=(1, 2))
+    assert st.replicates == replicates
+    for s in (1, 2):
+        assert (st.trace_mean(s) is None) == (replicates == 0)
+        assert st.trace_std(s) is None and st.trace_ci(s) is None
+        assert st.zscore_against(s, 1.0) is None
+    rep = universality_compare(a, b, s=2, replicates=replicates)
+    assert rep["replicates"] == replicates
+    assert (rep["mean_a"] is None) == (rep["difference"] is None) == (replicates == 0)
+    spreads = ("pooled_sd", "se_of_difference", "z_vs_se", "effect_in_sd", "agrees_within_3sd")
+    assert all(rep[key] is None for key in spreads)
+    assert not any(isinstance(v, float) and math.isnan(v) for v in rep.values())
+
+
+def test_zscore_is_none_for_zero_spread():
+    # Tr A^2 of a Rademacher matrix at n = 1 is v^2 in every replicate
+    st = sample_stats(EnsembleConfig(n=1, law=RAD, seed=5), 5, s_list=(1,))
+    assert st.trace_std(1) == 0.0 and st.zscore_against(1, 0.25) is None

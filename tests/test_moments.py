@@ -1,7 +1,11 @@
 import math
+import tomllib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from importlib import resources
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,7 +40,7 @@ from wignerlab.moments import (
 )
 from wignerlab.errors import EnumerationCeilingError
 from wignerlab.suites import criterion_7_moment_oracle
-from wignerlab.walks import analyze, cached_even_walks, walk_shapes
+from wignerlab.walks import WALK_ENUMERATION_CEILING, _even_walk_dfs, analyze, cached_even_walks
 
 
 @dataclass(frozen=True)
@@ -330,6 +334,59 @@ def _shapes_by_analyzer(s: int) -> tuple:
     return tuple((*key, cnt) for key, cnt in sorted(groups.items()))
 
 
+@lru_cache(maxsize=None)
+def walk_shapes(s: int) -> tuple[tuple[tuple, int, int, int, int], ...]:
+    """The rows of `moments._walk_shapes(s)`, rebuilt by the even-walk search.
+
+    A walk's shape is (sorted (pass count, is_loop) profile of the frame
+    edges, |V|, max pass count, max exit degree): all that an exact trace
+    moment and its four-way census split read from a walk.
+    """
+    groups: dict[tuple[tuple, int, int, int], int] = {}
+
+    def leaf(labels, passes, exits, n_vertices) -> None:
+        profile = tuple(sorted([(m, a == b) for (a, b), m in passes.items()]))
+        key = (profile, n_vertices, profile[-1][0] if profile else 0, max(exits))
+        groups[key] = groups.get(key, 0) + 1
+
+    _even_walk_dfs(s, True, leaf)
+    return tuple((*key, cnt) for key, cnt in sorted(groups.items()))
+
+
+def shape_table_csv() -> str:
+    """The text of `moments.SHAPE_TABLE`, rebuilt for every s within the walk ceiling.
+
+    Regenerate the committed file with
+    PYTHONPATH=src:tests python -c "import test_moments as t; print(t.shape_table_csv(), end='')" > src/wignerlab/tables/walk_shapes.csv
+    """
+    lines = ["s,profile,n_vertices,max_passes,max_exit_degree,count"]
+    for s in range(WALK_ENUMERATION_CEILING // 2 + 1):
+        for profile, nv, maxm, d, count in walk_shapes(s):
+            cell = " ".join(f"{m}{'L' if loop else ''}" for m, loop in profile)
+            lines.append(f"{s},{cell},{nv},{maxm},{d},{count}")
+    return "\n".join(lines) + "\n"
+
+
+def test_shape_table_matches_walk_search():
+    # every committed row, rebuilt from _even_walk_dfs: byte for byte, and as read
+    assert moments.SHAPE_TABLE.read_text() == shape_table_csv()
+    for s in range(WALK_ENUMERATION_CEILING // 2 + 1):
+        assert _walk_shapes(s) == walk_shapes(s)
+
+
+def test_shape_table_is_package_data():
+    # the reader finds the table through the package path, and every
+    # package-data glob in pyproject.toml matches a file, this one among them
+    package = Path(moments.__file__).parent
+    assert moments.SHAPE_TABLE == Path(str(resources.files("wignerlab") / "tables" / "walk_shapes.csv"))
+    assert moments.SHAPE_TABLE.is_file()
+    pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+    globs = pyproject["tool"]["setuptools"]["package-data"]["wignerlab"]
+    matched = {glob: sorted(package.glob(glob)) for glob in globs}
+    assert all(matched.values()), matched
+    assert any(moments.SHAPE_TABLE in files for files in matched.values())
+
+
 def test_shape_table_matches_analyzer():
     assert _walk_shapes(0) == (((), 1, 0, 0, 1),)
     for s in range(6):
@@ -337,11 +394,13 @@ def test_shape_table_matches_analyzer():
 
 
 def test_shape_table_sizes():
-    # (rows, walks) per s; s = 8 is past the walk-enumeration ceiling
+    # (rows, walks) per s; s = 8 is past the table and the walk-enumeration ceiling
     for s, rows, walks in ((6, 226, 65_032), (7, 475, 1_039_064)):
         table = _walk_shapes(s)
         assert (len(table), sum(row[-1] for row in table)) == (rows, walks)
     assert sum(row[-1] for row in _walk_shapes(6)) == len(cached_even_walks(6))
+    with pytest.raises(EnumerationCeilingError):
+        _walk_shapes(8)
     with pytest.raises(EnumerationCeilingError):
         walk_shapes(8)
 
@@ -455,7 +514,6 @@ def test_brute_force_oracle_is_independent_of_walks(monkeypatch):
         raise AssertionError("the brute-force oracle must not read the walk layer")
 
     monkeypatch.setattr(moments, "_walk_shapes", refuse)
-    monkeypatch.setattr(moments, "walk_shapes", refuse)
     _tuple_profiles.cache_clear()
     for (n, s), values in want.items():
         assert [brute_force_trace_moment(spec, s) for spec in oracle_specs(n)] == values
