@@ -304,7 +304,7 @@ def cmd_mc(args) -> int:
 
 def cmd_tail(args) -> int:
     config = build_config(args)
-    xs = tuple(float(tok) for tok in args.x.split(","))
+    xs = tuple(float(Fraction(tok)) for tok in args.x.split(","))
     curve = tail_curve(
         config, xs, scale=args.scale, replicates=args.replicates, chebyshev_s=args.chebyshev_s
     )
@@ -427,6 +427,15 @@ def _rational_text(text: str) -> str:
     return sign + digits if places == 0 else f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
+def _grid_text(text: str) -> str:
+    """argparse type of --x: each comma-separated point through `_rational_text`.
+
+    0,1 and 0.0,1.0 then share one fingerprint, and an empty, malformed or
+    non-finite point is a usage error.
+    """
+    return ",".join(_rational_text(token) for token in text.split(","))
+
+
 def _ensemble_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ensemble", default="rademacher", help="rademacher | gaussian | goe | power-tail | three-point")
     p.add_argument("--v", type=_rational_text, default="0.5", help="entry standard deviation (rational ok)")
@@ -491,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tail", help="spectral-edge exceedance curve")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--x", default="-2,-1,0,1,2,4", help="comma-separated grid")
+    p.add_argument("--x", type=_grid_text, default="-2,-1,0,1,2,4", help="comma-separated grid (rational ok)")
     p.add_argument("--scale", choices=("wigner", "dilute"), default="wigner")
     p.add_argument("--replicates", type=int, default=1000)
     p.add_argument("--seed", type=int, default=20240229)

@@ -9,9 +9,12 @@ reproduce the corresponding Wigner run entry for entry.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -88,24 +91,18 @@ def sample_entries(
 
 
 @lru_cache(maxsize=None)
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n), read-only and built once per n.
+def _symmetric_gather(n: int) -> np.ndarray:
+    """For each cell (i, j), the position of (min(i, j), max(i, j)) in the
+    row-major upper triangle: read-only, built once per n.
 
-    Rebuilding it for every replicate churned enough heap that the allocator
-    returned memory to the system and faulted it back in on each draw.
+    `vals[_symmetric_gather(n)]` assembles the symmetric matrix in one
+    gather, with no zeroed buffer and no scatter per draw.
     """
     rows, cols = np.triu_indices(n)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-@lru_cache(maxsize=None)
-def _diagonal_positions(n: int) -> np.ndarray:
-    """Positions of the diagonal in the row-major upper triangle, read-only, once per n."""
-    rows, cols = _upper_triangle(n)
-    positions = np.flatnonzero(rows == cols)
-    positions.flags.writeable = False
-    return positions
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    index.flags.writeable = False
+    return index
 
 
 def sample_matrix(config: EnsembleConfig, replicate: int) -> np.ndarray:
@@ -113,9 +110,9 @@ def sample_matrix(config: EnsembleConfig, replicate: int) -> np.ndarray:
     n = config.n
     rng, vals = sample_entries(config, replicate)
     if isinstance(config.law, GoeLaw):
-        # double the diagonal variance
+        # double the diagonal variance; the gather's diagonal holds its positions
         vals = vals.copy()
-        vals[_diagonal_positions(n)] *= math.sqrt(2.0)
+        vals[_symmetric_gather(n).diagonal()] *= math.sqrt(2.0)
     if config.truncation is not None:
         cutoff = config.truncation.cutoff(n)
         vals = np.where(np.abs(vals) <= cutoff, vals, 0.0)
@@ -125,11 +122,7 @@ def sample_matrix(config: EnsembleConfig, replicate: int) -> np.ndarray:
         vals = vals * mask / math.sqrt(c)
     else:
         vals = vals / math.sqrt(n)
-    mat = np.zeros((n, n))
-    iu = _upper_triangle(n)
-    mat[iu] = vals
-    mat.T[iu] = vals
-    return mat
+    return vals[_symmetric_gather(n)]
 
 
 def spectral_stats(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict:
@@ -154,6 +147,60 @@ def trace_powers(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict[int, float
         power = np.linalg.matrix_power(matrix, s)
         out[s] = float(np.vdot(power, power))
     return out
+
+
+#: `sample_stats` runs its eigen-solves on one BLAS thread up to this n. On
+#: 2 vCPUs with OpenBLAS 0.3.31, `eigvalsh` took 2.14 ms on one thread and
+#: 2.35 ms (4.75 ms of CPU) on two at n = 200, 16.7 against 17.1 ms at
+#: n = 500, but 45 against 31 ms at n = 700.
+ONE_BLAS_THREAD_MAX_N = 512
+
+#: (getter, setter) symbol pairs of the OpenBLAS builds numpy links.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """OpenBLAS's thread-count (getter, setter), looked up through numpy's
+    linalg extension, or None when it exports neither pair."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+        try:
+            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one OpenBLAS thread, restoring the count after.
+
+    A no-op when OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, so that the
+    user's choice wins, and when no thread setter is found.
+    """
+    calls = None
+    if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+        calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, set_ = calls
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 def _sample_std(values: np.ndarray) -> float | None:
@@ -228,7 +275,11 @@ def sample_stats(
     config: EnsembleConfig, replicates: int, s_list: tuple[int, ...] = (1, 2, 3, 4)
 ) -> SampleStats:
     s_list = tuple(s_list)
-    filled, failed = _replicate_loop(config, replicates, s_list, spectral_stats)
+    # small eigen-solves gain no wall time from a second BLAS thread;
+    # universality's matrix products do, so only this path is pinned
+    pin = _one_blas_thread() if config.n <= ONE_BLAS_THREAD_MAX_N else nullcontext()
+    with pin:
+        filled, failed = _replicate_loop(config, replicates, s_list, spectral_stats)
     return SampleStats(
         config=config,
         replicates=len(filled),
@@ -373,8 +424,9 @@ def universality_compare(
         spread = {
             "pooled_sd": pooled_sd,
             "se_of_difference": se,
-            "z_vs_se": diff / se if se else math.inf,
-            "effect_in_sd": diff / pooled_sd if pooled_sd else math.inf,
+            # a ratio over a zero spread is unknown, as in SampleStats.zscore_against
+            "z_vs_se": diff / se if se else None,
+            "effect_in_sd": diff / pooled_sd if pooled_sd else None,
             "agrees_within_3sd": abs(diff) <= 3 * pooled_sd,
         }
     return {

@@ -563,3 +563,28 @@ def test_malformed_v_is_usage_error(bad, capsys):
         run(["moments", "--n", "10", "--s", "2", "--v", bad, "--no-timestamp"])
     assert exc.value.code == 2
     assert "argument --v: invalid rational value" in capsys.readouterr().err
+
+
+def test_tail_grid_spellings_share_a_fingerprint(capsys):
+    # the default grid is canonical, so it keeps the fingerprint it always had
+    parse = cli.build_parser().parse_args
+    assert cli.fingerprint(vars(parse(["tail", "--n", "10"]))) == "162f6c7f21c3ee80"
+    for grid in ("0,1", "0.0,1.0", "0/3, +1", "00,10/10"):
+        args = parse(["tail", "--n", "10", "--x", grid])
+        assert args.x == "0,1"
+        assert cli.fingerprint(vars(args)) == "90f29aa339e3ca7a"
+    # a point with no decimal form is read as a fraction
+    argv = ["tail", "--n", "8", "--x=1/3,-1/2", "--replicates", "100", "--format", "json", "--no-timestamp"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert [row["x"] for row in _strict_json(out[out.index("{") :])["rows"]] == [1 / 3, -0.5]
+
+
+@pytest.mark.parametrize("bad", ["0,a", "", "nan,inf", "inf", "1,,2", "1/0"])
+def test_malformed_tail_grid_is_usage_error(bad, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["tail", "--n", "10", "--replicates", "100", f"--x={bad}", "--no-timestamp"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --x: invalid rational value" in captured.err

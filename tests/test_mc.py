@@ -1,12 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats as sps
 
 from wignerlab import mc
-from wignerlab.laws import GaussianLaw, GoeLaw, PowerTailLaw, RademacherLaw
+from wignerlab.laws import GaussianLaw, GoeLaw, PowerTailLaw, RademacherLaw, ThreePointLaw
 from wignerlab.mc import (
     EnsembleConfig,
     sample_entries,
@@ -149,24 +154,169 @@ def test_mc_agrees_with_exact_moments_all_ensembles():
             assert abs(z) <= 4, (cfg.law.name, s, z)
 
 
+def _scatter_assembly(config, replicate):
+    """sample_matrix as first written: every index rebuilt per draw, and a
+    zeroed matrix filled by two scatters over np.triu_indices."""
+    n = config.n
+    rng, vals = sample_entries(config, replicate)
+    iu = np.triu_indices(n)
+    if isinstance(config.law, GoeLaw):
+        vals = vals.copy()
+        vals[np.flatnonzero(iu[0] == iu[1])] *= math.sqrt(2.0)
+    if config.truncation is not None:
+        cutoff = config.truncation.cutoff(n)
+        vals = np.where(np.abs(vals) <= cutoff, vals, 0.0)
+    if config.dilution_c is not None:
+        mask = rng.random(vals.shape[0]) < config.dilution_c / n
+        vals = vals * mask / math.sqrt(config.dilution_c)
+    else:
+        vals = vals / math.sqrt(n)
+    mat = np.zeros((n, n))
+    mat[iu] = vals
+    mat.T[iu] = vals
+    return mat
+
+
 def test_goe_draws_match_rebuilt_diagonal_index():
-    # the cached diagonal positions give the draws that rebuilding the
-    # index on every replicate gave
-    for n in (1, 2, 7, 40):
-        cfg = EnsembleConfig(n=n, law=GoeLaw(Fraction(1, 2)), seed=60 + n)
-        for rep in range(3):
-            _, vals = sample_entries(cfg, rep)
-            iu = np.triu_indices(n)
-            vals = vals.copy()
-            vals[np.flatnonzero(iu[0] == iu[1])] *= math.sqrt(2.0)
-            vals = vals / math.sqrt(n)
-            expected = np.zeros((n, n))
-            expected[iu] = vals
-            expected.T[iu] = vals
-            assert np.array_equal(sample_matrix(cfg, rep), expected)
-    positions = mc._diagonal_positions(40)
-    assert positions is mc._diagonal_positions(40)
-    assert not positions.flags.writeable
+    # the cached gather index gives the draws that the scatter assembly
+    # gave, for every law, dilution and truncation
+    pt = PowerTailLaw(v=1.0, gamma=24.0)
+    laws = [RAD, GaussianLaw(Fraction(1, 2)), GoeLaw(Fraction(1, 2)), pt, ThreePointLaw()]
+    for n in (1, 2, 7, 30, 200):
+        configs = [EnsembleConfig(n=n, law=law, seed=60 + n) for law in laws]
+        for law in (RAD, laws[2]):
+            configs.append(EnsembleConfig(n=n, law=law, dilution_c=max(1, n // 3), seed=61))
+        for law in (pt, RAD):
+            configs.append(EnsembleConfig(n=n, law=law, truncation=TruncationSpec(law, delta=0.05), seed=62))
+        for cfg in configs:
+            for rep in range(2):
+                assert np.array_equal(sample_matrix(cfg, rep), _scatter_assembly(cfg, rep)), (n, cfg)
+    index = mc._symmetric_gather(30)
+    assert index is mc._symmetric_gather(30) and index is not mc._symmetric_gather(31)
+    assert not index.flags.writeable
+
+
+def _blas_thread_calls():
+    calls = mc._openblas_threads()
+    if calls is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+    return calls
+
+
+@pytest.fixture
+def two_blas_threads(monkeypatch):
+    """OpenBLAS at two threads with no thread variable set; restored after."""
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    get, set_ = _blas_thread_calls()
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def test_blas_pin_is_restored_after_sample_stats(monkeypatch, two_blas_threads):
+    get = two_blas_threads
+    seen = []
+    real = mc.spectral_stats
+
+    def recording(mat, s_list):
+        seen.append(get())
+        return real(mat, s_list)
+
+    monkeypatch.setattr(mc, "spectral_stats", recording)
+    sample_stats(EnsembleConfig(n=8, law=RAD, seed=1), 3)
+    assert seen == [1, 1, 1] and get() == 2
+
+    def failing(mat, s_list):
+        raise RuntimeError("not a LinAlgError")
+
+    monkeypatch.setattr(mc, "spectral_stats", failing)
+    with pytest.raises(RuntimeError):
+        sample_stats(EnsembleConfig(n=8, law=RAD, seed=1), 3)
+    assert get() == 2
+
+
+_THREADS_SEEN = """
+import json
+from fractions import Fraction
+from wignerlab import mc
+from wignerlab.laws import RademacherLaw
+
+get, set_ = mc._openblas_threads()
+set_(2)
+seen = []
+real = mc.spectral_stats
+
+def recording(mat, s_list):
+    seen.append(get())
+    return real(mat, s_list)
+
+mc.spectral_stats = recording
+mc.sample_stats(mc.EnsembleConfig(n={n}, law=RademacherLaw(Fraction(1, 2)), seed=3), 2)
+print(json.dumps(seen + [get()]))
+"""
+
+
+@pytest.mark.parametrize(
+    "env, n",
+    [
+        ({}, mc.ONE_BLAS_THREAD_MAX_N + 1),
+        ({"OPENBLAS_NUM_THREADS": "2"}, 10),
+        ({"OMP_NUM_THREADS": "2"}, 10),
+    ],
+    ids=["large-n", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"],
+)
+def test_blas_pin_steps_aside(env, n):
+    # above the size limit, or with a thread variable set, the count stays
+    _blas_thread_calls()
+    src = str(Path(mc.__file__).resolve().parents[1])
+    child_env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_SEEN.format(n=n)],
+        env={**child_env, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [2, 2, 2]
+
+
+class _NoOpenBlas:
+    def __init__(self, path):
+        pass
+
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+
+def _unloadable(path):
+    raise OSError(f"cannot load {path}")
+
+
+@pytest.mark.parametrize("cdll", [_NoOpenBlas, _unloadable], ids=["no-symbols", "no-library"])
+def test_blas_pin_is_silent_without_a_setter(monkeypatch, cdll):
+    cfg = EnsembleConfig(n=12, law=RAD, seed=4)
+    want = sample_stats(cfg, 5, s_list=(1, 2))
+    mc._openblas_threads.cache_clear()
+    monkeypatch.setattr(mc.ctypes, "CDLL", cdll)
+    try:
+        assert mc._openblas_threads() is None
+        got = sample_stats(cfg, 5, s_list=(1, 2))
+    finally:
+        mc._openblas_threads.cache_clear()
+    assert got.rows() == want.rows()
+
+
+def test_blas_pin_keeps_sample_stats_bits(monkeypatch, two_blas_threads):
+    cfg = EnsembleConfig(n=200, law=RAD, seed=12)
+    pinned = sample_stats(cfg, 20, s_list=(1, 4))
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # the pin steps aside
+    free = sample_stats(cfg, 20, s_list=(1, 4))
+    assert np.array_equal(pinned.lambda_max, free.lambda_max)
+    assert all(np.array_equal(pinned.traces[s], free.traces[s]) for s in (1, 4))
 
 
 def _trace_configs(n):
@@ -214,8 +364,8 @@ def _universality_by_eigenvalues(config_a, config_b, s, replicates):
         "difference": diff,
         "pooled_sd": pooled_sd,
         "se_of_difference": se,
-        "z_vs_se": diff / se if se else math.inf,
-        "effect_in_sd": diff / pooled_sd if pooled_sd else math.inf,
+        "z_vs_se": diff / se if se else None,
+        "effect_in_sd": diff / pooled_sd if pooled_sd else None,
         "agrees_within_3sd": abs(diff) <= 3 * pooled_sd,
     }
 
@@ -394,3 +544,9 @@ def test_zscore_is_none_for_zero_spread():
     # Tr A^2 of a Rademacher matrix at n = 1 is v^2 in every replicate
     st = sample_stats(EnsembleConfig(n=1, law=RAD, seed=5), 5, s_list=(1,))
     assert st.trace_std(1) == 0.0 and st.zscore_against(1, 0.25) is None
+    a, b = EnsembleConfig(n=1, law=RAD, seed=5), EnsembleConfig(n=1, law=RAD, seed=6)
+    rep = universality_compare(a, b, s=1, replicates=5)
+    assert rep["difference"] == rep["pooled_sd"] == rep["se_of_difference"] == 0.0
+    assert rep["z_vs_se"] is None and rep["effect_in_sd"] is None
+    assert rep["agrees_within_3sd"] is True
+    json.dumps(rep, allow_nan=False)
