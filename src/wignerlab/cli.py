@@ -430,10 +430,17 @@ def _rational_text(text: str) -> str:
 def _grid_text(text: str) -> str:
     """argparse type of --x: each comma-separated point through `_rational_text`.
 
-    0,1 and 0.0,1.0 then share one fingerprint, and an empty, malformed or
-    non-finite point is a usage error.
+    0,1 and 0.0,1.0 then share one fingerprint, and an empty, malformed,
+    non-finite or float-overflowing point is a usage error.
     """
-    return ",".join(_rational_text(token) for token in text.split(","))
+    points = []
+    for token in text.split(","):
+        points.append(_rational_text(token))
+        try:
+            float(Fraction(points[-1]))
+        except OverflowError:
+            raise argparse.ArgumentTypeError(f"invalid rational value: {token!r} overflows a float") from None
+    return ",".join(points)
 
 
 def _ensemble_flags(p: argparse.ArgumentParser) -> None:

@@ -13,8 +13,8 @@ import ctypes
 import hashlib
 import json
 import math
-import os
-from contextlib import contextmanager, nullcontext
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -149,12 +149,6 @@ def trace_powers(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict[int, float
     return out
 
 
-#: `sample_stats` runs its eigen-solves on one BLAS thread up to this n. On
-#: 2 vCPUs with OpenBLAS 0.3.31, `eigvalsh` took 2.14 ms on one thread and
-#: 2.35 ms (4.75 ms of CPU) on two at n = 200, 16.7 against 17.1 ms at
-#: n = 500, but 45 against 31 ms at n = 700.
-ONE_BLAS_THREAD_MAX_N = 512
-
 #: (getter, setter) symbol pairs of the OpenBLAS builds numpy links.
 _OPENBLAS_THREAD_CALLS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -181,26 +175,39 @@ def _openblas_threads():
     return None
 
 
+# One pin for the whole process: the first holder to enter saves the thread
+# count and the last to leave restores it, so nested or concurrent holders
+# cannot restore out of order.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_restore = 1
+
+
 @contextmanager
 def _one_blas_thread():
     """Run the block on one OpenBLAS thread, restoring the count after.
 
-    A no-op when OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, so that the
-    user's choice wins, and when no thread setter is found.
+    The count is process-wide: while any caller holds the pin, BLAS work on
+    every thread runs on one thread. A no-op when no thread setter is found.
     """
-    calls = None
-    if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
-        calls = _openblas_threads()
+    global _pin_depth, _pin_restore
+    calls = _openblas_threads()
     if calls is None:
         yield
         return
     get, set_ = calls
-    before = get()
-    set_(1)
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_restore = get()
+            set_(1)
+        _pin_depth += 1
     try:
         yield
     finally:
-        set_(before)
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_restore)
 
 
 def _sample_std(values: np.ndarray) -> float | None:
@@ -275,10 +282,10 @@ def sample_stats(
     config: EnsembleConfig, replicates: int, s_list: tuple[int, ...] = (1, 2, 3, 4)
 ) -> SampleStats:
     s_list = tuple(s_list)
-    # small eigen-solves gain no wall time from a second BLAS thread;
-    # universality's matrix products do, so only this path is pinned
-    pin = _one_blas_thread() if config.n <= ONE_BLAS_THREAD_MAX_N else nullcontext()
-    with pin:
+    # the eigen-solves gain no wall time from a second BLAS thread at the
+    # sizes measured (n <= 200); universality's matrix products do, so only
+    # this path is pinned
+    with _one_blas_thread():
         filled, failed = _replicate_loop(config, replicates, s_list, spectral_stats)
     return SampleStats(
         config=config,

@@ -580,7 +580,7 @@ def test_tail_grid_spellings_share_a_fingerprint(capsys):
     assert [row["x"] for row in _strict_json(out[out.index("{") :])["rows"]] == [1 / 3, -0.5]
 
 
-@pytest.mark.parametrize("bad", ["0,a", "", "nan,inf", "inf", "1,,2", "1/0"])
+@pytest.mark.parametrize("bad", ["0,a", "", "nan,inf", "inf", "1,,2", "1/0", "1e400", "0,-1e400"])
 def test_malformed_tail_grid_is_usage_error(bad, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["tail", "--n", "10", "--replicates", "100", f"--x={bad}", "--no-timestamp"])
