@@ -349,6 +349,8 @@ def nu_domination_report(s: int) -> list[ClassCensusRow]:
 
 def mu_domination_report(s: int, k0: int = 4) -> list[ClassCensusRow]:
     """exact <= mu_bound on every realized mu signature satisfying the hypotheses."""
+    if k0 < 1:
+        raise ValueError("k0 must be >= 1")
     rows: list[ClassCensusRow] = []
     for sig, cnt in sorted(mu_census(s).items(), key=lambda kv: repr(kv[0])):
         try:

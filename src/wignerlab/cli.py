@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: verify, enumerate, classify, moments, zparts, mc, tail, dilute,
-genfun, report. Every emitted file embeds the tool version and a fingerprint
-of the resolved parameters; a timestamp is included unless --no-timestamp is
-given, so reruns with the same fingerprint are byte-identical.
+genfun, report, analyze. Every emitted file embeds the tool version and a
+fingerprint of the resolved parameters; a timestamp is included unless
+--no-timestamp is given, so reruns with the same fingerprint are
+byte-identical.
 
 A config file (--config) holds `key = value` lines mirroring the long flag
 names; explicit flags override file values.
@@ -24,6 +25,7 @@ from pathlib import Path
 from . import __version__
 from . import classes as cls
 from . import dyck, moments, series
+from .errors import EnumerationCeilingError
 from .laws import make_law
 from .mc import EnsembleConfig, fingerprint as _digest, sample_stats, tail_curve
 from .moments import TruncationSpec
@@ -121,12 +123,8 @@ def build_config(args) -> EnsembleConfig:
 
 def build_spec(args) -> moments.MomentSpec:
     law = build_law(args)
-    if getattr(args, "c", None) is not None:
-        return moments.dilute_spec(law, args.n, int(args.c))
-    if getattr(args, "truncate", False):
-        trunc = TruncationSpec(law, delta=args.delta, delta0=getattr(args, "delta0", None))
-        return moments.truncated_spec(trunc, args.n)
-    return moments.wigner_spec(law, args.n)
+    trunc = TruncationSpec(law, delta=args.delta) if getattr(args, "truncate", False) else None
+    return moments.MomentSpec(args.n, law, trunc, int(args.c) if args.c is not None else None)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +206,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if 2 * args.s > WALK_ENUMERATION_CEILING:
+        raise EnumerationCeilingError("class census", 2 * args.s, WALK_ENUMERATION_CEILING)
     rows = []
     for s in range(1, args.s + 1):
         rows.extend(cls.census_csv_rows(s, k0=args.k0))
@@ -284,7 +284,7 @@ def cmd_mc(args) -> int:
             "std": stats.trace_std(s),
             "ci": stats.trace_ci(s),
         }
-        if 2 * s <= WALK_ENUMERATION_CEILING and config.truncation is None:
+        if 2 * s <= WALK_ENUMERATION_CEILING:
             exact = moments.exact_trace_moment(config.moment_spec(), s).total
             entry["exact"] = float(exact)
             entry["z"] = stats.zscore_against(s, float(exact))
@@ -318,10 +318,9 @@ def cmd_tail(args) -> int:
 
 
 def cmd_dilute(args) -> int:
-    law = build_law(args)
-    spec = moments.dilute_spec(law, args.n, int(args.c))
+    spec = build_spec(args)
     total = moments.exact_trace_moment(spec, args.s).total
-    bound = moments.dilute_lower_bound(law, args.n, int(args.c), args.s)
+    bound = moments.dilute_lower_bound(spec.law, args.n, spec.dilution_c, args.s)
     ok = total >= bound
     exact = moments.exact_text(total)
     moment = f"dilute moment {float(total):.6g}"
@@ -335,7 +334,7 @@ def cmd_dilute(args) -> int:
         {
             "n": args.n,
             "s": args.s,
-            "c": int(args.c),
+            "c": spec.dilution_c,
             "exact": float(total),
             "exact_rational": exact,
             "lower_bound": float(bound),
@@ -379,7 +378,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    print(report_to_json(analyze(Walk.from_string(args.walk))))
+    print(report_to_json(analyze(args.walk)))
     return 0
 
 
@@ -425,6 +424,14 @@ def _rational_text(text: str) -> str:
     digits = str(abs(value.numerator) * 10**places // q).rjust(places + 1, "0")
     sign = "-" if value < 0 else ""
     return sign + digits if places == 0 else f"{sign}{digits[:-places]}.{digits[-places:]}"
+
+
+def _walk(text: str) -> Walk:
+    """argparse type of analyze's walk: a malformed walk is a usage error."""
+    try:
+        return Walk.from_string(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid walk {text!r}: {exc}") from None
 
 
 def _grid_text(text: str) -> str:
@@ -537,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("analyze", help="structure report for one walk")
-    p.add_argument("walk", help="comma-separated labels, e.g. 1,2,3,2,1")
+    p.add_argument("walk", type=_walk, help="comma-separated labels, e.g. 1,2,3,2,1")
     p.set_defaults(func=cmd_analyze)
 
     return parser

@@ -90,6 +90,8 @@ class PlaneTree:
 
 def enumerate_dyck(k: int) -> list[DyckPath]:
     """All Dyck paths of half-length k, lexicographic with up-steps first."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
     if k > DYCK_ENUMERATION_CEILING:
         raise EnumerationCeilingError("enumerate_dyck", k, DYCK_ENUMERATION_CEILING)
     paths: list[DyckPath] = []

@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .laws import GoeLaw
-from .moments import MomentSpec, TruncationSpec, dilute_spec, truncated_spec, wigner_spec
+from .moments import MomentSpec, TruncationSpec
 
 
 def fingerprint(payload: dict) -> str:
@@ -39,21 +39,17 @@ class EnsembleConfig:
     seed: int = 20240229
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.dilution_c is not None and not 1 <= self.dilution_c <= self.n:
-            raise ValueError("dilution concentration must satisfy 1 <= c <= n")
+        self.moment_spec()  # checks n, the dilution and the truncation law
+        if not 0 <= self.seed < 2**64:
+            raise ValueError("seed must lie in [0, 2^64)")
 
     def descriptor(self) -> dict:
-        out = {"n": self.n, "seed": self.seed}
-        out.update(self.law.descriptor())
+        """The exact-moment descriptor without its derived kind and cutoff, plus the seed."""
+        out = self.moment_spec().descriptor()
+        del out["kind"]
         if self.truncation is not None:
-            out["truncation"] = {
-                "delta": self.truncation.delta,
-                "eta": self.truncation.eta,
-            }
-        if self.dilution_c is not None:
-            out["dilution_c"] = self.dilution_c
+            del out["truncation"]["cutoff"]
+        out["seed"] = self.seed
         return out
 
     def fingerprint(self) -> str:
@@ -61,18 +57,11 @@ class EnsembleConfig:
 
     def moment_spec(self) -> MomentSpec:
         """The exact-moment counterpart of this sampling configuration."""
-        if self.dilution_c is not None:
-            return dilute_spec(self.law, self.n, self.dilution_c)
-        if self.truncation is not None:
-            return truncated_spec(self.truncation, self.n)
-        return wigner_spec(self.law, self.n)
+        return MomentSpec(self.n, self.law, self.truncation, self.dilution_c)
 
 
 def _rng(config: EnsembleConfig, replicate: int) -> np.random.Generator:
-    key = np.array(
-        [config.seed & 0xFFFFFFFFFFFFFFFF, replicate & 0xFFFFFFFFFFFFFFFF],
-        dtype=np.uint64,
-    )
+    key = np.array([config.seed, replicate], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -267,6 +256,8 @@ def _replicate_loop(
     A replicate whose statistic raises LinAlgError is dropped. Returns the
     statistics of the filled replicates and the indices of the dropped ones.
     """
+    if replicates < 0:
+        raise ValueError("replicates must be >= 0")
     filled: list = []
     failed: list[int] = []
     for rep in range(replicates):

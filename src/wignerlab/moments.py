@@ -60,36 +60,46 @@ class MomentSpec:
 
     n: int
     law: object
-    kind: str = "wigner"
     truncation: TruncationSpec | None = None
     dilution_c: int | None = None
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
+        if self.dilution_c is not None and not 1 <= self.dilution_c <= self.n:
+            raise ValueError("dilution concentration must satisfy 1 <= c <= n")
+        if self.truncation is not None and self.truncation.law != self.law:
+            raise ValueError("the truncation must be of the sampled law")
+
     def entry_moment(self, order: int, is_loop: bool = False):
-        """Moment of the unscaled entry (truncated if configured)."""
+        """Moment of the unscaled entry, truncated if configured; a GOE loop is cut after its doubling."""
         if order % 2:
             return 0
+        doubled = is_loop and isinstance(self.law, GoeLaw)
         if self.truncation is not None:
-            base = self.truncation.law.truncated_moment(order, self.truncation.cutoff(self.n))
+            cutoff = self.truncation.cutoff(self.n)
+            base = self.law.truncated_moment(order, cutoff / math.sqrt(2) if doubled else cutoff)
         else:
             base = self.law.moment(order)
-        if is_loop and self.kind == "goe":
-            # GOE doubles the diagonal variance: scale a ~ N(0, v^2) by sqrt(2)
-            base = base * (2 ** (order // 2))
-        return base
+        return base * 2 ** (order // 2) if doubled else base
 
     def edge_moment(self, order: int, is_loop: bool = False):
         """Moment of the scaled matrix entry: E[(A_ij)^order]."""
         if order % 2:
             return 0
+        # an undiluted entry is a dilute one at c = n: kept surely, scaled by 1/sqrt(n)
+        c = self.n if self.dilution_c is None else self.dilution_c
         base = self.entry_moment(order, is_loop)
-        half = order // 2
-        if self.dilution_c is not None:
-            c = self.dilution_c
-            return base * Fraction(c, self.n) / Fraction(c) ** half
-        return base / Fraction(self.n) ** half
+        return base * Fraction(c, self.n) / Fraction(c) ** (order // 2)
 
     def descriptor(self) -> dict:
-        out = {"kind": self.kind, "n": self.n}
+        if self.dilution_c is not None:
+            kind = "dilute"
+        elif self.truncation is not None:
+            kind = "truncated"
+        else:
+            kind = "goe" if isinstance(self.law, GoeLaw) else "wigner"
+        out = {"kind": kind, "n": self.n}
         out.update(self.law.descriptor())
         if self.truncation is not None:
             out["truncation"] = {
@@ -103,18 +113,15 @@ class MomentSpec:
 
 
 def wigner_spec(law, n: int) -> MomentSpec:
-    kind = "goe" if isinstance(law, GoeLaw) else "wigner"
-    return MomentSpec(n=n, law=law, kind=kind)
+    return MomentSpec(n, law)
 
 
 def truncated_spec(trunc: TruncationSpec, n: int) -> MomentSpec:
-    return MomentSpec(n=n, law=trunc.law, kind="truncated", truncation=trunc)
+    return MomentSpec(n, trunc.law, truncation=trunc)
 
 
 def dilute_spec(law, n: int, c: int) -> MomentSpec:
-    if not 1 <= c <= n:
-        raise ValueError("dilution concentration must satisfy 1 <= c <= n")
-    return MomentSpec(n=n, law=law, kind="dilute", dilution_c=c)
+    return MomentSpec(n, law, dilution_c=c)
 
 
 def semicircle_moment(order: int, v):
@@ -207,13 +214,6 @@ def _walk_shapes(s: int) -> tuple[tuple[tuple, int, int, int, int], ...]:
     return tuple(rows)
 
 
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def _shape_terms(spec: MomentSpec, s: int):
     """Yield (contribution, nu weight, max passes, max exit degree) per shape.
 
@@ -222,7 +222,7 @@ def _shape_terms(spec: MomentSpec, s: int):
     """
     edge_moments: dict[tuple[int, bool], object] = {}
     for profile, nv, maxm, d, count in _walk_shapes(s):
-        ff = _falling(spec.n, nv)
+        ff = math.perm(spec.n, nv)  # the falling factorial n (n-1) ... (n-nv+1)
         if ff == 0:
             continue
         w = Fraction(1)
@@ -260,6 +260,8 @@ def z_decomposition(
     Z4: self-intersection weight above the threshold (strictly, so the four
     parts partition).
     """
+    if not math.isfinite(delta):
+        raise ValueError("delta must be finite")
     if c0 is None:
         c0 = default_c0(float(spec.entry_moment(12)))
     n = spec.n

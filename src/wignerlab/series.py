@@ -174,6 +174,8 @@ def brute_force_same_cluster_pairs(s: int, m: int = 2) -> int:
 
 def coefficient_table(order: int) -> list[dict]:
     """Exact coefficient rows for CSV emission."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
     phi = catalan_gf(order)
     inv = invsqrt_one_minus_4t(order)
     n2 = n2_series(order)

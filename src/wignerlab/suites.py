@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import classes as cls
 from . import dyck, moments, series
-from .laws import GaussianLaw, RademacherLaw, ThreePointLaw
+from .laws import GaussianLaw, GoeLaw, RademacherLaw, ThreePointLaw
 from .walks import (
     Walk,
     analyze,
@@ -234,24 +234,14 @@ def criterion_7_moment_oracle(n_max: int = 4, s_max: int = 4) -> SuiteResult:
     res = SuiteResult("7 trace-moment oracle equivalence")
     rad = RademacherLaw(Fraction(1, 2))
     gau = GaussianLaw(Fraction(1, 2))
+    goe = GoeLaw(Fraction(1, 2))
+    trunc = moments.TruncationSpec(ThreePointLaw(), delta=0.05)
     specs = []
     for n in range(1, n_max + 1):
         specs.append((f"wigner-rademacher n={n}", moments.wigner_spec(rad, n)))
         specs.append((f"wigner-gaussian n={n}", moments.wigner_spec(gau, n)))
-        specs.append(
-            (
-                f"goe n={n}",
-                moments.MomentSpec(n=n, law=gau, kind="goe"),
-            )
-        )
-        specs.append(
-            (
-                f"truncated n={n}",
-                moments.truncated_spec(
-                    moments.TruncationSpec(ThreePointLaw(), delta=0.05), n
-                ),
-            )
-        )
+        specs.append((f"goe n={n}", moments.wigner_spec(goe, n)))
+        specs.append((f"truncated n={n}", moments.truncated_spec(trunc, n)))
         for c in (1, max(1, n // 2), n):
             specs.append((f"dilute n={n} c={c}", moments.dilute_spec(rad, n, c)))
     ok = True

@@ -328,6 +328,8 @@ def _even_walk_dfs(s: int, allow_loops: bool, leaf) -> None:
     The arguments are live state: a leaf must copy what it keeps. The tests
     rebuild the committed walk-shape table (`moments.SHAPE_TABLE`) from it.
     """
+    if s < 0:
+        raise ValueError("s must be >= 0")
     if 2 * s > WALK_ENUMERATION_CEILING:
         raise EnumerationCeilingError("even-walk enumeration", 2 * s, WALK_ENUMERATION_CEILING)
     labels = [ROOT]

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from wignerlab import classes as cls
 from wignerlab import cli, walks
 from wignerlab.cli import main
 from wignerlab.laws import GaussianLaw
@@ -259,6 +262,46 @@ def test_enumerate_past_walk_ceiling_fails_at_once(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
+def test_classify_past_walk_ceiling_fails_at_once(capsys, monkeypatch):
+    def no_census(s):
+        raise AssertionError("a census ran past the ceiling")
+
+    monkeypatch.setattr(cls, "_census", no_census)
+    start = time.perf_counter()
+    code = run(["classify", "--s", "8", "--no-timestamp"])
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "enumeration ceiling 14" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("walk", ["1,2,x", "", "1,2,1,2"])
+def test_malformed_walk_is_usage_error(walk, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["analyze", walk])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument walk: invalid walk" in captured.err
+
+
+def test_help_names_every_subcommand():
+    # the description is the module docstring; its subcommand list must be complete
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    listed = re.search(r"Subcommands: ([^.]*)\.", " ".join(parser.description.split())).group(1)
+    assert listed.split(", ") == list(sub.choices)
+
+
+@pytest.mark.parametrize("flags", [[], ["--c", "10"]])
+def test_goe_diagonal_is_doubled_under_dilution(flags, capsys):
+    # c = n keeps every entry, so the diluted moment equals the undiluted one
+    assert run(["moments", "--n", "10", "--s", "2", "--ensemble", "goe", "--no-timestamp"] + flags) == 0
+    assert capsys.readouterr().out.startswith("E Tr A^4 = 1.59375  (exact 51/32)\n")
+
+
 def test_moments_truncate_with_dilution_is_usage_error(capsys):
     code = run(["moments", "--n", "10", "--s", "2", "--c", "2", "--truncate", "--no-timestamp"])
     assert code == 2
@@ -421,6 +464,15 @@ def test_malformed_c_is_usage_error(argv, capsys):
         ["moments", "--n", "10", "--s", "-1"],
         ["moments", "--n", "10", "--s", "8"],
         ["dilute", "--n", "10", "--s", "2", "--c", "0"],
+        ["moments", "--n", "0", "--s", "2"],
+        ["enumerate", "--walks", "--s", "-1"],
+        ["enumerate", "--dyck", "-1"],
+        ["genfun", "--order", "-1"],
+        ["mc", "--n", "10", "--replicates", "-3"],
+        ["zparts", "--n", "10", "--s", "2", "--delta", "nan"],
+        ["classify", "--k0", "0"],
+        ["mc", "--n", "10", "--replicates", "10", "--seed", "-1"],
+        ["mc", "--n", "10", "--replicates", "10", "--seed", str(2**64)],
     ],
 )
 def test_domain_errors_exit_1(argv, capsys):

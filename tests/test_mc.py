@@ -67,6 +67,15 @@ def test_dilution_c_equals_n_matches_wigner_exactly():
         assert np.array_equal(sample_matrix(dil, rep), sample_matrix(wig, rep))
 
 
+def test_seed_range():
+    # a Philox key word holds [0, 2^64): a seed outside it is refused, not masked
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            EnsembleConfig(n=3, law=RAD, seed=seed)
+    low, high = (sample_matrix(EnsembleConfig(n=3, law=RAD, seed=seed), 0) for seed in (0, 2**64 - 1))
+    assert not np.array_equal(low, high)
+
+
 def test_dilution_sparsity():
     cfg = EnsembleConfig(n=200, law=RademacherLaw(Fraction(1)), dilution_c=10, seed=2)
     mat = sample_matrix(cfg, 0)
@@ -134,13 +143,15 @@ def test_mc_agrees_with_exact_moments():
 def test_mc_agrees_with_exact_moments_all_ensembles():
     # the walk sum serves every sampling configuration: GOE diagonals,
     # dilution masks and entry truncation included
-    from wignerlab.laws import GoeLaw
-
     pt = PowerTailLaw(v=1.0, gamma=24.0)
+    goe = GoeLaw(Fraction(1, 2))
     configs = [
-        EnsembleConfig(n=30, law=GoeLaw(Fraction(1, 2)), seed=41),
+        EnsembleConfig(n=30, law=goe, seed=41),
         EnsembleConfig(n=30, law=RademacherLaw(Fraction(1)), dilution_c=10, seed=42),
         EnsembleConfig(n=30, law=pt, truncation=TruncationSpec(pt, delta=0.05), seed=43),
+        # the doubled GOE diagonal holds under dilution and under truncation
+        EnsembleConfig(n=30, law=goe, dilution_c=10, seed=44),
+        EnsembleConfig(n=30, law=goe, truncation=TruncationSpec(goe, delta=0.05), seed=45),
     ]
     for cfg in configs:
         st = sample_stats(cfg, 2500, s_list=(1, 2, 3, 4))

@@ -1,6 +1,6 @@
 import math
 import tomllib
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -83,6 +83,7 @@ def quadrature_moment(density, order: int, cutoff: float) -> float:
 
 RAD = RademacherLaw(Fraction(1, 2))
 GAU = GaussianLaw(Fraction(1, 2))
+GOE = GoeLaw(Fraction(1, 2))
 
 
 def test_semicircle_moments():
@@ -97,8 +98,7 @@ def test_entry_moments():
     assert RAD.moment(4) == Fraction(1, 16)
     assert GAU.moment(4) == 3 * Fraction(1, 16)
     assert GAU.moment(6) == 15 * Fraction(1, 64)
-    goe = GoeLaw(Fraction(1, 2))
-    spec = MomentSpec(n=3, law=goe, kind="goe")
+    spec = wigner_spec(GOE, 3)
     assert spec.entry_moment(2, is_loop=True) == 2 * Fraction(1, 4)
     assert spec.entry_moment(2, is_loop=False) == Fraction(1, 4)
 
@@ -112,7 +112,7 @@ def test_oracle_equivalence_wigner(n, s):
 
 
 def test_oracle_equivalence_other_ensembles():
-    goe = MomentSpec(n=3, law=GAU, kind="goe")
+    goe = wigner_spec(GOE, 3)
     assert exact_trace_moment(goe, 2).total == brute_force_trace_moment(goe, 2)
     dil = dilute_spec(RademacherLaw(Fraction(1)), 3, 2)
     assert exact_trace_moment(dil, 3).total == brute_force_trace_moment(dil, 3)
@@ -299,6 +299,54 @@ def test_dilute_spec_validation():
         dilute_spec(RAD, 10, 11)
 
 
+def test_spec_fields_and_validation():
+    # the ensemble kind follows from the fields; nothing sets it
+    assert [f.name for f in fields(MomentSpec)] == ["n", "law", "truncation", "dilution_c"]
+    with pytest.raises(TypeError):
+        MomentSpec(n=3, law=GOE, kind="goe")
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        wigner_spec(RAD, 0)
+    with pytest.raises(ValueError, match="truncation"):
+        MomentSpec(3, GOE, truncation=TruncationSpec(GAU, delta=0.05))
+    kinds = {
+        "wigner": wigner_spec(GAU, 5),
+        "goe": wigner_spec(GOE, 5),
+        "truncated": truncated_spec(TruncationSpec(GOE, delta=0.05), 5),
+        "dilute": MomentSpec(5, GOE, TruncationSpec(GOE, delta=0.05), 2),
+    }
+    assert {kind: spec.descriptor()["kind"] for kind, spec in kinds.items()} == {k: k for k in kinds}
+
+
+FIVE_LAWS = (RAD, GAU, GOE, PowerTailLaw(), ThreePointLaw())
+
+
+@pytest.mark.parametrize("law", FIVE_LAWS, ids=lambda law: law.name)
+def test_dilution_at_c_equal_n_is_the_wigner_ensemble(law):
+    # at c = n the mask keeps every entry and the scale is 1/sqrt(n), so the
+    # moments must equal the undiluted ones exactly (the GOE diagonal included)
+    n = 6
+    for s in range(1, 5):
+        want = exact_trace_moment(wigner_spec(law, n), s).total
+        assert exact_trace_moment(dilute_spec(law, n, n), s).total == want, (law.name, s)
+        trunc = TruncationSpec(law, delta=0.05)
+        want = exact_trace_moment(truncated_spec(trunc, n), s).total
+        assert exact_trace_moment(MomentSpec(n, law, trunc, n), s).total == want, (law.name, s)
+
+
+def test_truncated_goe_entry_moments_match_quadrature():
+    # the sampler doubles the GOE diagonal and then truncates, so a loop entry
+    # is N(0, 2 v^2) cut at U_n, and an off-diagonal one N(0, v^2) cut at U_n
+    for n in (30, 1000):
+        trunc = TruncationSpec(GOE, delta=0.05)
+        spec = truncated_spec(trunc, n)
+        cutoff = trunc.cutoff(n)
+        for is_loop, var in ((True, 2 * float(GOE.v) ** 2), (False, float(GOE.v) ** 2)):
+            density = lambda x, var=var: math.exp(-x * x / (2 * var)) / math.sqrt(2 * math.pi * var)
+            for order in (2, 4, 6, 12):
+                want = quadrature_moment(density, order, cutoff)
+                assert spec.entry_moment(order, is_loop) == pytest.approx(want, rel=1e-10), (n, is_loop, order)
+
+
 def test_by_nu_weight_breakdown_matches_per_walk_sum():
     # recompute the breakdown walk by walk, independently of the shape cache
     from wignerlab.walks import analyze, cached_even_walks
@@ -472,7 +520,7 @@ def oracle_specs(n):
     return [
         wigner_spec(RAD, n),
         wigner_spec(GAU, n),
-        MomentSpec(n=n, law=GAU, kind="goe"),
+        wigner_spec(GOE, n),
         truncated_spec(trunc, n),
         dilute_spec(RAD, n, 1),
         dilute_spec(RAD, n, n),
