@@ -7,6 +7,10 @@ mu-edges and layered q-edges). Each class carries a closed-form counting
 bound; exhaustive enumeration provides the exact cardinalities the bounds
 are checked against. All bounds are exact rationals so comparisons never
 suffer rounding.
+
+The census is the one loop over the even walks of 2s steps: it streams them
+from the walk search, analyzes each once, and from that analysis tallies the
+class signatures and checks the per-walk lemmas of the walk structure suite.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from functools import lru_cache
 
 from .dyck import DyckPath
 from .errors import BoundPreconditionError
-from .walks import ROOT, Walk, WalkAnalysis, analyze, cached_even_walks
+from .walks import ROOT, Walk, WalkAnalysis, _even_walk_dfs, analyze, check_walk_lemmas
 
 
 @dataclass(frozen=True)
@@ -274,17 +278,29 @@ class ClassCensusRow:
 
 
 @lru_cache(maxsize=None)
-def _census(s: int) -> tuple[dict[NuSignature, int], dict[MuSignature, int]]:
-    """Exact nu and mu class sizes among even walks of 2s steps, one analysis per walk."""
+def _census(s: int) -> tuple[dict[NuSignature, int], dict[MuSignature, int], dict[str, int]]:
+    """One pass over the even walks of 2s steps, streamed from the walk search.
+
+    Each walk is analyzed once. Returns the exact nu and mu class sizes and,
+    for each lemma of `walks.check_walk_lemmas`, the number of walks where it
+    fails. No walk list is kept.
+    """
     nu: dict[NuSignature, int] = {}
     mu: dict[MuSignature, int] = {}
-    for walk in cached_even_walks(s):
+    failures: dict[str, int] = {}
+
+    def leaf(labels, *_):
+        walk = Walk(tuple(labels))
         an = analyze(walk)
         sig_nu = classify_nu(walk, an)
         nu[sig_nu] = nu.get(sig_nu, 0) + 1
         sig_mu = classify_mu(walk, an)
         mu[sig_mu] = mu.get(sig_mu, 0) + 1
-    return nu, mu
+        for label, held in check_walk_lemmas(an).items():
+            failures[label] = failures.get(label, 0) + (not held)
+
+    _even_walk_dfs(s, True, leaf)
+    return nu, mu, failures
 
 
 def nu_census(s: int) -> dict[NuSignature, int]:
@@ -297,6 +313,11 @@ def mu_census(s: int) -> dict[MuSignature, int]:
     return dict(_census(s)[1])
 
 
+def lemma_failures(s: int) -> dict[str, int]:
+    """Per lemma of `walks.check_walk_lemmas`, how many even walks of 2s steps break it."""
+    return dict(_census(s)[2])
+
+
 def exact_class_size(s: int, signature: NuSignature | MuSignature) -> int:
     """Count enumerated walks matching the signature.
 
@@ -305,7 +326,7 @@ def exact_class_size(s: int, signature: NuSignature | MuSignature) -> int:
     root fields; a mu signature must match in every field but max_kappa_nu.
     Formally infeasible signatures simply match nothing and count 0.
     """
-    nu, mu = _census(s)
+    nu, mu, _ = _census(s)
     if isinstance(signature, NuSignature):
         key = (signature.nu, signature.r, signature.p)
         return sum(

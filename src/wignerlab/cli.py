@@ -34,7 +34,6 @@ from .walks import (
     WALK_ENUMERATION_CEILING,
     Walk,
     analyze,
-    cached_even_walks,
     enumerate_even_walks,
     is_tree_structure,
     report_to_json,
@@ -149,7 +148,7 @@ def cmd_verify(args) -> int:
 def golden_tables() -> dict[str, list[dict]]:
     walk_rows = []
     for s in range(6):
-        walks = cached_even_walks(s)
+        walks = enumerate_even_walks(s)
         walk_rows.append(
             {
                 "s": s,
@@ -206,17 +205,21 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    if args.s < 1:
+        raise ValueError("s must be >= 1")
     if 2 * args.s > WALK_ENUMERATION_CEILING:
         raise EnumerationCeilingError("class census", 2 * args.s, WALK_ENUMERATION_CEILING)
     rows = []
+    lemma_failures = 0
     for s in range(1, args.s + 1):
         rows.extend(cls.census_csv_rows(s, k0=args.k0))
+        lemma_failures += sum(cls.lemma_failures(s).values())
     violations = [
         r for r in rows if r["bound"] != "" and Fraction(r["bound"]) < r["exact"]
     ]
-    print(f"{len(rows)} class rows, {len(violations)} bound violations")
+    print(f"{len(rows)} class rows, {len(violations)} bound violations, {lemma_failures} lemma failures")
     write_rows(args.out, rows, vars(args).copy(), args.format, args.no_timestamp)
-    return 0 if not violations else 1
+    return 0 if not violations and not lemma_failures else 1
 
 
 def cmd_moments(args) -> int:
@@ -236,10 +239,9 @@ def cmd_zparts(args) -> int:
     spec = build_spec(args)
     result = moments.z_decomposition(spec, args.s, delta=args.delta, c0=args.c0)
     parts = {i: float(v) for i, v in result.z_parts.items()}
-    print(
-        f"total={float(result.total):.6g} z1 fraction={result.z1_fraction:.4f} "
-        f"parts={parts}"
-    )
+    # a zero total has no Z1 fraction
+    z1 = "n/a" if result.z1_fraction is None else f"{result.z1_fraction:.4f}"
+    print(f"total={float(result.total):.6g} z1 fraction={z1} parts={parts}")
     if args.format == "csv":
         # a float total has no exact column
         exact = moments.exact_text(result.total) is not None

@@ -346,10 +346,12 @@ def tail_curve(
     """Empirical exceedance of lambda_max over 2v (1 + x / n^(2/3)) or 2v (1 + x / c).
 
     Also reports, per grid point, the Markov-style bound mean(Tr A^(2s)) /
-    threshold^(2s) estimated from the same replicates when chebyshev_s is set.
+    threshold^(2s) estimated from the same replicates when chebyshev_s (>= 1) is given.
     """
     if replicates < 100:
         raise ValueError("at least 100 replicates are required for a tail curve")
+    if chebyshev_s is not None and chebyshev_s < 1:
+        raise ValueError("chebyshev_s must be >= 1")
     v = float(config.law.v)
     if scale == "wigner":
         denom = config.n ** (2.0 / 3.0)
@@ -360,12 +362,12 @@ def tail_curve(
     else:
         raise ValueError("scale must be 'wigner' or 'dilute'")
     thresholds = tuple(2 * v * (1 + x / denom) for x in x_grid)
-    s_list = (chebyshev_s,) if chebyshev_s else ()
+    s_list = (chebyshev_s,) if chebyshev_s is not None else ()
     stats = sample_stats(config, replicates, s_list=s_list or (1,))
     lam = stats.lambda_max
     counts = tuple(int(np.sum(lam > thr)) for thr in thresholds)
     cheb = None
-    if chebyshev_s:
+    if chebyshev_s is not None:
         mean_trace = stats.trace_mean(chebyshev_s)
         cheb = tuple(
             mean_trace / thr ** (2 * chebyshev_s) if thr > 0 else None

@@ -2,7 +2,9 @@
 
 Each suite returns a SuiteResult whose checks are (name, ok, detail) rows;
 the CLI prints one line per criterion and exits nonzero on any failure, the
-test suite asserts on the same objects.
+test suite asserts on the same objects. The walk suites 4 and 6 read the
+class census (`classes._census`), which analyzes each even walk once for
+both the per-walk lemmas and the class sizes.
 """
 
 from __future__ import annotations
@@ -15,14 +17,8 @@ from fractions import Fraction
 from . import classes as cls
 from . import dyck, moments, series
 from .laws import GaussianLaw, GoeLaw, RademacherLaw, ThreePointLaw
-from .walks import (
-    Walk,
-    analyze,
-    cached_even_walks,
-    verify_exit_degree_tree_link,
-    verify_vertex_ledger,
-    verify_cell_bounds,
-)
+from .errors import EnumerationCeilingError
+from .walks import WALK_ENUMERATION_CEILING, Walk, analyze
 
 W14 = Walk((1, 2, 3, 4, 3, 5, 2, 3, 4, 3, 2, 5, 3, 2, 1))
 
@@ -150,34 +146,12 @@ def criterion_3_genfun(order: int = 40, brute_s: int = 10, nm_s: int = 12) -> Su
 @_timed
 def criterion_4_walk_structure(s_max: int = 5) -> SuiteResult:
     res = SuiteResult("4 walk structure suite")
-    balance = kappa = partition = bts_open = l52 = l55 = dyckp = literal = treelink = True
+    failures: dict[str, int] = {}
     for s in range(s_max + 1):
-        for walk in cached_even_walks(s):
-            an = analyze(walk)
-            n_marked = sum(an.marked)
-            balance &= n_marked == s and walk.n_steps - n_marked == s
-            kappa &= all(
-                an.kappa_mu[v] <= an.kappa_nu[v] for v in an.vertices
-            )
-            n_classified = len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts)
-            partition &= n_classified == s
-            bts_open &= set(an.bts_instants) <= set(an.open_instants)
-            l52 &= verify_vertex_ledger(walk, an).passed
-            l55 &= verify_cell_bounds(walk, an).passed
-            treelink &= verify_exit_degree_tree_link(walk, an).passed
-            dyckp &= an.theta is not None and an.theta.k == s
-            for v in an.vertices:
-                lit = len(an.reduced_nonmarked_arrivals[v])
-                literal &= lit <= an.bts_remote(v) + an.kappa_nu[v]
-    res.add("marked/non-marked balance", balance)
-    res.add("kappa_mu <= kappa_nu", kappa)
-    res.add("mu/p/q partition of marked steps", partition)
-    res.add("BTS instants are open self-intersections", bts_open)
-    res.add("walk projects to a Dyck path", dyckp)
-    res.add("vertex in/out ledger and open-edge bounds", l52)
-    res.add("imported-cell count bounds", l55)
-    res.add("cells bound holds for unfiltered reduced arrivals too", literal)
-    res.add("exit clusters fit the cell bound on the underlying tree", treelink)
+        for label, count in cls.lemma_failures(s).items():
+            failures[label] = failures.get(label, 0) + count
+    for label, count in failures.items():
+        res.add(label, count == 0, f"failing walks: {count}" if count else "")
     return res
 
 
@@ -206,7 +180,8 @@ def criterion_6_class_bounds(s_max: int = 5, k0: int = 4) -> SuiteResult:
     nu_ok = mu_ok = census_ok = True
     detail = ""
     for s in range(1, s_max + 1):
-        total = len(cached_even_walks(s))
+        # the committed shape table counts the walks independently of the census
+        total = sum(row[-1] for row in moments._walk_shapes(s))
         census_ok &= sum(cls.nu_census(s).values()) == total
         census_ok &= sum(cls.mu_census(s).values()) == total
         for row in cls.nu_domination_report(s):
@@ -335,15 +310,22 @@ def criterion_11_dilute(
 
 
 def run_verify_suites(max_halfsteps: int = 5, k0: int = 4) -> list[SuiteResult]:
-    """The identity/bound suites behind `verify` (the exact, seedless criteria)."""
-    s_cap = min(max_halfsteps, 6)
+    """The identity/bound suites behind `verify` (the exact, seedless criteria).
+
+    max_halfsteps is the largest s of the walk suites 4 and 6. It runs from 1
+    up to the walk ceiling (2s <= 14) and is refused outside, before any suite.
+    """
+    if max_halfsteps < 1:
+        raise ValueError("max_halfsteps must be >= 1")
+    if 2 * max_halfsteps > WALK_ENUMERATION_CEILING:
+        raise EnumerationCeilingError("walk suites", 2 * max_halfsteps, WALK_ENUMERATION_CEILING)
     return [
         criterion_1_catalan(),
         criterion_2_exit_degree_tail(),
         criterion_3_genfun(),
-        criterion_4_walk_structure(s_max=s_cap),
+        criterion_4_walk_structure(s_max=max_halfsteps),
         criterion_5_worked_example(),
-        criterion_6_class_bounds(s_max=s_cap, k0=k0),
+        criterion_6_class_bounds(s_max=max_halfsteps, k0=k0),
         criterion_7_moment_oracle(),
         criterion_10_excursion(),
         criterion_11_dilute(),

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .dyck import DyckPath
 from .errors import EnumerationCeilingError
@@ -325,7 +324,8 @@ def _even_walk_dfs(s: int, allow_loops: bool, leaf) -> None:
     lexicographic label order. passes maps each frame edge to its pass count;
     exits[v] counts the marked steps leaving v, a step being marked when its
     edge had an even pass count before it (as in analyze's exit degrees).
-    The arguments are live state: a leaf must copy what it keeps. The tests
+    The arguments are live state: a leaf must copy what it keeps. The class
+    census (`classes._census`) streams its walks from here, and the tests
     rebuild the committed walk-shape table (`moments.SHAPE_TABLE`) from it.
     """
     if s < 0:
@@ -384,11 +384,6 @@ def is_tree_structure(walk: Walk) -> bool:
     step would leave at most s.
     """
     return walk.is_even() and walk.n_vertices == walk.s + 1
-
-
-@lru_cache(maxsize=None)
-def cached_even_walks(s: int) -> tuple[Walk, ...]:
-    return tuple(enumerate_even_walks(s))
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +494,32 @@ def verify_cell_bounds(walk: Walk, analysis: WalkAnalysis | None = None) -> Chec
             check.passed = False
             check.failures.append(f"vertex {v}: Psi={psi} > 2*{kappa} + {L}")
     return check
+
+
+def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
+    """Every per-walk lemma of the walk structure suite, by label: True where it holds.
+
+    Six are read off the analysis here; the vertex ledger, the cell bounds
+    and the exit-degree tree link are the three `verify_*` checks above. All
+    nine hold on every even walk.
+    """
+    walk = an.walk
+    s = an.s
+    n_marked = sum(an.marked)
+    return {
+        "marked/non-marked balance": n_marked == s and walk.n_steps - n_marked == s,
+        "kappa_mu <= kappa_nu": all(an.kappa_mu[v] <= an.kappa_nu[v] for v in an.vertices),
+        "mu/p/q partition of marked steps": len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
+        "BTS instants are open self-intersections": set(an.bts_instants) <= set(an.open_instants),
+        "walk projects to a Dyck path": an.theta is not None and an.theta.k == s,
+        "vertex in/out ledger and open-edge bounds": verify_vertex_ledger(walk, an).passed,
+        "imported-cell count bounds": verify_cell_bounds(walk, an).passed,
+        "cells bound holds for unfiltered reduced arrivals too": all(
+            len(an.reduced_nonmarked_arrivals[v]) <= an.bts_remote(v) + an.kappa_nu[v]
+            for v in an.vertices
+        ),
+        "exit clusters fit the cell bound on the underlying tree": verify_exit_degree_tree_link(walk, an).passed,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from wignerlab.classes import (
     classify_mu,
     classify_nu,
     exact_class_size,
+    lemma_failures,
     mu_bound,
     mu_census,
     mu_domination_report,
@@ -20,7 +21,14 @@ from wignerlab.classes import (
     ss_bound,
 )
 from wignerlab.errors import BoundPreconditionError
-from wignerlab.walks import Walk, cached_even_walks
+from wignerlab.walks import (
+    Walk,
+    analyze,
+    enumerate_even_walks,
+    verify_cell_bounds,
+    verify_exit_degree_tree_link,
+    verify_vertex_ledger,
+)
 
 W14 = Walk((1, 2, 3, 4, 3, 5, 2, 3, 4, 3, 2, 5, 3, 2, 1))
 
@@ -126,7 +134,7 @@ def test_domination_exhaustive(s):
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_census_partitions_walks(s):
-    total = len(cached_even_walks(s))
+    total = len(enumerate_even_walks(s))
     assert sum(nu_census(s).values()) == total
     assert sum(mu_census(s).values()) == total
 
@@ -148,7 +156,7 @@ def test_exact_class_size_examples():
 
 def oracle_census(s):
     nu, mu = {}, {}
-    for walk in cached_even_walks(s):
+    for walk in enumerate_even_walks(s):
         sig = classify_nu(walk)
         nu[sig] = nu.get(sig, 0) + 1
         sig = classify_mu(walk)
@@ -158,7 +166,7 @@ def oracle_census(s):
 
 def oracle_class_size(s, signature):
     total = 0
-    for walk in cached_even_walks(s):
+    for walk in enumerate_even_walks(s):
         if isinstance(signature, NuSignature):
             sig = classify_nu(walk)
             if (
@@ -191,10 +199,53 @@ def test_census_matches_per_walk_oracle(s):
     assert mu_census(s) == mu
 
 
+def oracle_lemma_failures(s):
+    """Walks breaking each lemma, from the per-walk loops of tests/test_walks.py."""
+    failures = dict.fromkeys(
+        [
+            "marked/non-marked balance",
+            "kappa_mu <= kappa_nu",
+            "mu/p/q partition of marked steps",
+            "BTS instants are open self-intersections",
+            "walk projects to a Dyck path",
+            "vertex in/out ledger and open-edge bounds",
+            "imported-cell count bounds",
+            "cells bound holds for unfiltered reduced arrivals too",
+            "exit clusters fit the cell bound on the underlying tree",
+        ],
+        0,
+    )
+    for w in enumerate_even_walks(s):
+        an = analyze(w)
+        held = [
+            sum(an.marked) == s and w.n_steps - sum(an.marked) == s,
+            all(an.kappa_mu[v] <= an.kappa_nu[v] for v in an.vertices),
+            len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
+            set(an.bts_instants) <= set(an.open_instants),
+            an.theta is not None and an.theta.k == s,
+            verify_vertex_ledger(w, an).passed,
+            verify_cell_bounds(w, an).passed,
+            all(len(an.reduced_nonmarked_arrivals[v]) <= an.bts_remote(v) + an.kappa_nu[v] for v in an.vertices),
+            verify_exit_degree_tree_link(w, an).passed,
+        ]
+        for label, ok in zip(failures, held):
+            failures[label] += not ok
+    return failures
+
+
+@pytest.mark.parametrize("s", range(6))
+def test_census_lemma_tallies_match_per_walk_oracle(s):
+    expected = oracle_lemma_failures(s)
+    assert lemma_failures(s) == expected
+    assert not any(expected.values())
+
+
 def test_census_returns_fresh_dicts():
     nu_census(2).clear()
     mu_census(2).clear()
-    assert sum(nu_census(2).values()) == sum(mu_census(2).values()) == len(cached_even_walks(2))
+    lemma_failures(2).clear()
+    assert len(lemma_failures(2)) == 9
+    assert sum(nu_census(2).values()) == sum(mu_census(2).values()) == len(enumerate_even_walks(2))
 
 
 def test_exact_class_size_matches_oracle():
@@ -204,7 +255,7 @@ def test_exact_class_size_matches_oracle():
     samples = [
         NuSignature(theta=None, nu=(), r=0, p=0, d=4),
         NuSignature(theta=None, nu=((2, 3),), r=0, p=0, d=4),
-        classify_mu(cached_even_walks(s)[-1]),
+        classify_mu(enumerate_even_walks(s)[-1]),
     ]
     for sig in nu_sigs:
         # wildcard theta, a tighter exit-degree cap, and root fields ignored
@@ -226,7 +277,7 @@ def test_exact_class_size_matches_oracle():
 
 def test_census_analyzes_each_walk_once(monkeypatch):
     s = 4
-    mu_sig = classify_mu(cached_even_walks(s)[-1])
+    mu_sig = classify_mu(enumerate_even_walks(s)[-1])
     analyzed = []
     real = classes.analyze
     monkeypatch.setattr(classes, "analyze", lambda walk: analyzed.append(walk) or real(walk))
@@ -238,4 +289,4 @@ def test_census_analyzes_each_walk_once(monkeypatch):
     census_csv_rows(s)
     assert exact_class_size(s, NuSignature(theta=None, nu=(), r=0, p=0, d=4)) == 14
     assert exact_class_size(s, mu_sig) >= 1
-    assert len(analyzed) == len(cached_even_walks(s)) == 433
+    assert len(analyzed) == len(enumerate_even_walks(s)) == 433

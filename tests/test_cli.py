@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from wignerlab import classes as cls
-from wignerlab import cli, walks
+from wignerlab import cli, suites, walks
 from wignerlab.cli import main
 from wignerlab.laws import GaussianLaw
 from wignerlab.mc import EnsembleConfig
@@ -132,12 +132,71 @@ def test_zparts_subcommand(capsys):
     assert "z1 fraction" in capsys.readouterr().out
 
 
-def test_classify_subcommand(tmp_path):
+def test_classify_subcommand(tmp_path, capsys):
     out = tmp_path / "census.csv"
     code = run(["classify", "--s", "3", "--out", str(out), "--no-timestamp"])
     assert code == 0
+    assert capsys.readouterr().out == "93 class rows, 0 bound violations, 0 lemma failures\n"
     text = out.read_text()
     assert "family" in text and "exact" in text
+
+
+def test_zparts_zero_total(capsys):
+    # --v 0 makes every walk weigh 0, so the Z1 fraction is undefined
+    assert run(["zparts", "--n", "5", "--s", "3", "--v", "0", "--no-timestamp", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("total=0 z1 fraction=n/a ")
+    assert json.loads(out[out.index("\n") :])["z1_fraction"] is None
+
+
+@pytest.fixture
+def fresh_census():
+    cls._census.cache_clear()
+    yield
+    cls._census.cache_clear()
+
+
+def test_verify_analyzes_each_walk_once(fresh_census, monkeypatch):
+    # one census pass serves the walk lemmas, the class bounds and the goldens
+    calls = []
+    real = walks.analyze
+
+    def counting(walk):
+        calls.append(walk)
+        return real(walk)
+
+    for module in (walks, cls, suites, cli):
+        monkeypatch.setattr(module, "analyze", counting)
+    suites.run_verify_suites()
+    cli.golden_tables()
+    # the 5,299 even walks with s <= 5, plus the worked example
+    assert len(calls) == 5_300
+    assert len(set(calls)) == 5_300
+
+
+def test_failing_lemma_turns_suite_and_classify_red(fresh_census, monkeypatch, capsys):
+    real = walks.verify_cell_bounds
+
+    def broken(walk, analysis=None):
+        report = real(walk, analysis)
+        report.passed = walk.labels != (1, 2, 1, 2, 1)
+        return report
+
+    monkeypatch.setattr(walks, "verify_cell_bounds", broken)
+    res = suites.criterion_4_walk_structure(s_max=2)
+    assert res.failures() == [("imported-cell count bounds", "failing walks: 1")]
+    assert run(["classify", "--s", "2", "--no-timestamp"]) == 1
+    assert capsys.readouterr().out.startswith("18 class rows, 0 bound violations, 1 lemma failures\n")
+
+
+def test_max_halfsteps_sets_the_walk_suites_depth(monkeypatch):
+    # the walk ceiling (2s <= 14) is the only upper limit
+    depths = {}
+    for name in dir(suites):
+        if name.startswith("criterion_"):
+            monkeypatch.setattr(suites, name, lambda name=name, **kw: depths.setdefault(name, kw.get("s_max")))
+    suites.run_verify_suites(max_halfsteps=7)
+    assert depths["criterion_4_walk_structure"] == depths["criterion_6_class_bounds"] == 7
 
 
 def test_golden_flow(tmp_path, capsys):
@@ -473,6 +532,14 @@ def test_malformed_c_is_usage_error(argv, capsys):
         ["classify", "--k0", "0"],
         ["mc", "--n", "10", "--replicates", "10", "--seed", "-1"],
         ["mc", "--n", "10", "--replicates", "10", "--seed", str(2**64)],
+        ["classify", "--s", "0"],
+        ["classify", "--s", "-3"],
+        ["verify", "--max-halfsteps", "0"],
+        ["verify", "--max-halfsteps", "-1"],
+        ["verify", "--max-halfsteps", "8"],
+        ["report", "--max-halfsteps", "0"],
+        ["tail", "--n", "20", "--chebyshev-s", "0", "--replicates", "100"],
+        ["tail", "--n", "20", "--chebyshev-s", "-2", "--replicates", "100"],
     ],
 )
 def test_domain_errors_exit_1(argv, capsys):

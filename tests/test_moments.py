@@ -40,7 +40,7 @@ from wignerlab.moments import (
 )
 from wignerlab.errors import EnumerationCeilingError
 from wignerlab.suites import criterion_7_moment_oracle
-from wignerlab.walks import WALK_ENUMERATION_CEILING, _even_walk_dfs, analyze, cached_even_walks
+from wignerlab.walks import WALK_ENUMERATION_CEILING, _even_walk_dfs, analyze, enumerate_even_walks
 
 
 @dataclass(frozen=True)
@@ -262,7 +262,7 @@ def test_weight_bound_exhaustive_hypothesis_laws():
     for law in (ThreePointLaw(), RademacherLaw(Fraction(1))):
         spec = truncated_spec(TruncationSpec(law, delta=0.05), 1000)
         for s in range(1, 5):
-            for walk in cached_even_walks(s):
+            for walk in enumerate_even_walks(s):
                 res = weight_bound_check(walk, spec)
                 assert res.precondition_ok
                 assert res.passed, (law.name, walk)
@@ -281,7 +281,7 @@ def test_weight_bound_refuses_outside_hypotheses():
     # Rademacher at v = 1/2 has V4 = 1/16 < 1: the moment chain fails and the
     # bound is not claimed there (it would in fact be violated)
     spec = truncated_spec(TruncationSpec(RademacherLaw(Fraction(1, 2)), delta=0.05), 100)
-    res = weight_bound_check(cached_even_walks(2)[0], spec)
+    res = weight_bound_check(enumerate_even_walks(2)[0], spec)
     assert not res.precondition_ok
 
 
@@ -349,12 +349,12 @@ def test_truncated_goe_entry_moments_match_quadrature():
 
 def test_by_nu_weight_breakdown_matches_per_walk_sum():
     # recompute the breakdown walk by walk, independently of the shape cache
-    from wignerlab.walks import analyze, cached_even_walks
+    from wignerlab.walks import analyze, enumerate_even_walks
 
     spec = wigner_spec(RAD, 7)
     s = 3
     expect: dict[int, Fraction] = {}
-    for walk in cached_even_walks(s):
+    for walk in enumerate_even_walks(s):
         an = analyze(walk)
         w = Fraction(1)
         for (a, b), m in an.frame_passes.items():
@@ -374,7 +374,7 @@ def test_by_nu_weight_breakdown_matches_per_walk_sum():
 def _shapes_by_analyzer(s: int) -> tuple:
     """The shape table aggregated walk by walk from the full analyzer."""
     groups: dict[tuple, int] = {}
-    for walk in cached_even_walks(s):
+    for walk in enumerate_even_walks(s):
         an = analyze(walk)
         profile = tuple(sorted((m, a == b) for (a, b), m in an.frame_passes.items()))
         key = (profile, walk.n_vertices, max((m for m, _ in profile), default=0), an.max_exit_degree)
@@ -446,7 +446,7 @@ def test_shape_table_sizes():
     for s, rows, walks in ((6, 226, 65_032), (7, 475, 1_039_064)):
         table = _walk_shapes(s)
         assert (len(table), sum(row[-1] for row in table)) == (rows, walks)
-    assert sum(row[-1] for row in _walk_shapes(6)) == len(cached_even_walks(6))
+    assert sum(row[-1] for row in _walk_shapes(6)) == len(enumerate_even_walks(6))
     with pytest.raises(EnumerationCeilingError):
         _walk_shapes(8)
     with pytest.raises(EnumerationCeilingError):

@@ -11,7 +11,6 @@ from wignerlab.errors import EnumerationCeilingError
 from wignerlab.walks import (
     Walk,
     analyze,
-    cached_even_walks,
     enumerate_even_walks,
     is_tree_structure,
     reduce_walk,
@@ -60,7 +59,7 @@ def test_enumeration_ceiling():
 def test_tree_structure_walks_match_catalan():
     # walks without self-intersections or loops biject with Dyck paths
     for s in range(7):
-        trees = sum(1 for w in cached_even_walks(s) if is_tree_structure(w))
+        trees = sum(1 for w in enumerate_even_walks(s) if is_tree_structure(w))
         assert trees == catalan(s)
     noloop = enumerate_even_walks(3, allow_loops=False)
     assert all(a != b for w in noloop for a, b in w.steps())
@@ -98,7 +97,7 @@ def test_enumeration_matches_goldens_and_oracle():
             assert all(a < b for a, b in zip(labels, labels[1:]))
             assert all(w.is_even() and w.n_steps == 2 * s for w in walks)
             assert allow_loops or all(a != b for w in walks for a, b in w.steps())
-        assert sum(1 for w in cached_even_walks(s) if is_tree_structure(w)) == int(golden[s]["tree_walks"])
+        assert sum(1 for w in enumerate_even_walks(s) if is_tree_structure(w)) == int(golden[s]["tree_walks"])
     # independent oracle: filter every canonical closed sequence of <= 6 steps
     brute = sorted(w.labels for w in _closed_sequences(6) if w.is_even())
     ours = sorted(w.labels for s in range(4) for w in enumerate_even_walks(s))
@@ -113,7 +112,7 @@ def test_tree_structure_matches_analyzer():
     sequences = _closed_sequences(6)
     assert len(sequences) == len(set(sequences))
     assert any(not w.is_even() for w in sequences)
-    for w in [*sequences, *(w for s in range(6) for w in cached_even_walks(s))]:
+    for w in [*sequences, *(w for s in range(6) for w in enumerate_even_walks(s))]:
         assert is_tree_structure(w) == by_analyzer(w), w.to_string()
 
 
@@ -155,14 +154,14 @@ def test_reduction_examples():
                 assert reduce_walk(w) == Walk((1,))
     # idempotence
     for s in range(5):
-        for w in cached_even_walks(s):
+        for w in enumerate_even_walks(s):
             red = reduce_walk(w)
             assert reduce_walk(red) == red
 
 
 def test_reduction_preserves_evenness_and_closure():
     for s in range(5):
-        for w in cached_even_walks(s):
+        for w in enumerate_even_walks(s):
             red = reduce_walk(w)
             assert red.labels[0] == red.labels[-1] == 1
             assert red.is_even()
@@ -170,7 +169,7 @@ def test_reduction_preserves_evenness_and_closure():
 
 def test_walks_without_bts_reduce_to_trivial():
     for s in range(5):
-        for w in cached_even_walks(s):
+        for w in enumerate_even_walks(s):
             an = analyze(w)
             if not an.bts_instants:
                 assert an.reduced == Walk((1,))
@@ -179,7 +178,7 @@ def test_walks_without_bts_reduce_to_trivial():
 
 def test_structure_invariants_exhaustive():
     for s in range(5):
-        for w in cached_even_walks(s):
+        for w in enumerate_even_walks(s):
             an = analyze(w)
             marked_count = sum(an.marked)
             assert marked_count == s
@@ -191,7 +190,7 @@ def test_structure_invariants_exhaustive():
 
 def test_structure_checks_exhaustive():
     for s in range(5):
-        for w in cached_even_walks(s):
+        for w in enumerate_even_walks(s):
             an = analyze(w)
             assert verify_vertex_ledger(w, an).passed
             assert verify_cell_bounds(w, an).passed
@@ -290,7 +289,7 @@ def test_reduction_confluent_under_random_order():
         return Walk.from_labels(seq)
 
     rng = random.Random(12345)
-    pool = [w for s in range(5) for w in cached_even_walks(s)]
+    pool = [w for s in range(5) for w in enumerate_even_walks(s)]
     pool.append(W14)
     pool.append(Walk((1, 2, 3, 4, 2, 3, 5, 2, 3, 4, 2, 5, 3, 2, 1)))
     for w in pool:
@@ -338,7 +337,7 @@ def _closed_label_sequences(steps):
 def test_one_pass_reduction_matches_fixed_point():
     from wignerlab.walks import _marked_flags, _reduce_raw
 
-    cases = [w.labels for s in range(7) for w in cached_even_walks(s)]
+    cases = [w.labels for s in range(7) for w in enumerate_even_walks(s)]
     cases += [lab for steps in range(9) for lab in _closed_label_sequences(steps)]
     assert len(cases) == 70_331 + 5_296
     for lab in cases:
