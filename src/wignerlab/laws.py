@@ -19,12 +19,21 @@ def _double_factorial_odd(m: int) -> int:
     return math.factorial(2 * m) // (2**m * math.factorial(m))
 
 
+def _check_scale(name: str, value) -> None:
+    """A scale is a magnitude: a negative one would be a second spelling of its absolute value."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+
+
 @dataclass(frozen=True)
 class RademacherLaw:
     """a = +-v with equal probability."""
 
     v: Fraction = Fraction(1)
     name: str = "rademacher"
+
+    def __post_init__(self):
+        _check_scale("v", self.v)
 
     def moment(self, order: int) -> Fraction:
         if order % 2:
@@ -49,6 +58,9 @@ class GaussianLaw:
 
     v: Fraction = Fraction(1)
     name: str = "gaussian"
+
+    def __post_init__(self):
+        _check_scale("v", self.v)
 
     def moment(self, order: int) -> Fraction:
         if order % 2:
@@ -95,6 +107,7 @@ class PowerTailLaw:
     name: str = "power-tail"
 
     def __post_init__(self):
+        _check_scale("v", self.v)
         if self.gamma <= 2:
             raise ValueError("gamma must exceed 2 for a finite variance")
 
@@ -141,6 +154,9 @@ class ThreePointLaw:
     spike: Fraction = Fraction(2)
     q: Fraction = Fraction(1, 32)
     name: str = "three-point"
+
+    def __post_init__(self):
+        _check_scale("spike", self.spike)
 
     @property
     def v(self):

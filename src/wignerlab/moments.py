@@ -7,7 +7,13 @@ trajectories; grouping trajectories by their canonical walk turns it into
 
 The per-edge moment function carries the whole ensemble (entry law,
 truncation, dilution and the matrix normalization), so one committed table
-of walk counts by shape serves every ensemble. A brute-force sum over all
+of walk counts by shape serves every ensemble. Walks with the same edge
+profile share their weight, so `_binned` is one pass over the profiles:
+it sums count * n(n-1)...(n-|V|+1) as integers into bins (nu weight for the
+total, Z-part and nu weight for the census split) and multiplies each bin
+sum by the profile weight once. Rational specs give exact `Fraction`s; a
+float-valued spec is added in that grouping, so its last bits can differ
+from a walk-by-walk sum. A brute-force sum over all
 n^(2s) index tuples is kept alongside as the oracle: it tallies every index
 tuple by its edge profile once per (n, s), independently of the walk layer,
 and weights the tallies per ensemble.
@@ -20,7 +26,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import BoundPreconditionError, EnumerationCeilingError
@@ -214,16 +221,37 @@ def _walk_shapes(s: int) -> tuple[tuple[tuple, int, int, int, int], ...]:
     return tuple(rows)
 
 
-def _shape_terms(spec: MomentSpec, s: int):
-    """Yield (contribution, nu weight, max passes, max exit degree) per shape.
+@lru_cache(maxsize=None)
+def _profile_rows(s: int) -> tuple[tuple[tuple, tuple[tuple[int, int, int, int], ...]], ...]:
+    """(profile, ((n_vertices, max_passes, max_exit_degree, count), ...)) per edge profile.
 
-    Shapes whose falling factorial or edge-moment product vanishes are skipped.
-    Each distinct (passes, is_loop) edge moment is computed once per call.
+    The table is sorted, so the rows of one profile are adjacent.
     """
+    return tuple(
+        (profile, tuple(row[1:] for row in rows))
+        for profile, rows in groupby(_walk_shapes(s), key=itemgetter(0))
+    )
+
+
+def _binned(spec: MomentSpec, s: int, bin_of) -> dict:
+    """The exact walk sum at 2s steps, split into the bins bin_of(n_vertices, max_passes, max_exit_degree) picks.
+
+    Within one edge profile every walk has the same weight, so the integer
+    sums of count * n(n-1)...(n-|V|+1) are formed per bin first and the
+    profile weight, a product of edge moments each computed once per call,
+    multiplies each of them once. A profile whose falling factorials or
+    weight vanish opens no bin.
+    """
+    falling = [math.perm(spec.n, k) for k in range(s + 2)]
     edge_moments: dict[tuple[int, bool], object] = {}
-    for profile, nv, maxm, d, count in _walk_shapes(s):
-        ff = math.perm(spec.n, nv)  # the falling factorial n (n-1) ... (n-nv+1)
-        if ff == 0:
+    bins: dict = {}
+    for profile, rows in _profile_rows(s):
+        sums: dict = {}
+        for nv, maxm, d, count in rows:
+            if falling[nv]:
+                key = bin_of(nv, maxm, d)
+                sums[key] = sums.get(key, 0) + count * falling[nv]
+        if not sums:
             continue
         w = Fraction(1)
         for edge in profile:
@@ -235,18 +263,16 @@ def _shape_terms(spec: MomentSpec, s: int):
                 break
         if w == 0:
             continue
-        yield count * w * ff, s + 1 - nv, maxm, d
+        for key, ways in sums.items():
+            bins[key] = bins.get(key, 0) + w * ways
+    return bins
 
 
 def exact_trace_moment(spec: MomentSpec, s: int) -> MomentResult:
-    """E Tr A^(2s) as the exact weighted walk sum."""
-    total = 0
-    by_weight: dict[int, object] = {}
-    for contrib, nu1, _maxm, _d in _shape_terms(spec, s):
-        total = total + contrib
-        by_weight[nu1] = by_weight.get(nu1, 0) + contrib
+    """E Tr A^(2s) as the exact weighted walk sum, binned by nu weight s + 1 - |V|."""
+    by_weight = _binned(spec, s, lambda nv, _maxm, _d: s + 1 - nv)
     return MomentResult(
-        n=spec.n, s=s, total=total, by_nu_weight=by_weight, descriptor=spec.descriptor()
+        n=spec.n, s=s, total=sum(by_weight.values()), by_nu_weight=by_weight, descriptor=spec.descriptor()
     )
 
 
@@ -264,28 +290,29 @@ def z_decomposition(
         raise ValueError("delta must be finite")
     if c0 is None:
         c0 = default_c0(float(spec.entry_moment(12)))
+    elif not (math.isfinite(c0) and c0 > 0):
+        raise ValueError("c0 must be finite and > 0")
     n = spec.n
     threshold = c0 * s * s / n
     degree_cut = n**delta
-    parts: dict[int, object] = {1: 0, 2: 0, 3: 0, 4: 0}
-    total = 0
-    by_weight: dict[int, object] = {}
-    for contrib, nu1, maxm, d in _shape_terms(spec, s):
+
+    def bin_of(nv: int, maxm: int, d: int) -> tuple[int, int]:
+        nu1 = s + 1 - nv
         if nu1 > threshold:
-            idx = 4
-        elif maxm <= 2:
-            idx = 1
-        elif d <= degree_cut:
-            idx = 2
-        else:
-            idx = 3
-        parts[idx] = parts[idx] + contrib
-        total = total + contrib
-        by_weight[nu1] = by_weight.get(nu1, 0) + contrib
+            return 4, nu1
+        if maxm <= 2:
+            return 1, nu1
+        return (2 if d <= degree_cut else 3), nu1
+
+    parts: dict[int, object] = {1: 0, 2: 0, 3: 0, 4: 0}
+    by_weight: dict[int, object] = {}
+    for (idx, nu1), value in _binned(spec, s, bin_of).items():
+        parts[idx] = parts[idx] + value
+        by_weight[nu1] = by_weight.get(nu1, 0) + value
     return MomentResult(
         n=n,
         s=s,
-        total=total,
+        total=sum(by_weight.values()),
         by_nu_weight=by_weight,
         z_parts=parts,
         c0=c0,

@@ -321,6 +321,16 @@ def test_enumerate_past_walk_ceiling_fails_at_once(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
+def test_golden_walk_counts_build_no_walk(monkeypatch):
+    # even, tree and loopless walks are counted in the walk-search leaf
+    def no_walks(labels):
+        raise AssertionError("a walk was built for the golden counts")
+
+    monkeypatch.setattr(walks, "Walk", no_walks)
+    rows = [cli._walk_count_row(s) for s in range(6)]
+    assert cli._rows_to_csv(rows) == (cli.GOLDEN_DIR / "walk_counts.csv").read_text()
+
+
 def test_classify_past_walk_ceiling_fails_at_once(capsys, monkeypatch):
     def no_census(s):
         raise AssertionError("a census ran past the ceiling")
@@ -540,6 +550,17 @@ def test_malformed_c_is_usage_error(argv, capsys):
         ["report", "--max-halfsteps", "0"],
         ["tail", "--n", "20", "--chebyshev-s", "0", "--replicates", "100"],
         ["tail", "--n", "20", "--chebyshev-s", "-2", "--replicates", "100"],
+        ["zparts", "--n", "10", "--s", "2", "--c0", "nan"],
+        ["zparts", "--n", "10", "--s", "2", "--c0", "inf"],
+        ["zparts", "--n", "10", "--s", "2", "--c0", "-1"],
+        ["zparts", "--n", "10", "--s", "2", "--c0", "0"],
+        ["moments", "--n", "10", "--s", "2", "--v", "-1", "--ensemble", "gaussian"],
+        ["moments", "--n", "10", "--s", "2", "--v", "-1", "--ensemble", "three-point"],
+        ["moments", "--n", "10", "--s", "2", "--v", "-1", "--ensemble", "power-tail"],
+        ["zparts", "--n", "10", "--s", "2", "--v=-1/2"],
+        ["mc", "--n", "10", "--replicates", "10", "--v", "-1"],
+        ["tail", "--n", "10", "--replicates", "10", "--v", "-1"],
+        ["dilute", "--n", "10", "--s", "2", "--c", "2", "--v", "-1"],
     ],
 )
 def test_domain_errors_exit_1(argv, capsys):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tomllib
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -473,6 +476,114 @@ def test_z_decomposition_exercises_z2_and_z3():
     strict = z_decomposition(spec, 4, delta=0.5, c0=1e-9)
     assert strict.z_parts[4] > 0
     assert sum(strict.z_parts.values()) == strict.total
+
+
+def row_by_row_oracle(spec, s, delta=None, c0=None):
+    """(total, by_nu_weight, z_parts) with every shape row weighted and added on its own.
+
+    z_parts is None without a delta; c0 None takes the default constant.
+    """
+    if delta is not None and c0 is None:
+        c0 = default_c0(float(spec.entry_moment(12)))
+    total = 0
+    by_weight = {}
+    parts = {1: 0, 2: 0, 3: 0, 4: 0}
+    for profile, nv, maxm, d, count in _walk_shapes(s):
+        ff = math.perm(spec.n, nv)
+        if ff == 0:
+            continue
+        w = Fraction(1)
+        for edge in profile:
+            w = w * spec.edge_moment(*edge)
+            if w == 0:
+                break
+        if w == 0:
+            continue
+        contrib = count * w * ff
+        nu1 = s + 1 - nv
+        total = total + contrib
+        by_weight[nu1] = by_weight.get(nu1, 0) + contrib
+        if delta is not None:
+            if nu1 > c0 * s * s / spec.n:
+                idx = 4
+            elif maxm <= 2:
+                idx = 1
+            elif d <= spec.n**delta:
+                idx = 2
+            else:
+                idx = 3
+            parts[idx] = parts[idx] + contrib
+    return total, by_weight, parts if delta is not None else None
+
+
+def binned_specs(n):
+    """The five benchmark ensembles and a dilute GOE, all rational, then two float-valued specs."""
+    c = max(1, math.isqrt(n))
+    return [
+        wigner_spec(RAD, n),
+        wigner_spec(GAU, n),
+        wigner_spec(GOE, n),
+        truncated_spec(TruncationSpec(ThreePointLaw(), delta=0.05), n),
+        dilute_spec(RAD, n, c),
+        dilute_spec(GOE, n, c),
+        truncated_spec(TruncationSpec(GAU, delta=0.05), n),
+        truncated_spec(TruncationSpec(PowerTailLaw(), delta=0.05), n),
+    ]
+
+
+def same_sum(got, want) -> bool:
+    """Identical value and type for exact sums; float sums are added in another grouping."""
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(same_sum(got[k], v) for k, v in want.items())
+    if isinstance(want, float):
+        return got == pytest.approx(want, rel=1e-12)
+    return got == want and type(got) is type(want)
+
+
+#: (delta, c0) cuts: the default constant, a tight and a loose degree cut, a
+#: census constant small enough to send every self-intersecting walk to Z4, and
+#: a degree cut n^1 = n that exit degrees meet exactly
+Z_CUTS = ((0.25, None), (0.05, 50.0), (0.95, 50.0), (0.5, 1e-9), (1.0, 50.0))
+
+
+@pytest.mark.parametrize("s", range(8))
+def test_binned_sum_matches_row_by_row_oracle(s):
+    for n in (1, 2, 3, 7, 200, 10**6):
+        for spec in binned_specs(n):
+            total, by_weight, _ = row_by_row_oracle(spec, s)
+            res = exact_trace_moment(spec, s)
+            assert same_sum(res.total, total) and same_sum(res.by_nu_weight, by_weight), (n, spec.descriptor())
+            for delta, c0 in Z_CUTS:
+                z_total, z_weight, z_parts = row_by_row_oracle(spec, s, delta, c0)
+                z = z_decomposition(spec, s, delta, c0)
+                assert same_sum(z.total, z_total) and same_sum(z.by_nu_weight, z_weight)
+                assert same_sum(z.z_parts, z_parts), (n, delta, c0, spec.descriptor())
+    if s == 4:
+        # the cuts do fill all four parts
+        z = [z_decomposition(wigner_spec(RAD, 7), s, delta, c0).z_parts for delta, c0 in Z_CUTS]
+        assert z[0][1] > 0 and z[1][3] > 0 and z[2][2] > 0 and z[3][4] > 0
+
+
+def test_import_builds_no_shape_table():
+    # the shape table and its grouping by profile are built on first use, never at import
+    src = str(Path(moments.__file__).resolve().parents[1])
+    script = (
+        "import wignerlab, wignerlab.cli\n"
+        "from wignerlab import moments\n"
+        "print(moments._walk_shapes.cache_info().currsize, moments._profile_rows.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0\n"
+
+
+@pytest.mark.parametrize("law", [RademacherLaw, GaussianLaw, GoeLaw, PowerTailLaw, ThreePointLaw])
+def test_laws_refuse_a_negative_scale(law):
+    # a negative scale would be a second spelling of its absolute value; zero stays allowed
+    with pytest.raises(ValueError, match="must be >= 0"):
+        law(-1)
+    assert law(0).moment(2) == 0
 
 
 def test_walk_sum_identity_for_arbitrary_moment_assignments():
