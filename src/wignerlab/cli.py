@@ -193,6 +193,11 @@ def check_goldens(golden_dir: Path, bless: bool = False) -> bool:
 
 
 def cmd_enumerate(args) -> int:
+    if args.dyck is not None and (args.s is not None or args.no_loops or args.no_self_intersections):
+        print("error: --dyck takes no --s, --no-loops or --no-self-intersections", file=sys.stderr)
+        return 2
+    if args.s is None:
+        args.s = 3
     params = vars(args).copy()
     if args.dyck is not None:
         paths = dyck.enumerate_dyck(args.dyck)
@@ -476,9 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="enumerate Dyck paths or even walks")
-    p.add_argument("--dyck", type=int, default=None, metavar="K")
-    p.add_argument("--walks", action="store_true")
-    p.add_argument("--s", type=int, default=3)
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--dyck", type=int, default=None, metavar="K")
+    kind.add_argument("--walks", action="store_true")
+    # None marks an --s not given, which --dyck refuses; walks default to s = 3
+    p.add_argument("--s", type=int, default=None, help="walk half-length (default 3)")
     p.add_argument("--no-loops", action="store_true")
     p.add_argument("--no-self-intersections", action="store_true")
     _common(p)

@@ -6,8 +6,10 @@ and the exponential moment of the normalized maximal height of a uniform
 Dyck path (computed from the exact height distribution, never by sampling).
 
 Root-degree and exit-degree counts are closed forms (ballot numbers and
-Lagrange inversion), so they have no enumeration ceiling; `enumerate_dyck`
-is the only walk over paths and serves as their test oracle.
+Lagrange inversion), so they have no enumeration ceiling. `_dyck_dfs` is the
+one walk over paths and serves as their test oracle: it hands each path's
+live step list to a leaf, so the oracles count without building paths, and
+`enumerate_dyck` is the leaf that keeps them.
 
 All counts are arbitrary-precision integers; bounds that must be compared
 against exact counts are returned as `Fraction`.
@@ -88,18 +90,21 @@ class PlaneTree:
         return out
 
 
-def enumerate_dyck(k: int) -> list[DyckPath]:
-    """All Dyck paths of half-length k, lexicographic with up-steps first."""
+def _dyck_dfs(k: int, leaf) -> None:
+    """Depth-first search over the Dyck paths of half-length k.
+
+    Calls leaf(steps) once per path, lexicographic with up-steps first. steps
+    is the live list of +-1 steps: a leaf must copy what it keeps.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > DYCK_ENUMERATION_CEILING:
         raise EnumerationCeilingError("enumerate_dyck", k, DYCK_ENUMERATION_CEILING)
-    paths: list[DyckPath] = []
     steps: list[int] = []
 
     def rec(ups: int, downs: int) -> None:
         if ups == k and downs == k:
-            paths.append(DyckPath(tuple(steps)))
+            leaf(steps)
             return
         if ups < k:
             steps.append(1)
@@ -111,6 +116,12 @@ def enumerate_dyck(k: int) -> list[DyckPath]:
             steps.pop()
 
     rec(0, 0)
+
+
+def enumerate_dyck(k: int) -> list[DyckPath]:
+    """All Dyck paths of half-length k, lexicographic with up-steps first."""
+    paths: list[DyckPath] = []
+    _dyck_dfs(k, lambda steps: paths.append(DyckPath(tuple(steps))))
     return paths
 
 
@@ -139,11 +150,11 @@ def tree_to_dyck(tree: PlaneTree) -> DyckPath:
     return DyckPath(tuple(steps))
 
 
-def exit_degree_profile(path: DyckPath) -> list[int]:
-    """Exit degrees (child counts) of the tree of `path`, without building it."""
+def exit_degree_profile(steps) -> list[int]:
+    """Exit degrees (child counts) of the tree of a Dyck step sequence, without building it."""
     counts: list[int] = []
     stack = [0]
-    for st in path.steps:
+    for st in steps:
         if st == 1:
             stack[-1] += 1
             stack.append(0)
@@ -258,7 +269,7 @@ def paths_with_max_height_le(k: int, h: int) -> int:
             if 0 <= idx <= 2 * k:
                 total += row[idx]
                 hit = True
-            if 0 <= idx - 1 <= 2 * k and idx - 1 >= 0:
+            if 0 <= idx - 1 <= 2 * k:
                 total -= row[idx - 1]
                 hit = True
         if not hit:

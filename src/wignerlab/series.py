@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyck import catalan, enumerate_dyck, exit_degree_profile
+from .dyck import _dyck_dfs, catalan, exit_degree_profile
 from math import comb
 
 
@@ -163,12 +163,19 @@ def nm_bound(m: int, s: int) -> int:
 
 
 def brute_force_same_cluster_pairs(s: int, m: int = 2) -> int:
-    """Oracle: sum over all plane trees with s edges of C(exit degree, m)."""
+    """Oracle: sum over all plane trees with s edges of C(exit degree, m).
+
+    Streams the step sequences from the Dyck search and builds no path.
+    """
     total = 0
-    for path in enumerate_dyck(s):
-        for deg in exit_degree_profile(path):
+
+    def leaf(steps) -> None:
+        nonlocal total
+        for deg in exit_degree_profile(steps):
             if deg >= m:
                 total += comb(deg, m)
+
+    _dyck_dfs(s, leaf)
     return total
 
 

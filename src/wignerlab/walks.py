@@ -449,7 +449,7 @@ def verify_exit_degree_tree_link(walk: Walk, analysis: WalkAnalysis | None = Non
     check = CheckReport(name="exit-degree-tree-link", passed=True)
     if an.theta is None:
         return check
-    tree_max = max(exit_degree_profile(an.theta))
+    tree_max = max(exit_degree_profile(an.theta.steps))
     L = an.bts_total
     for v in an.vertices:
         d = an.exit_degree[v]

@@ -321,6 +321,51 @@ def test_enumerate_past_walk_ceiling_fails_at_once(capsys, monkeypatch):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flags, digest",
+    [
+        (["--dyck", "3"], "0770325db12a6cc0"),
+        (["--walks"], "0be5aa18db9f9a01"),
+        (["--walks", "--s", "3"], "0be5aa18db9f9a01"),
+    ],
+)
+def test_enumerate_fingerprint_keeps_default_s(flags, digest, capsys):
+    # an omitted --s enters the fingerprint as s = 3, for Dyck paths too
+    assert run(["enumerate", *flags, "--no-timestamp"]) == 0
+    assert f"# fingerprint: {digest}\n" in capsys.readouterr().out
+
+
+def test_enumerate_past_dyck_ceiling_fails(capsys):
+    assert run(["enumerate", "--dyck", "15", "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumerate_dyck: requested size 15 exceeds enumeration ceiling 14\n"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--no-loops"],
+        ["--no-self-intersections"],
+        ["--s", "3"],
+        ["--walks"],
+        ["--walks", "--s", "2"],
+    ],
+)
+def test_dyck_with_walk_flags_is_usage_error(flags, capsys):
+    # a walk flag would be ignored by --dyck and move its fingerprint: refuse it
+    try:
+        code = run(["enumerate", "--dyck", "2", *flags, "--no-timestamp"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert [line for line in err_lines if "error:" in line] == err_lines[-1:]
+    assert "--dyck" in captured.err
+
+
 def test_golden_walk_counts_build_no_walk(monkeypatch):
     # even, tree and loopless walks are counted in the walk-search leaf
     def no_walks(labels):

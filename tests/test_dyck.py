@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from wignerlab.dyck import (
     DyckPath,
+    _dyck_dfs,
     catalan,
     count_trees_root_degree,
     count_trees_with_exit_degree_eq,
@@ -51,6 +53,27 @@ def test_enumeration_ceiling():
         enumerate_dyck(15)
 
 
+@pytest.mark.parametrize("k", range(8))
+def test_enumeration_order_matches_filtered_product(k):
+    # independent oracle: every +-1 sequence of length 2k whose prefix sums
+    # stay >= 0 and end at 0, in the product's order (+1 before -1)
+    expected = [
+        seq
+        for seq in itertools.product((1, -1), repeat=2 * k)
+        if sum(seq) == 0 and min(itertools.accumulate(seq, initial=0)) >= 0
+    ]
+    assert [p.steps for p in enumerate_dyck(k)] == expected
+
+
+@pytest.mark.parametrize("k, error", [(15, EnumerationCeilingError), (-1, ValueError)])
+def test_search_refuses_before_any_leaf(k, error):
+    def leaf(steps):
+        raise AssertionError("a leaf was called")
+
+    with pytest.raises(error):
+        _dyck_dfs(k, leaf)
+
+
 def test_path_validation():
     with pytest.raises(ValueError):
         DyckPath((1, 1, -1))  # unbalanced
@@ -73,7 +96,7 @@ def test_bijection_roundtrip(k):
         tree = dyck_to_tree(p)
         assert tree.edge_count == k
         assert tree_to_dyck(tree) == p
-        assert sorted(tree.exit_degrees()) == sorted(exit_degree_profile(p))
+        assert sorted(tree.exit_degrees()) == sorted(exit_degree_profile(p.steps))
 
 
 def test_root_degree_counts():
@@ -81,7 +104,7 @@ def test_root_degree_counts():
     for s in range(9):
         from collections import Counter
 
-        hist = Counter(exit_degree_profile(p)[-1] for p in enumerate_dyck(s))
+        hist = Counter(exit_degree_profile(p.steps)[-1] for p in enumerate_dyck(s))
         for d in range(s + 1):
             assert count_trees_root_degree(s, d) == hist.get(d, 0)
     assert count_trees_root_degree(2, 2) == 1  # the cherry
@@ -124,7 +147,7 @@ def test_closed_forms_match_enumeration():
         has_hist: Counter = Counter()
         root_hist: Counter = Counter()
         for p in enumerate_dyck(s):
-            degrees = exit_degree_profile(p)
+            degrees = exit_degree_profile(p.steps)
             max_hist[max(degrees)] += 1
             has_hist.update(set(degrees))
             root_hist[degrees[-1]] += 1
@@ -222,4 +245,4 @@ def test_random_path_heights_consistent(k, data):
     assert heights[0] == heights[-1] == 0
     assert min(heights) >= 0
     assert p.max_height == max(heights)
-    assert len(exit_degree_profile(p)) == k + 1
+    assert len(exit_degree_profile(p.steps)) == k + 1

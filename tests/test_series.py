@@ -1,5 +1,8 @@
 from fractions import Fraction
 
+import pytest
+
+from wignerlab import dyck, suites
 from wignerlab.dyck import catalan
 from wignerlab.series import (
     Series,
@@ -55,6 +58,19 @@ def test_n2_counts():
     assert n2_count(3) == 6
     for s in range(11):
         assert n2_count(s) == brute_force_same_cluster_pairs(s)
+
+
+def test_oracles_build_no_dyck_path(monkeypatch):
+    # criterion 1's counts and the same-cluster brute force stream step lists
+    def no_paths(steps):
+        raise AssertionError("a DyckPath was built")
+
+    monkeypatch.setattr(dyck, "DyckPath", no_paths)
+    with pytest.raises(AssertionError):
+        dyck.enumerate_dyck(1)
+    assert suites.criterion_1_catalan().passed
+    for s in range(11):
+        assert brute_force_same_cluster_pairs(s) == n2_count(s)
 
 
 def test_n2_series_and_shifted_closed_form():
