@@ -26,9 +26,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import BoundPreconditionError, EnumerationCeilingError
 from .laws import GoeLaw
@@ -327,18 +329,60 @@ def _tuple_profiles(n: int, s: int) -> tuple[tuple[tuple, int], ...]:
 
     A tuple's edge profile is the sorted multiset of (pass count, is_loop)
     over its distinct undirected edges; it fixes the tuple's weight for any
-    ensemble, so the tuples are enumerated once and weighted per spec.
+    ensemble, so the tuples are tallied once and weighted per spec. The
+    tally runs in numpy blocks, one per first index i0, over the int8 digits
+    i1..i(2s-1): an int8 pass count per undirected edge {lo, hi} (row
+    lo * n + hi) and tuple, of which only the two steps at i0 differ from
+    block to block. Each tuple's profile packs into one int64 key in a mixed
+    radix whose digit (m, loop) counts the edges of that kind passed m
+    times, which is at most 2s // m and at most the number of such edges.
     """
+    if s < 0:
+        raise ValueError("s must be >= 0")
+    if s == 0:
+        return (((), n),)
+    two_s = 2 * s
+    digits = []  # (m, is_loop, place value, radix), in profile order
+    span = 1
+    for m in range(1, two_s + 1):
+        for loop, edges in ((False, n * (n - 1) // 2), (True, n)):
+            radix = min(two_s // m, edges) + 1
+            if radix > 1:
+                digits.append((m, loop, span, radix))
+                span *= radix
+    if span > np.iinfo(np.int64).max:
+        raise ValueError(f"index-tuple tally: edge-profile keys at n={n}, s={s} exceed int64")
+    place = {loop: np.zeros(two_s + 1, np.int64) for loop in (False, True)}
+    for m, loop, value, _radix in digits:
+        place[loop][m] = value
+
+    rest = np.indices((n,) * (two_s - 1), dtype=np.int8).reshape(two_s - 1, -1)
+    cols = np.arange(rest.shape[1])
+
+    def step(passes, a, b) -> None:
+        passes[np.minimum(a, b).astype(np.intp) * n + np.maximum(a, b), cols] += 1
+
+    middle = np.zeros((n * n, rest.shape[1]), np.int8)
+    for t in range(two_s - 2):
+        step(middle, rest[t], rest[t + 1])
     counts: Counter = Counter()
-    for tup in product(range(n), repeat=2 * s):
-        passes: dict[tuple[int, int], int] = {}
-        closed = tup + (tup[0],)
-        for t in range(2 * s):
-            a, b = closed[t], closed[t + 1]
-            e = (a, b) if a <= b else (b, a)
-            passes[e] = passes.get(e, 0) + 1
-        counts[tuple(sorted((m, a == b) for (a, b), m in passes.items()))] += 1
-    return tuple(sorted(counts.items()))
+    for i0 in range(n):
+        passes = middle.copy()
+        step(passes, i0, rest[0])
+        step(passes, rest[-1], i0)
+        key = np.zeros(rest.shape[1], np.int64)
+        for lo in range(n):
+            for hi in range(lo, n):
+                key += place[lo == hi][passes[lo * n + hi]]
+        keys, tallies = np.unique(key, return_counts=True)
+        counts.update(dict(zip(keys.tolist(), tallies.tolist())))
+    rows = []
+    for key, count in counts.items():
+        profile = []
+        for m, loop, value, radix in digits:
+            profile += [(m, loop)] * (key // value % radix)
+        rows.append((tuple(profile), count))
+    return tuple(sorted(rows))
 
 
 def brute_force_trace_moment(spec: MomentSpec, s: int, max_n: int = 4):

@@ -198,28 +198,34 @@ def reduce_walk(walk: Walk) -> Walk:
 
 
 def analyze(walk: Walk) -> WalkAnalysis:
+    """The walk's full structural report, in one pass over its steps.
+
+    A step is marked when its frame edge's running pass count turns odd,
+    as `_marked_flags` has it; per-vertex tallies live in lists indexed by
+    label and become the report's dicts in label order.
+    """
     lab = walk.labels
-    s = walk.s
-    two_s = walk.n_steps
-    marked = tuple(_marked_flags(lab))
-
+    nv = max(lab)
+    verts = range(1, nv + 1)
+    marked_list: list[bool] = []
     frame_passes: dict[tuple[int, int], int] = {}
-    marked_arrivals: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
-    exit_degree: dict[int, int] = {v: 0 for v in range(1, walk.n_vertices + 1)}
+    marked_arrivals: list[list[int]] = [[] for _ in range(nv + 1)]
+    exit_degree = [0] * (nv + 1)
     open_instants: list[int] = []
-    open_by_vertex: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
+    open_by_vertex: list[list[int]] = [[] for _ in range(nv + 1)]
     directed_marked: dict[tuple[int, int], list[int]] = {}
-
     # open-edge bookkeeping: number of odd-parity frame edges at each vertex
-    parity: dict[tuple[int, int], int] = {}
-    open_count: dict[int, int] = {v: 0 for v in range(1, walk.n_vertices + 1)}
-    max_open_attached: dict[int, int] = {v: 0 for v in range(1, walk.n_vertices + 1)}
+    open_count = [0] * (nv + 1)
+    max_open_attached = [0] * (nv + 1)
 
-    for t in range(1, two_s + 1):
-        a, b = lab[t - 1], lab[t]
-        e = _frame_key(a, b)
-        is_marked = marked[t - 1]
-        if is_marked:
+    a = lab[0]
+    for t in range(1, len(lab)):
+        b = lab[t]
+        e = (a, b) if a <= b else (b, a)
+        m = frame_passes.get(e, 0) + 1
+        frame_passes[e] = m
+        if m & 1:
+            marked_list.append(True)
             # openness is judged on [0, t-1], before this step flips anything
             if open_count[b] > 0:
                 open_instants.append(t)
@@ -227,26 +233,29 @@ def analyze(walk: Walk) -> WalkAnalysis:
             marked_arrivals[b].append(t)
             exit_degree[a] += 1
             directed_marked.setdefault((a, b), []).append(t)
-        frame_passes[e] = frame_passes.get(e, 0) + 1
-        delta = 1 if frame_passes[e] % 2 == 1 else -1
+            delta = 1
+        else:
+            marked_list.append(False)
+            delta = -1
         open_count[a] += delta
+        if open_count[a] > max_open_attached[a]:
+            max_open_attached[a] = open_count[a]
         if b != a:
             open_count[b] += delta
-        for v in (a, b) if b != a else (a,):
-            if open_count[v] > max_open_attached[v]:
-                max_open_attached[v] = open_count[v]
-
-    kappa_nu = {
-        v: len(marked_arrivals[v]) + (1 if v == ROOT else 0)
-        for v in range(1, walk.n_vertices + 1)
-    }
+            if open_count[b] > max_open_attached[b]:
+                max_open_attached[b] = open_count[b]
+        a = b
+    marked = tuple(marked_list)
 
     # mu / p / q classification per directed edge, last marked passage first
     mu_edges: dict[tuple[int, int], int] = {}
     p_edges: dict[tuple[int, int], int] = {}
     q_layer_map: dict[int, list[int]] = {}
+    mu_heads = [0] * (nv + 1)
+    mu_heads[ROOT] = 1
     for edge, instants in directed_marked.items():
         mu_edges[edge] = instants[-1]
+        mu_heads[edge[1]] += 1
         if len(instants) >= 2:
             p_edges[edge] = instants[-2]
         for depth, t in enumerate(reversed(instants[:-2]), start=1):
@@ -254,21 +263,13 @@ def analyze(walk: Walk) -> WalkAnalysis:
     q_layers = tuple(
         tuple(sorted(q_layer_map[j])) for j in sorted(q_layer_map)
     )
-    q_counts = tuple(len(layer) for layer in q_layers)
-
-    kappa_mu: dict[int, int] = {}
-    for v in range(1, walk.n_vertices + 1):
-        m = sum(1 for (_, head) in mu_edges if head == v)
-        kappa_mu[v] = m + (1 if v == ROOT else 0)
 
     # reduction, BTS instants, cells
     raw, step_map = _reduce_raw(lab, marked)
-    reduced = Walk.from_labels(raw)
     red_marked = [marked[t - 1] for t in step_map]
     bts: list[int] = []
-    primary_cells = {v: tuple(marked_arrivals[v]) for v in range(1, walk.n_vertices + 1)}
-    imported: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
-    nonmarked_red: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
+    imported: list[list[int]] = [[] for _ in range(nv + 1)]
+    nonmarked_red: list[list[int]] = [[] for _ in range(nv + 1)]
     for r in range(1, len(raw)):
         head = raw[r]
         if red_marked[r - 1]:
@@ -282,34 +283,35 @@ def analyze(walk: Walk) -> WalkAnalysis:
                 imported[head].append(step_map[r - 1])
 
     theta = None
-    if walk.is_even():
+    if not any(m & 1 for m in frame_passes.values()):
         theta = DyckPath(tuple(1 if m else -1 for m in marked))
 
+    arrivals = {v: tuple(marked_arrivals[v]) for v in verts}
     return WalkAnalysis(
         walk=walk,
-        s=s,
+        s=walk.s,
         marked=marked,
         theta=theta,
         frame_passes=frame_passes,
-        marked_arrivals={v: tuple(ts) for v, ts in marked_arrivals.items()},
-        kappa_nu=kappa_nu,
+        marked_arrivals=arrivals,
+        kappa_nu={v: len(arrivals[v]) + (1 if v == ROOT else 0) for v in verts},
         open_instants=tuple(open_instants),
-        open_by_vertex={v: tuple(ts) for v, ts in open_by_vertex.items()},
-        exit_degree=exit_degree,
-        max_exit_degree=max(exit_degree.values(), default=0),
+        open_by_vertex={v: tuple(open_by_vertex[v]) for v in verts},
+        exit_degree={v: exit_degree[v] for v in verts},
+        max_exit_degree=max(exit_degree),
         mu_edges=mu_edges,
         p_edges=p_edges,
         q_layers=q_layers,
-        kappa_mu=kappa_mu,
+        kappa_mu={v: mu_heads[v] for v in verts},
         p_count=len(p_edges),
         double_mu_count=sum(1 for a, b in mu_edges if a < b and (b, a) in mu_edges),
-        q_counts=q_counts,
-        reduced=reduced,
+        q_counts=tuple(len(layer) for layer in q_layers),
+        reduced=Walk.from_labels(raw),
         bts_instants=tuple(bts),
-        primary_cells=primary_cells,
-        imported_cells={v: tuple(ts) for v, ts in imported.items()},
-        reduced_nonmarked_arrivals={v: tuple(ts) for v, ts in nonmarked_red.items()},
-        max_open_attached=max_open_attached,
+        primary_cells=dict(arrivals),
+        imported_cells={v: tuple(imported[v]) for v in verts},
+        reduced_nonmarked_arrivals={v: tuple(nonmarked_red[v]) for v in verts},
+        max_open_attached={v: max_open_attached[v] for v in verts},
     )
 
 

@@ -263,6 +263,27 @@ def test_report_subcommand(tmp_path):
     assert failing == ["stabilization at tau=2.0: |B400-B200| <= 0.05 B400"]
 
 
+def test_report_without_timestamp_is_byte_stable(tmp_path, monkeypatch):
+    elapsed = iter([0.25, 7.5])
+
+    def fake_suites(**_kwargs):
+        res = suites.SuiteResult(name="fake", elapsed=next(elapsed))
+        res.add("holds", True)
+        return [res]
+
+    monkeypatch.setattr(cli, "run_verify_suites", fake_suites)
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert run(["report", "--out", str(out), "--no-timestamp"]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert "elapsed_s" not in json.loads(outs[0].read_text())["suites"][0]
+    # with the timestamp the timings stay in the payload
+    monkeypatch.setattr(cli, "run_verify_suites", lambda **_kwargs: [suites.SuiteResult("fake", elapsed=1.234)])
+    out = tmp_path / "c.json"
+    assert run(["report", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["suites"][0]["elapsed_s"] == 1.23
+
+
 def test_mc_subcommand(capsys):
     code = run(
         [

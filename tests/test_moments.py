@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tomllib
+from collections import Counter
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
@@ -606,19 +607,24 @@ def test_walk_sum_identity_for_arbitrary_moment_assignments():
     inner()
 
 
+def tuple_passes(tup):
+    """Pass count of each undirected edge of the closed index tuple tup."""
+    passes: dict[tuple[int, int], int] = {}
+    closed = tup + (tup[0],)
+    for t in range(len(tup)):
+        a, b = closed[t], closed[t + 1]
+        e = (a, b) if a <= b else (b, a)
+        passes[e] = passes.get(e, 0) + 1
+    return passes
+
+
 def per_tuple_oracle(spec, s):
     """The index-tuple sum weighted tuple by tuple, with no tallying."""
     n = spec.n
     total = 0
     for tup in product(range(n), repeat=2 * s):
-        passes: dict[tuple[int, int], int] = {}
-        closed = tup + (tup[0],)
-        for t in range(2 * s):
-            a, b = closed[t], closed[t + 1]
-            e = (a, b) if a <= b else (b, a)
-            passes[e] = passes.get(e, 0) + 1
         w = Fraction(1)
-        for (a, b), m in passes.items():
+        for (a, b), m in tuple_passes(tup).items():
             w = w * spec.edge_moment(m, a == b)
             if w == 0:
                 break
@@ -660,6 +666,57 @@ def test_tuple_profiles_cover_every_tuple(n):
         assert sum(count for _profile, count in rows) == n ** (2 * s)
         assert all(sum(m for m, _loop in profile) == 2 * s for profile, _count in rows)
     assert len(_tuple_profiles(4, 4)) == 53
+
+
+def counter_tally_oracle(n, s):
+    """The edge-profile tally one tuple at a time, with a Counter."""
+    counts: Counter = Counter()
+    for tup in product(range(n), repeat=2 * s):
+        counts[tuple(sorted((m, a == b) for (a, b), m in tuple_passes(tup).items()))] += 1
+    return tuple(sorted(counts.items()))
+
+
+@pytest.mark.parametrize(
+    "n, s", [(n, s) for n in (1, 2, 3, 4) for s in (1, 2, 3, 4)] + [(2, 5), (2, 6)]
+)
+def test_tuple_profiles_match_counter_tally(n, s):
+    rows = _tuple_profiles(n, s)
+    assert rows == counter_tally_oracle(n, s)
+    assert all(type(count) is int for _profile, count in rows)
+    assert all(type(m) is int and type(loop) is bool for profile, _count in rows for m, loop in profile)
+
+
+def test_tuple_profiles_tally_one_block_at_a_time():
+    import tracemalloc
+
+    _tuple_profiles.cache_clear()
+    tracemalloc.start()
+    try:
+        _tuple_profiles(4, 4)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one block per first index peaks near 1.3 MB; a single block over all
+    # 65,536 tuples peaks near 3.3 MB with int8 pass counts, past 8 MB with int64
+    assert peak < 2 * 2**20, peak
+
+
+def test_tuple_profiles_refuse_keys_past_int64():
+    with pytest.raises(ValueError, match="exceed int64"):
+        _tuple_profiles(1, 32)
+    assert _tuple_profiles(1, 31) == ((((62, True),), 1),)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_brute_force_at_s_zero_and_below(n):
+    for spec in oracle_specs(n):
+        want = exact_trace_moment(spec, 0).total
+        got = brute_force_trace_moment(spec, 0)
+        assert got == want == n and type(got) is type(want), spec.descriptor()
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            exact_trace_moment(spec, -1)
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            brute_force_trace_moment(spec, -1)
 
 
 def test_brute_force_oracle_is_independent_of_walks(monkeypatch):

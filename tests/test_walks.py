@@ -1,15 +1,19 @@
 import csv
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerlab.cli import GOLDEN_DIR
-from wignerlab.dyck import catalan
+from wignerlab.dyck import DyckPath, catalan
 from wignerlab.errors import EnumerationCeilingError
 from wignerlab.walks import (
     Walk,
+    WalkAnalysis,
+    _marked_flags,
+    _reduce_raw,
     analyze,
     enumerate_even_walks,
     is_tree_structure,
@@ -271,8 +275,6 @@ def test_reduction_confluent_under_random_order():
     # erasing backtracks in any order reaches the same canonical fixed point
     import random
 
-    from wignerlab.walks import _marked_flags
-
     def reduce_random(walk, rng):
         seq = list(walk.labels)
         while True:
@@ -300,8 +302,6 @@ def test_reduction_confluent_under_random_order():
 
 def _reduce_fixed_point(labels):
     """Erase the leftmost marked backtrack, recomputing every flag, until none remain."""
-    from wignerlab.walks import _marked_flags
-
     seq = list(labels)
     step_ids = list(range(1, len(labels)))
     while True:
@@ -335,8 +335,6 @@ def _closed_label_sequences(steps):
 
 
 def test_one_pass_reduction_matches_fixed_point():
-    from wignerlab.walks import _marked_flags, _reduce_raw
-
     cases = [w.labels for s in range(7) for w in enumerate_even_walks(s)]
     cases += [lab for steps in range(9) for lab in _closed_label_sequences(steps)]
     assert len(cases) == 70_331 + 5_296
@@ -365,3 +363,151 @@ def test_random_trajectory_walk_invariants(body):
         assert sum(an.marked) * 2 == n_steps
         assert verify_vertex_ledger(walk, an).passed
         assert verify_cell_bounds(walk, an).passed
+
+
+def analyze_oracle(walk: Walk) -> WalkAnalysis:
+    """The structural analysis pass by pass, with dict tallies and rescans."""
+    lab = walk.labels
+    s = walk.s
+    two_s = walk.n_steps
+    marked = tuple(_marked_flags(lab))
+
+    frame_passes: dict[tuple[int, int], int] = {}
+    marked_arrivals: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
+    exit_degree: dict[int, int] = {v: 0 for v in range(1, walk.n_vertices + 1)}
+    open_instants: list[int] = []
+    open_by_vertex: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
+    directed_marked: dict[tuple[int, int], list[int]] = {}
+
+    parity: dict[tuple[int, int], int] = {}
+    open_count: dict[int, int] = {v: 0 for v in range(1, walk.n_vertices + 1)}
+    max_open_attached: dict[int, int] = {v: 0 for v in range(1, walk.n_vertices + 1)}
+
+    for t in range(1, two_s + 1):
+        a, b = lab[t - 1], lab[t]
+        e = (a, b) if a <= b else (b, a)
+        is_marked = marked[t - 1]
+        if is_marked:
+            if open_count[b] > 0:
+                open_instants.append(t)
+                open_by_vertex[b].append(t)
+            marked_arrivals[b].append(t)
+            exit_degree[a] += 1
+            directed_marked.setdefault((a, b), []).append(t)
+        frame_passes[e] = frame_passes.get(e, 0) + 1
+        delta = 1 if frame_passes[e] % 2 == 1 else -1
+        open_count[a] += delta
+        if b != a:
+            open_count[b] += delta
+        for v in (a, b) if b != a else (a,):
+            if open_count[v] > max_open_attached[v]:
+                max_open_attached[v] = open_count[v]
+
+    kappa_nu = {
+        v: len(marked_arrivals[v]) + (1 if v == 1 else 0)
+        for v in range(1, walk.n_vertices + 1)
+    }
+
+    mu_edges: dict[tuple[int, int], int] = {}
+    p_edges: dict[tuple[int, int], int] = {}
+    q_layer_map: dict[int, list[int]] = {}
+    for edge, instants in directed_marked.items():
+        mu_edges[edge] = instants[-1]
+        if len(instants) >= 2:
+            p_edges[edge] = instants[-2]
+        for depth, t in enumerate(reversed(instants[:-2]), start=1):
+            q_layer_map.setdefault(depth, []).append(t)
+    q_layers = tuple(
+        tuple(sorted(q_layer_map[j])) for j in sorted(q_layer_map)
+    )
+    q_counts = tuple(len(layer) for layer in q_layers)
+
+    kappa_mu: dict[int, int] = {}
+    for v in range(1, walk.n_vertices + 1):
+        m = sum(1 for (_, head) in mu_edges if head == v)
+        kappa_mu[v] = m + (1 if v == 1 else 0)
+
+    raw, step_map = _reduce_raw(lab, marked)
+    reduced = Walk.from_labels(raw)
+    red_marked = [marked[t - 1] for t in step_map]
+    bts: list[int] = []
+    primary_cells = {v: tuple(marked_arrivals[v]) for v in range(1, walk.n_vertices + 1)}
+    imported: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
+    nonmarked_red: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
+    for r in range(1, len(raw)):
+        head = raw[r]
+        if red_marked[r - 1]:
+            if r < len(raw) - 1 and not red_marked[r]:
+                bts.append(step_map[r - 1])
+        else:
+            nonmarked_red[head].append(step_map[r - 1])
+            if r < len(raw) - 1 and red_marked[r]:
+                imported[head].append(step_map[r - 1])
+
+    theta = None
+    if walk.is_even():
+        theta = DyckPath(tuple(1 if m else -1 for m in marked))
+
+    return WalkAnalysis(
+        walk=walk,
+        s=s,
+        marked=marked,
+        theta=theta,
+        frame_passes=frame_passes,
+        marked_arrivals={v: tuple(ts) for v, ts in marked_arrivals.items()},
+        kappa_nu=kappa_nu,
+        open_instants=tuple(open_instants),
+        open_by_vertex={v: tuple(ts) for v, ts in open_by_vertex.items()},
+        exit_degree=exit_degree,
+        max_exit_degree=max(exit_degree.values(), default=0),
+        mu_edges=mu_edges,
+        p_edges=p_edges,
+        q_layers=q_layers,
+        kappa_mu=kappa_mu,
+        p_count=len(p_edges),
+        double_mu_count=sum(1 for a, b in mu_edges if a < b and (b, a) in mu_edges),
+        q_counts=q_counts,
+        reduced=reduced,
+        bts_instants=tuple(bts),
+        primary_cells=primary_cells,
+        imported_cells={v: tuple(ts) for v, ts in imported.items()},
+        reduced_nonmarked_arrivals={v: tuple(ts) for v, ts in nonmarked_red.items()},
+        max_open_attached=max_open_attached,
+    )
+
+
+def assert_same_analysis(got: WalkAnalysis, want: WalkAnalysis) -> None:
+    for f in fields(WalkAnalysis):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        assert a == b and type(a) is type(b), (want.walk.to_string(), f.name)
+        if isinstance(b, dict):
+            assert list(a.items()) == list(b.items()), (want.walk.to_string(), f.name)
+    assert got == want
+
+
+def test_analyze_matches_oracle_on_every_even_walk():
+    walks = [w for s in range(6) for w in enumerate_even_walks(s)]
+    assert len(walks) == 5_299
+    for w in walks:
+        assert_same_analysis(analyze(w), analyze_oracle(w))
+
+
+def test_analyze_matches_oracle_on_fragments():
+    fragments = [
+        W14,
+        Walk((1, 2, 3, 2, 1)),
+        Walk((1, 2, 2, 1)),
+        Walk((1, 1, 1)),
+        Walk((1, 2, 3, 1, 2, 3, 1)),
+        Walk((1, 2, 3, 4, 2, 3, 5, 2, 3, 4, 2, 5, 3, 2, 1)),
+        Walk((1, 2, 1, 3, 2, 1, 2, 3, 1)),
+        Walk((1, 2, 3, 1)),
+        Walk((1,)),
+    ]
+    fragments += [Walk(lab) for steps in range(9) for lab in _closed_label_sequences(steps)]
+    for w in fragments:
+        assert_same_analysis(analyze(w), analyze_oracle(w))
+    # non-even walks project to no Dyck path
+    assert analyze(Walk((1, 2, 2, 1))).theta is None
+    assert analyze(Walk((1, 2, 3, 1))).theta is None
+    assert report_to_json(analyze(W14)) == report_to_json(analyze_oracle(W14))
