@@ -82,4 +82,5 @@ def test_eigen_solve_is_looked_up_at_call_time(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     mc.sample_stats(mc.EnsembleConfig(n=3, law=RademacherLaw(Fraction(1, 2)), seed=1), 2)
-    assert calls == [(3, 3), (3, 3)]
+    # both draws go to one stacked solve
+    assert calls == [(2, 3, 3)]

@@ -222,25 +222,51 @@ def two_blas_threads():
 
 
 def test_blas_pin_is_restored_after_sample_stats(monkeypatch, two_blas_threads):
+    # n = 100 stacks three draws per eigen-solve, so 7 replicates make 3 calls
     get = two_blas_threads
     seen = []
     real = mc.spectral_stats
+
+    def recording(stack, s_list):
+        seen.append((len(stack), get()))
+        return real(stack, s_list)
+
+    monkeypatch.setattr(mc, "spectral_stats", recording)
+    sample_stats(EnsembleConfig(n=100, law=RAD, seed=1), 7)
+    assert seen == [(3, 1), (3, 1), (1, 1)] and get() == 2
+
+    def failing(stack, s_list):
+        raise RuntimeError("not a LinAlgError")
+
+    monkeypatch.setattr(mc, "spectral_stats", failing)
+    with pytest.raises(RuntimeError):
+        sample_stats(EnsembleConfig(n=100, law=RAD, seed=1), 7)
+    assert get() == 2
+
+
+def test_blas_pin_covers_universality(monkeypatch, two_blas_threads):
+    get = two_blas_threads
+    seen = []
+    real = mc.trace_powers
 
     def recording(mat, s_list):
         seen.append(get())
         return real(mat, s_list)
 
-    monkeypatch.setattr(mc, "spectral_stats", recording)
-    sample_stats(EnsembleConfig(n=8, law=RAD, seed=1), 3)
-    assert seen == [1, 1, 1] and get() == 2
+    monkeypatch.setattr(mc, "trace_powers", recording)
+    a, b = EnsembleConfig(n=8, law=RAD, seed=1), EnsembleConfig(n=8, law=RAD, seed=2)
+    universality_compare(a, b, s=2, replicates=3)
+    assert seen == [1] * 6 and get() == 2
 
-    def failing(mat, s_list):
-        raise RuntimeError("not a LinAlgError")
 
-    monkeypatch.setattr(mc, "spectral_stats", failing)
-    with pytest.raises(RuntimeError):
-        sample_stats(EnsembleConfig(n=8, law=RAD, seed=1), 3)
-    assert get() == 2
+def test_universality_bits_do_not_depend_on_blas_threads(two_blas_threads):
+    a = EnsembleConfig(n=200, law=RAD, seed=5)
+    b = EnsembleConfig(n=200, law=GaussianLaw(Fraction(1, 2)), seed=6)
+    two = universality_compare(a, b, s=4, replicates=20)
+    _, set_ = _blas_thread_calls()
+    set_(1)
+    one = universality_compare(a, b, s=4, replicates=20)
+    assert one == two
 
 
 def test_blas_pin_restores_once_when_holders_leave_out_of_order(two_blas_threads):
@@ -380,24 +406,106 @@ def test_sample_stats_reproducible():
     assert a.rows() == b.rows()
 
 
-def test_sample_stats_counts_filled_replicates(monkeypatch):
+def _poisoned_spectral_stats(monkeypatch, config, bad_replicates):
+    """Make every eigen-solve whose stack holds one of the bad replicates'
+    draws raise LinAlgError; returns the list of stack sizes solved."""
     real = mc.spectral_stats
-    calls = []
+    bad = [sample_matrix(config, rep) for rep in bad_replicates]
+    sizes = []
 
-    def flaky(mat, s_list):
-        calls.append(mat)
-        if len(calls) == 4:  # replicate 3
+    def flaky(stack, s_list):
+        sizes.append(len(stack))
+        if any(np.array_equal(mat, b) for mat in stack for b in bad):
             raise np.linalg.LinAlgError("eigvalsh did not converge")
-        return real(mat, s_list)
+        return real(stack, s_list)
 
     monkeypatch.setattr(mc, "spectral_stats", flaky)
+    return sizes
+
+
+def test_sample_stats_counts_filled_replicates(monkeypatch):
+    # all ten draws share one stack; it is redone one draw at a time
     cfg = EnsembleConfig(n=6, law=RAD, seed=2)
+    sizes = _poisoned_spectral_stats(monkeypatch, cfg, [3])
     stats = sample_stats(cfg, 10, s_list=(1, 2))
+    assert sizes == [10] + [1] * 10
     assert stats.replicates == 9
     assert stats.failed_replicates == [3]
     assert len(stats.lambda_max) == 9
     assert all(len(stats.traces[s]) == 9 for s in (1, 2))
     assert len(stats.rows()) == 9
+
+
+def test_failure_mid_batch_drops_only_the_failing_replicates(monkeypatch):
+    # n = 30 stacks 36 draws: replicates 0-35, 36-71 and 72-99
+    cfg = EnsembleConfig(n=30, law=GoeLaw(Fraction(1, 2)), seed=9)
+    clean = sample_stats(cfg, 100, s_list=(1, 3))
+    sizes = _poisoned_spectral_stats(monkeypatch, cfg, [40, 41, 99])
+    stats = sample_stats(cfg, 100, s_list=(1, 3))
+    assert sizes == [36, 36] + [1] * 36 + [28] + [1] * 28
+    assert stats.failed_replicates == [40, 41, 99]
+    kept = [rep for rep in range(100) if rep not in (40, 41, 99)]
+    assert stats.replicates == 97
+    assert np.array_equal(stats.lambda_max, clean.lambda_max[kept])
+    assert all(np.array_equal(stats.traces[s], clean.traces[s][kept]) for s in (1, 3))
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 200])
+def test_stacked_solves_equal_single_solves(n):
+    # the stack boundary at k draws, each side of it, and the empty run; at
+    # n <= 2, where k runs to 32,768 draws, the GOE config alone
+    k = max(1, mc._STACK_DOUBLES // n**2)
+    s_list = (1, 2, 3, 4)
+    for cfg in _trace_configs(n)[1 : 2 if n <= 2 else None]:  # GOE, dilute, truncated
+        single = [spectral_stats(sample_matrix(cfg, rep), s_list) for rep in range(k + 1)]
+        for replicates in sorted({0, 1, k - 1, k, k + 1}):
+            stats = sample_stats(cfg, replicates, s_list=s_list)
+            assert stats.replicates == replicates and stats.failed_replicates == []
+            want = single[:replicates]
+            assert stats.lambda_max.tolist() == [st["lambda_max"] for st in want], (cfg, replicates)
+            for s in s_list:
+                assert stats.traces[s].tolist() == [st["traces"][s] for st in want], (cfg, replicates, s)
+
+
+def test_rekeyed_streams_equal_new_generators():
+    # one generator re-keyed across laws, configs and replicate orders draws
+    # what a new Philox keyed by (seed, replicate) draws, bit for bit: the
+    # entries of every law, the doubled GOE diagonal, the dilution mask drawn
+    # after the entries, and the truncation
+    pt = PowerTailLaw(v=1.0, gamma=24.0)
+    goe = GoeLaw(Fraction(1, 2))
+    laws = [RAD, GaussianLaw(Fraction(1, 2)), goe, pt, ThreePointLaw()]
+    configs = [EnsembleConfig(n=7, law=law, seed=100 + i) for i, law in enumerate(laws)]
+    configs += [
+        EnsembleConfig(n=7, law=RAD, dilution_c=3, seed=110),
+        EnsembleConfig(n=7, law=goe, dilution_c=2, seed=111),
+        EnsembleConfig(n=7, law=pt, truncation=TruncationSpec(pt, delta=0.05), seed=112),
+        EnsembleConfig(n=7, law=goe, truncation=TruncationSpec(goe, delta=0.05), seed=113),
+    ]
+    shared = mc._rng(configs[0], 0)
+    for rep in (3, 0, 2**40, 1):
+        for cfg in configs:
+            fresh = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, rep], dtype=np.uint64)))
+            want = cfg.law.sample(fresh, 28)
+            rng, vals = sample_entries(cfg, rep, shared)
+            assert rng is shared and np.array_equal(vals, want), (cfg, rep)
+            assert np.array_equal(sample_matrix(cfg, rep, shared), sample_matrix(cfg, rep)), (cfg, rep)
+
+
+def test_held_generators_keep_separate_streams():
+    cfg = EnsembleConfig(n=5, law=RAD, seed=7)
+    g0, _ = sample_entries(cfg, 0)
+    g1, _ = sample_entries(cfg, 1)
+    assert g0 is not g1
+    # a loop's shared generator re-keyed meanwhile touches neither
+    shared = mc._rng(cfg, 0)
+    sample_entries(cfg, 0, shared)
+    sample_matrix(cfg, 1, shared)
+    draws0, draws1 = g0.random(6), g1.random(6)
+    for rep, draws in ((0, draws0), (1, draws1)):
+        want = np.random.Generator(np.random.Philox(key=np.array([7, rep], dtype=np.uint64)))
+        cfg.law.sample(want, 15)
+        assert np.array_equal(draws, want.random(6))
 
 
 def test_wilson_interval():
@@ -423,6 +531,24 @@ def test_tail_curve_monotone_and_extremes():
     assert rows[0]["replicates"] == 400
     with pytest.raises(ValueError):
         tail_curve(cfg, (0.0,), replicates=50)
+
+
+def test_tail_curve_without_a_bound_asks_for_no_traces(monkeypatch):
+    cfg = EnsembleConfig(n=40, law=RAD, seed=22)
+    grid = (-1.0, 0.0, 1.0)
+    with_bound = tail_curve(cfg, grid, replicates=120, chebyshev_s=2)
+    asked = []
+    real = mc.spectral_stats
+
+    def recording(stack, s_list):
+        asked.append(s_list)
+        return real(stack, s_list)
+
+    monkeypatch.setattr(mc, "spectral_stats", recording)
+    plain = tail_curve(cfg, grid, replicates=120)
+    assert asked and all(s_list == () for s_list in asked)
+    want = [{k: v for k, v in row.items() if k != "chebyshev_bound"} for row in with_bound.rows()]
+    assert plain.rows() == want
 
 
 def test_dilute_tail_scale():
@@ -480,6 +606,14 @@ def test_truncation_event_rate_bounded_law():
     cfg = EnsembleConfig(n=100, law=law, truncation=tr, seed=8)
     out = truncation_event_rate(cfg, 200)
     assert out["rate"] == 0.0  # cutoff 100^(1/6-0.01) > 1
+
+
+@pytest.mark.parametrize("replicates", [0, -1])
+def test_truncation_event_rate_needs_a_replicate(replicates):
+    law = PowerTailLaw(v=1.0, gamma=24.0)
+    cfg = EnsembleConfig(n=20, law=law, truncation=TruncationSpec(law, delta=0.05), seed=8)
+    with pytest.raises(ValueError, match="replicates"):
+        truncation_event_rate(cfg, replicates)
 
 
 def test_truncation_event_rate_power_tail():
