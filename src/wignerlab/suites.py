@@ -188,7 +188,7 @@ def criterion_5_worked_example() -> SuiteResult:
 def criterion_6_class_bounds(s_max: int = 5, k0: int = 4) -> SuiteResult:
     res = SuiteResult("6 class-bound domination")
     nu_ok = mu_ok = census_ok = True
-    detail = ""
+    nu_detail = mu_detail = ""
     for s in range(1, s_max + 1):
         # the committed shape table counts the walks independently of the census
         total = sum(row[-1] for row in moments._walk_shapes(s))
@@ -197,13 +197,13 @@ def criterion_6_class_bounds(s_max: int = 5, k0: int = 4) -> SuiteResult:
         for row in cls.nu_domination_report(s):
             if row.bound is not None and row.exact > row.bound:
                 nu_ok = False
-                detail = f"s={s} {row.signature}"
+                nu_detail = f"s={s} {row.signature}"
         for row in cls.mu_domination_report(s, k0):
             if row.bound is not None and row.exact > row.bound:
                 mu_ok = False
-                detail = f"s={s} {row.signature}"
-    res.add("nu classes: exact <= bound", nu_ok, detail)
-    res.add("mu classes: exact <= bound", mu_ok, detail)
+                mu_detail = f"s={s} {row.signature}"
+    res.add("nu classes: exact <= bound", nu_ok, nu_detail)
+    res.add("mu classes: exact <= bound", mu_ok, mu_detail)
     res.add("class sizes partition the walk census", census_ok)
     psi3 = cls.psi_bound(3, {2: 1})
     psi4 = cls.psi_bound(4, {2: 2})

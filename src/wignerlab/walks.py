@@ -11,9 +11,9 @@ point, instants of broken tree structure, and primary/imported cells.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dyck import DyckPath
+from .dyck import DyckPath, exit_degree_profile
 from .errors import EnumerationCeilingError
 
 #: Ceiling on the number of steps 2s for every even-walk search: s <= 7.
@@ -99,16 +99,6 @@ def _marked_flags(labels: tuple[int, ...]) -> list[bool]:
         parity[e] = parity.get(e, 0) ^ 1
         out.append(parity[e] == 1)
     return out
-
-
-@dataclass
-class CheckReport:
-    """Outcome of one structural verification (pass/fail plus a ledger)."""
-
-    name: str
-    passed: bool
-    ledger: list[dict] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -392,8 +382,8 @@ def is_tree_structure(walk: Walk) -> bool:
 # Structural verifications.
 
 
-def verify_vertex_ledger(walk: Walk, analysis: WalkAnalysis | None = None) -> CheckReport:
-    """Per-vertex in/out ledger and open-edge bounds.
+def verify_vertex_ledger(walk: Walk, analysis: WalkAnalysis | None = None) -> bool:
+    """Whether the per-vertex in/out ledger and open-edge bounds hold.
 
     For every vertex: the number of non-marked exit steps equals the number of
     marked arrivals (split into mu/p/q parts), and at every instant the number
@@ -401,101 +391,50 @@ def verify_vertex_ledger(walk: Walk, analysis: WalkAnalysis | None = None) -> Ch
     degree), with the root's +1 conventions on both kappas.
     """
     an = analysis or analyze(walk)
-    check = CheckReport(name="vertex-ledger", passed=True)
     lab = walk.labels
-    nonmarked_exits: dict[int, int] = {v: 0 for v in an.vertices}
-    for t in range(1, walk.n_steps + 1):
-        if not an.marked[t - 1]:
-            nonmarked_exits[lab[t - 1]] += 1
+    nonmarked_exits = [0] * (walk.n_vertices + 1)
+    pq_arrivals = nonmarked_exits.copy()
+    for tail, marked in zip(lab, an.marked):
+        if not marked:
+            nonmarked_exits[tail] += 1
+    for _, head in an.p_edges:
+        pq_arrivals[head] += 1
+    for layer in an.q_layers:
+        for t in layer:
+            pq_arrivals[lab[t]] += 1
     for v in an.vertices:
-        m_part = an.kappa_mu[v] - (1 if v == ROOT else 0)
-        p_part = sum(1 for (_, head), _t in an.p_edges.items() if head == v)
-        q_part = sum(
-            1 for layer in an.q_layers for t in layer if lab[t] == v
-        )
         arrivals = len(an.marked_arrivals[v])
-        row = {
-            "vertex": v,
-            "nonmarked_exits": nonmarked_exits[v],
-            "marked_arrivals": arrivals,
-            "mu_part": m_part,
-            "p_part": p_part,
-            "q_part": q_part,
-            "max_open_attached": an.max_open_attached[v],
-            "open_bound_nu": 2 * an.kappa_nu[v],
-            "open_bound_mu": an.kappa_mu[v] + an.exit_degree[v],
-        }
-        check.ledger.append(row)
-        if nonmarked_exits[v] != arrivals:
-            check.passed = False
-            check.failures.append(f"vertex {v}: non-marked exits != marked arrivals")
-        if m_part + p_part + q_part != arrivals:
-            check.passed = False
-            check.failures.append(f"vertex {v}: mu/p/q parts do not sum to arrivals")
-        bound = min(2 * an.kappa_nu[v], an.kappa_mu[v] + an.exit_degree[v])
-        if an.max_open_attached[v] > bound:
-            check.passed = False
-            check.failures.append(
-                f"vertex {v}: open attached edges {an.max_open_attached[v]} > {bound}"
-            )
-    return check
+        mu_part = an.kappa_mu[v] - (1 if v == ROOT else 0)
+        if nonmarked_exits[v] != arrivals or mu_part + pq_arrivals[v] != arrivals:
+            return False
+        if an.max_open_attached[v] > min(2 * an.kappa_nu[v], an.kappa_mu[v] + an.exit_degree[v]):
+            return False
+    return True
 
 
-def verify_exit_degree_tree_link(walk: Walk, analysis: WalkAnalysis | None = None) -> CheckReport:
-    """Each vertex's exit cluster splits into at most 2 kappa + L groups, every
-    group living inside one exit cluster of the underlying tree; hence the tree
-    has a vertex of exit degree at least deg_e(beta) / (2 kappa(beta) + L)."""
-    from .dyck import exit_degree_profile
-
+def verify_exit_degree_tree_link(walk: Walk, analysis: WalkAnalysis | None = None) -> bool:
+    """Whether each vertex's exit cluster splits into at most 2 kappa + L
+    groups, every group living inside one exit cluster of the underlying tree;
+    hence the tree has a vertex of exit degree at least
+    deg_e(beta) / (2 kappa(beta) + L)."""
     an = analysis or analyze(walk)
-    check = CheckReport(name="exit-degree-tree-link", passed=True)
     if an.theta is None:
-        return check
+        return True
     tree_max = max(exit_degree_profile(an.theta.steps))
     L = an.bts_total
-    for v in an.vertices:
-        d = an.exit_degree[v]
-        if d == 0:
-            continue
-        groups = 2 * an.kappa_nu[v] + L
-        check.ledger.append(
-            {"vertex": v, "exit_degree": d, "cell_bound": groups, "tree_max_degree": tree_max}
-        )
-        if tree_max * groups < d:
-            check.passed = False
-            check.failures.append(
-                f"vertex {v}: exit degree {d} unreachable from {groups} cells on a "
-                f"tree of max degree {tree_max}"
-            )
-    return check
+    return all(d <= tree_max * (2 * an.kappa_nu[v] + L) for v, d in an.exit_degree.items())
 
 
-def verify_cell_bounds(walk: Walk, analysis: WalkAnalysis | None = None) -> CheckReport:
-    """Imported-cell count bounds J <= remote BTS + kappa and Psi <= 2 kappa + L."""
+def verify_cell_bounds(walk: Walk, analysis: WalkAnalysis | None = None) -> bool:
+    """Whether the imported-cell bounds J <= remote BTS + kappa and Psi <= 2 kappa + L hold."""
     an = analysis or analyze(walk)
-    check = CheckReport(name="cell-bounds", passed=True)
     L = an.bts_total
     for v in an.vertices:
         j = len(an.imported_cells[v])
-        remote = an.bts_remote(v)
         kappa = an.kappa_nu[v]
-        psi = len(an.primary_cells[v]) + j
-        row = {
-            "vertex": v,
-            "imported": j,
-            "remote_bts": remote,
-            "kappa": kappa,
-            "cells_total": psi,
-            "bts_total": L,
-        }
-        check.ledger.append(row)
-        if j > remote + kappa:
-            check.passed = False
-            check.failures.append(f"vertex {v}: J={j} > remote {remote} + kappa {kappa}")
-        if psi > 2 * kappa + L:
-            check.passed = False
-            check.failures.append(f"vertex {v}: Psi={psi} > 2*{kappa} + {L}")
-    return check
+        if j > an.bts_remote(v) + kappa or len(an.primary_cells[v]) + j > 2 * kappa + L:
+            return False
+    return True
 
 
 def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
@@ -514,13 +453,13 @@ def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
         "mu/p/q partition of marked steps": len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
         "BTS instants are open self-intersections": set(an.bts_instants) <= set(an.open_instants),
         "walk projects to a Dyck path": an.theta is not None and an.theta.k == s,
-        "vertex in/out ledger and open-edge bounds": verify_vertex_ledger(walk, an).passed,
-        "imported-cell count bounds": verify_cell_bounds(walk, an).passed,
+        "vertex in/out ledger and open-edge bounds": verify_vertex_ledger(walk, an),
+        "imported-cell count bounds": verify_cell_bounds(walk, an),
         "cells bound holds for unfiltered reduced arrivals too": all(
             len(an.reduced_nonmarked_arrivals[v]) <= an.bts_remote(v) + an.kappa_nu[v]
             for v in an.vertices
         ),
-        "exit clusters fit the cell bound on the underlying tree": verify_exit_degree_tree_link(walk, an).passed,
+        "exit clusters fit the cell bound on the underlying tree": verify_exit_degree_tree_link(walk, an),
     }
 
 

@@ -223,10 +223,10 @@ def oracle_lemma_failures(s):
             len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
             set(an.bts_instants) <= set(an.open_instants),
             an.theta is not None and an.theta.k == s,
-            verify_vertex_ledger(w, an).passed,
-            verify_cell_bounds(w, an).passed,
+            verify_vertex_ledger(w, an),
+            verify_cell_bounds(w, an),
             all(len(an.reduced_nonmarked_arrivals[v]) <= an.bts_remote(v) + an.kappa_nu[v] for v in an.vertices),
-            verify_exit_degree_tree_link(w, an).passed,
+            verify_exit_degree_tree_link(w, an),
         ]
         for label, ok in zip(failures, held):
             failures[label] += not ok

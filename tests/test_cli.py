@@ -178,15 +178,22 @@ def test_failing_lemma_turns_suite_and_classify_red(fresh_census, monkeypatch, c
     real = walks.verify_cell_bounds
 
     def broken(walk, analysis=None):
-        report = real(walk, analysis)
-        report.passed = walk.labels != (1, 2, 1, 2, 1)
-        return report
+        return real(walk, analysis) and walk.labels != (1, 2, 1, 2, 1)
 
     monkeypatch.setattr(walks, "verify_cell_bounds", broken)
     res = suites.criterion_4_walk_structure(s_max=2)
     assert res.failures() == [("imported-cell count bounds", "failing walks: 1")]
     assert run(["classify", "--s", "2", "--no-timestamp"]) == 1
     assert capsys.readouterr().out.startswith("18 class rows, 0 bound violations, 1 lemma failures\n")
+
+
+def test_class_bound_rows_keep_their_own_detail(monkeypatch):
+    real = cls.mu_bound
+    monkeypatch.setattr(cls, "mu_bound", lambda s, sig, k0: Fraction(0) if s == 2 else real(s, sig, k0))
+    checks = {label: (ok, detail) for label, ok, detail in suites.criterion_6_class_bounds(s_max=2).checks}
+    assert checks["nu classes: exact <= bound"] == (True, "")
+    ok, detail = checks["mu classes: exact <= bound"]
+    assert not ok and detail.startswith("s=2 MuSignature(")
 
 
 def test_max_halfsteps_sets_the_walk_suites_depth(monkeypatch):

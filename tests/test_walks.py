@@ -1,6 +1,6 @@
 import csv
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -196,25 +196,46 @@ def test_structure_checks_exhaustive():
     for s in range(5):
         for w in enumerate_even_walks(s):
             an = analyze(w)
-            assert verify_vertex_ledger(w, an).passed
-            assert verify_cell_bounds(w, an).passed
-            assert verify_exit_degree_tree_link(w, an).passed
+            assert verify_vertex_ledger(w, an)
+            assert verify_cell_bounds(w, an)
+            assert verify_exit_degree_tree_link(w, an)
 
 
 def test_vertex_ledger_content():
-    check = verify_vertex_ledger(W14)
-    assert check.passed
-    row4 = next(r for r in check.ledger if r["vertex"] == 4)
-    assert row4["nonmarked_exits"] == 2 == row4["marked_arrivals"]
-    assert row4["mu_part"] == 1 and row4["p_part"] == 1 and row4["q_part"] == 0
+    an = analyze(W14)
+    assert verify_vertex_ledger(W14, an)
+    lab = W14.labels
+    nonmarked_exits = sum(1 for t, m in enumerate(an.marked) if not m and lab[t] == 4)
+    assert nonmarked_exits == 2 == len(an.marked_arrivals[4])
+    p_part = sum(1 for _, head in an.p_edges if head == 4)
+    q_part = sum(1 for layer in an.q_layers for t in layer if lab[t] == 4)
+    assert an.kappa_mu[4] == 1 and p_part == 1 and q_part == 0
 
 
 def test_cell_bounds_w14_numbers():
-    check = verify_cell_bounds(W14)
-    row3 = next(r for r in check.ledger if r["vertex"] == 3)
-    assert row3["imported"] == 1
-    assert row3["remote_bts"] == 2
-    assert row3["kappa"] == 1
+    an = analyze(W14)
+    assert verify_cell_bounds(W14, an)
+    assert len(an.imported_cells[3]) == 1
+    assert an.bts_remote(3) == 2
+    assert an.kappa_nu[3] == 1
+
+
+def test_lemma_predicates_fail_when_a_bound_breaks():
+    # W14 sits on several bounds: vertex 3 has 2 open attached edges against
+    # min(2 kappa_nu, kappa_mu + deg_e) = 2, and tree_max = 3 with L = 2
+    an = analyze(W14)
+    assert verify_lemma_checks(W14, an)
+    open_edges = replace(an, max_open_attached={**an.max_open_attached, 3: 3})
+    assert not verify_vertex_ledger(W14, open_edges)
+    # vertex 2: J = 4 > remote 0 + kappa 3, while Psi = 3 + 4 <= 2 * 3 + 2
+    imported = replace(an, imported_cells={**an.imported_cells, 2: (1, 6, 10, 12)})
+    assert not verify_cell_bounds(W14, imported)
+    # the root: Psi = 5 > 2 * 1 + 2, while J = 0 <= remote 2 + kappa 1
+    primary = replace(an, primary_cells={**an.primary_cells, 1: (1, 2, 3, 4, 5)})
+    assert not verify_cell_bounds(W14, primary)
+    # vertex 3: deg_e = 13 > tree_max 3 * (2 kappa 1 + L 2)
+    exits = replace(an, exit_degree={**an.exit_degree, 3: 13})
+    assert not verify_exit_degree_tree_link(W14, exits)
 
 
 def test_report_json_stable():
@@ -265,9 +286,9 @@ def test_double_mu_edge_walk():
 
 def verify_lemma_checks(w, an):
     return (
-        verify_vertex_ledger(w, an).passed
-        and verify_cell_bounds(w, an).passed
-        and verify_exit_degree_tree_link(w, an).passed
+        verify_vertex_ledger(w, an)
+        and verify_cell_bounds(w, an)
+        and verify_exit_degree_tree_link(w, an)
     )
 
 
@@ -361,8 +382,8 @@ def test_random_trajectory_walk_invariants(body):
         assert an.kappa_mu[v] <= an.kappa_nu[v]
     if walk.is_even():
         assert sum(an.marked) * 2 == n_steps
-        assert verify_vertex_ledger(walk, an).passed
-        assert verify_cell_bounds(walk, an).passed
+        assert verify_vertex_ledger(walk, an)
+        assert verify_cell_bounds(walk, an)
 
 
 def analyze_oracle(walk: Walk) -> WalkAnalysis:
