@@ -6,8 +6,8 @@ fingerprint of the resolved parameters; a timestamp is included unless
 --no-timestamp is given, so reruns with the same fingerprint are
 byte-identical.
 
-A config file (--config) holds `key = value` lines mirroring the long flag
-names; explicit flags override file values.
+A config file (--config, read by `main` before parsing) holds `key = value`
+lines mirroring the long flag names; explicit flags override file values.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .suites import run_verify_suites
 from .walks import (
     WALK_ENUMERATION_CEILING,
     Walk,
-    _even_walk_dfs,
     analyze,
     enumerate_even_walks,
     is_tree_structure,
@@ -44,7 +43,7 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 
 #: keys that do not affect the computation and stay out of the fingerprint
-_VOLATILE_KEYS = {"out", "func", "config", "no_timestamp", "format", "bless", "golden_dir"}
+_VOLATILE_KEYS = {"out", "func", "no_timestamp", "format", "bless", "golden_dir"}
 
 
 def fingerprint(params: dict) -> str:
@@ -147,16 +146,14 @@ def cmd_verify(args) -> int:
 
 
 def _walk_count_row(s: int) -> dict:
-    """Even, tree (s + 1 vertices) and loopless walks of 2s steps, counted in the walk search."""
-    row = {"s": s, "even_walks": 0, "tree_walks": 0, "loopless": 0}
-
-    def leaf(labels, passes, exits, n_vertices) -> None:
-        row["even_walks"] += 1
-        row["tree_walks"] += n_vertices == s + 1
-        row["loopless"] += all(a != b for a, b in passes)
-
-    _even_walk_dfs(s, True, leaf)
-    return row
+    """Even, tree (s + 1 vertices) and loopless walks of 2s steps, summed from the shape table."""
+    shapes = moments._walk_shapes(s)
+    return {
+        "s": s,
+        "even_walks": sum(count for *_, count in shapes),
+        "tree_walks": sum(count for _, nv, _, _, count in shapes if nv == s + 1),
+        "loopless": sum(count for profile, *_, count in shapes if not any(loop for _, loop in profile)),
+    }
 
 
 def golden_tables() -> dict[str, list[dict]]:
@@ -253,23 +250,17 @@ def cmd_zparts(args) -> int:
     if args.format == "csv":
         # a float total has no exact column
         exact = moments.exact_text(result.total) is not None
+        total = float(result.total)
+        parts = [(f"Z{i}", v) for i, v in sorted(result.z_parts.items())] + [("total", result.total)]
         rows = [
             {
-                "part": f"Z{i}",
+                "part": part,
                 "value": float(v),
                 "value_exact": str(v) if exact else "",
-                "fraction": float(v) / float(result.total) if float(result.total) else 0.0,
+                "fraction": 1.0 if part == "total" else float(v) / total if total else 0.0,
             }
-            for i, v in sorted(result.z_parts.items())
+            for part, v in parts
         ]
-        rows.append(
-            {
-                "part": "total",
-                "value": float(result.total),
-                "value_exact": str(result.total) if exact else "",
-                "fraction": 1.0,
-            }
-        )
         write_rows(args.out, rows, vars(args).copy(), "csv", args.no_timestamp)
     else:
         write_json(args.out, result.to_dict(), vars(args).copy(), args.no_timestamp)
@@ -389,11 +380,12 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _common(p: argparse.ArgumentParser) -> None:
+def _common(p: argparse.ArgumentParser, formats: bool = True) -> None:
+    """--out and --no-timestamp, and --format where the subcommand writes CSV as well as JSON."""
     p.add_argument("--out", help="output file (stdout when omitted)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    if formats:
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp for byte-stable output")
-    p.add_argument("--config", help="key = value file mirroring the flags")
 
 
 def _integer_text(text: str) -> str:
@@ -471,7 +463,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k0", type=int, default=4)
     p.add_argument("--bless", action="store_true", help="regenerate golden tables")
     p.add_argument("--golden-dir", default=None)
-    _common(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("enumerate", help="enumerate Dyck paths or even walks")
@@ -497,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truncate", action="store_true")
     p.add_argument("--delta", type=float, default=0.05)
     _ensemble_flags(p)
-    _common(p)
+    _common(p, formats=False)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("zparts", help="four-way census decomposition of the walk sum")
@@ -535,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", default="gaussian")
     p.add_argument("--v", type=_rational_text, default="0.5")
     p.add_argument("--c", type=_integer_text, required=True)
-    _common(p)
+    _common(p, formats=False)
     p.set_defaults(func=cmd_dilute)
 
     p = sub.add_parser("genfun", help="exact generating-function coefficient tables")
@@ -546,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="machine-readable verify summary")
     p.add_argument("--max-halfsteps", type=int, default=5)
     p.add_argument("--k0", type=int, default=4)
-    _common(p)
+    _common(p, formats=False)
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("analyze", help="structure report for one walk")
@@ -588,7 +579,8 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
+        # an unwritable --out or --golden-dir is an OSError; BrokenPipeError is caught above
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dyck import catalan
 from .errors import BoundPreconditionError, EnumerationCeilingError
 from .laws import GoeLaw
 from .walks import WALK_ENUMERATION_CEILING, Walk, WalkAnalysis, analyze
@@ -141,7 +142,7 @@ def semicircle_moment(order: int, v):
     if order % 2:
         return 0 if isinstance(v, (int, Fraction)) else 0.0
     k = order // 2
-    cat = math.comb(2 * k, k) // (k + 1)
+    cat = catalan(k)
     if isinstance(v, (int, Fraction)):
         return Fraction(v) ** (2 * k) * cat
     return float(v) ** (2 * k) * cat
@@ -477,5 +478,5 @@ def dilute_lower_bound(law, n: int, c: int, s: int):
     """Right side of the dilute edge estimate: n m_{2s} (1 + (s-3) V4 / c)."""
     v2 = Fraction(law.moment(2))
     v4 = Fraction(law.moment(4))
-    m2s = v2**s * Fraction(math.comb(2 * s, s), s + 1)
+    m2s = v2**s * catalan(s)
     return n * m2s * (1 + Fraction(s - 3) * v4 / c)

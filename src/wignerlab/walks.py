@@ -11,6 +11,7 @@ point, instants of broken tree structure, and primary/imported cells.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 from .dyck import DyckPath, exit_degree_profile
@@ -429,10 +430,12 @@ def verify_cell_bounds(walk: Walk, analysis: WalkAnalysis | None = None) -> bool
     """Whether the imported-cell bounds J <= remote BTS + kappa and Psi <= 2 kappa + L hold."""
     an = analysis or analyze(walk)
     L = an.bts_total
+    # BTS instants at each vertex, counted once: bts_remote(v) = L - heads[v]
+    heads = Counter(an.walk.labels[t] for t in an.bts_instants)
     for v in an.vertices:
         j = len(an.imported_cells[v])
         kappa = an.kappa_nu[v]
-        if j > an.bts_remote(v) + kappa or len(an.primary_cells[v]) + j > 2 * kappa + L:
+        if j > L - heads[v] + kappa or len(an.primary_cells[v]) + j > 2 * kappa + L:
             return False
     return True
 
@@ -447,6 +450,7 @@ def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
     walk = an.walk
     s = an.s
     n_marked = sum(an.marked)
+    heads = Counter(walk.labels[t] for t in an.bts_instants)
     return {
         "marked/non-marked balance": n_marked == s and walk.n_steps - n_marked == s,
         "kappa_mu <= kappa_nu": all(an.kappa_mu[v] <= an.kappa_nu[v] for v in an.vertices),
@@ -456,7 +460,7 @@ def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
         "vertex in/out ledger and open-edge bounds": verify_vertex_ledger(walk, an),
         "imported-cell count bounds": verify_cell_bounds(walk, an),
         "cells bound holds for unfiltered reduced arrivals too": all(
-            len(an.reduced_nonmarked_arrivals[v]) <= an.bts_remote(v) + an.kappa_nu[v]
+            len(an.reduced_nonmarked_arrivals[v]) <= an.bts_total - heads[v] + an.kappa_nu[v]
             for v in an.vertices
         ),
         "exit clusters fit the cell bound on the underlying tree": verify_exit_degree_tree_link(walk, an),

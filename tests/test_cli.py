@@ -394,12 +394,118 @@ def test_dyck_with_walk_flags_is_usage_error(flags, capsys):
     assert "--dyck" in captured.err
 
 
+CFG = "<config file>"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--out", "x"],
+        ["verify", "--format", "json"],
+        ["verify", "--no-timestamp"],
+        ["report", "--format", "csv"],
+        ["moments", "--n", "2", "--s", "2", "--format", "csv"],
+        ["dilute", "--n", "10", "--s", "2", "--c", "2", "--format", "json"],
+        ["moments", "--config", CFG, "--config", CFG],
+    ],
+)
+def test_unread_output_flags_and_second_config_are_usage_errors(argv, tmp_path, capsys, monkeypatch):
+    # a flag the subcommand would not read, or a config file that would be ignored, is refused
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n = 2\ns = 2\n")
+    try:
+        code = run([str(cfg) if tok == CFG else tok for tok in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert [line for line in err_lines if "error:" in line] == err_lines[-1:]
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+OUTPUT_FLAGS = {"--out", "--format", "--no-timestamp"}
+ENSEMBLE_FLAGS = {"--ensemble", "--v", "--c", "--gamma"}
+
+CLI_SURFACE = {
+    "verify": {"--max-halfsteps", "--k0", "--bless", "--golden-dir"},
+    "enumerate": {"--dyck", "--walks", "--s", "--no-loops", "--no-self-intersections"} | OUTPUT_FLAGS,
+    "classify": {"--s", "--k0"} | OUTPUT_FLAGS,
+    "moments": {"--n", "--s", "--truncate", "--delta", "--out", "--no-timestamp"} | ENSEMBLE_FLAGS,
+    "zparts": {"--n", "--s", "--delta", "--c0"} | ENSEMBLE_FLAGS | OUTPUT_FLAGS,
+    "mc": {"--n", "--s", "--replicates", "--seed"} | ENSEMBLE_FLAGS | OUTPUT_FLAGS,
+    "tail": {"--n", "--x", "--scale", "--replicates", "--seed", "--chebyshev-s"} | ENSEMBLE_FLAGS | OUTPUT_FLAGS,
+    "dilute": {"--n", "--s", "--ensemble", "--v", "--c", "--out", "--no-timestamp"},
+    "genfun": {"--order"} | OUTPUT_FLAGS,
+    "report": {"--max-halfsteps", "--k0", "--out", "--no-timestamp"},
+    "analyze": set(),
+}
+
+
+def test_cli_surface():
+    # every declared flag is read; adding or dropping one means editing this table
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert declared == CLI_SURFACE
+
+
+CONFIG_VALUES = {
+    "verify": {"k0": 3},
+    "enumerate": {"s": 2},
+    "classify": {"k0": 3},
+    "moments": {"n": 7, "s": 2},
+    "zparts": {"n": 7, "s": 2},
+    "mc": {"n": 7},
+    "tail": {"n": 7},
+    "dilute": {"n": 7, "s": 2, "c": "3"},
+    "genfun": {"order": 5},
+    "report": {"k0": 3},
+}
+
+
+@pytest.mark.parametrize("command", sorted(CONFIG_VALUES))
+def test_config_file_works_for_every_flagged_subcommand(command, tmp_path, monkeypatch):
+    # main() alone expands --config FILE and --config=FILE, for every subcommand with flags
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{key} = {value}\n" for key, value in CONFIG_VALUES[command].items()))
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(vars(args)) or 0)
+    for form in (["--config", str(cfg)], [f"--config={cfg}"]):
+        assert run([command, *form]) == 0
+    assert len(seen) == 2
+    for parsed in seen:
+        assert {key: parsed[key] for key in CONFIG_VALUES[command]} == CONFIG_VALUES[command]
+        assert "config" not in parsed
+
+
+def test_unwritable_path_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # an --out in a missing directory, or a --golden-dir that is a file: exit 1, no traceback
+    assert run(["genfun", "--order", "3", "--out", str(tmp_path / "missing" / "x.csv")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    monkeypatch.setattr(cli, "run_verify_suites", lambda **kwargs: [])
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert run(["verify", "--golden-dir", str(not_a_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_golden_walk_counts_build_no_walk(monkeypatch):
-    # even, tree and loopless walks are counted in the walk-search leaf
-    def no_walks(labels):
-        raise AssertionError("a walk was built for the golden counts")
+    # even, tree and loopless walks are summed from the shape table, with no walk search
+    def no_walks(*args):
+        raise AssertionError("a walk was built or searched for the golden counts")
 
     monkeypatch.setattr(walks, "Walk", no_walks)
+    monkeypatch.setattr(walks, "_even_walk_dfs", no_walks)
     rows = [cli._walk_count_row(s) for s in range(6)]
     assert cli._rows_to_csv(rows) == (cli.GOLDEN_DIR / "walk_counts.csv").read_text()
 
@@ -638,7 +744,8 @@ def test_malformed_c_is_usage_error(argv, capsys):
 )
 def test_domain_errors_exit_1(argv, capsys):
     # a well-formed value the model rejects is a computation failure: exit 1
-    assert run(argv + ["--no-timestamp"]) == 1
+    # (verify writes no file, so it takes no --no-timestamp)
+    assert run(argv + ([] if argv[0] == "verify" else ["--no-timestamp"])) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

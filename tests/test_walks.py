@@ -15,6 +15,7 @@ from wignerlab.walks import (
     _marked_flags,
     _reduce_raw,
     analyze,
+    check_walk_lemmas,
     enumerate_even_walks,
     is_tree_structure,
     reduce_walk,
@@ -236,6 +237,12 @@ def test_lemma_predicates_fail_when_a_bound_breaks():
     # vertex 3: deg_e = 13 > tree_max 3 * (2 kappa 1 + L 2)
     exits = replace(an, exit_degree={**an.exit_degree, 3: 13})
     assert not verify_exit_degree_tree_link(W14, exits)
+    # both BTS instants sit at vertex 2, so its remote count is 0 and vertex 3's is 2:
+    # unfiltered reduced arrivals at 2 may reach 0 + kappa 3, at 3 may reach 2 + kappa 1
+    unfiltered = "cells bound holds for unfiltered reduced arrivals too"
+    for v, arrivals, holds in ((2, 3, True), (2, 4, False), (3, 3, True), (3, 4, False)):
+        padded = replace(an, reduced_nonmarked_arrivals={**an.reduced_nonmarked_arrivals, v: tuple(range(arrivals))})
+        assert check_walk_lemmas(padded)[unfiltered] is holds
 
 
 def test_report_json_stable():
