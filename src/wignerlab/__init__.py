@@ -3,6 +3,12 @@ seeded spectral-edge Monte Carlo for Wigner-type random matrices."""
 
 __version__ = "0.1.0"
 
+import os
+
+# Before numpy loads OpenBLAS: an idle worker then sleeps after 2^20 cycles
+# (under 1 ms) instead of 2^28 (about 0.1 s), after start-up and each threaded call.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .dyck import (
     DyckPath,
     PlaneTree,

@@ -45,6 +45,10 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 #: keys that do not affect the computation and stay out of the fingerprint
 _VOLATILE_KEYS = {"out", "func", "no_timestamp", "format", "bless", "golden_dir"}
 
+#: defaults of --gamma and moments --delta, flags that only some runs read
+_GAMMA = 24.0
+_MOMENTS_DELTA = 0.05
+
 
 def fingerprint(params: dict) -> str:
     return _digest({k: v for k, v in params.items() if k not in _VOLATILE_KEYS})
@@ -112,7 +116,7 @@ def load_config_tokens(path: str) -> list[str]:
 
 
 def build_law(args):
-    return make_law(args.ensemble, Fraction(args.v), gamma=getattr(args, "gamma", 24.0))
+    return make_law(args.ensemble, Fraction(args.v), gamma=getattr(args, "gamma", _GAMMA))
 
 
 def build_config(args) -> EnsembleConfig:
@@ -367,8 +371,10 @@ def cmd_report(args) -> int:
         suites.append(suite)
     payload = {"suites": suites, "all_passed": all(r.passed for r in results)}
     write_json(args.out, payload, vars(args).copy(), args.no_timestamp)
-    for r in results:
-        print(r.summary())
+    if args.out:
+        # without --out stdout holds the JSON alone; the summaries carry timings
+        for r in results:
+            print(r.summary())
     return 0 if payload["all_passed"] else 1
 
 
@@ -450,7 +456,7 @@ def _ensemble_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ensemble", default="rademacher", help="rademacher | gaussian | goe | power-tail | three-point")
     p.add_argument("--v", type=_rational_text, default="0.5", help="entry standard deviation (rational ok)")
     p.add_argument("--c", type=_integer_text, default=None, help="dilution concentration")
-    p.add_argument("--gamma", type=float, default=24.0, help="power-tail index")
+    p.add_argument("--gamma", type=float, default=_GAMMA, help="index of --ensemble power-tail")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -486,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--truncate", action="store_true")
-    p.add_argument("--delta", type=float, default=0.05)
+    p.add_argument("--delta", type=float, default=_MOMENTS_DELTA, help="truncation exponent (with --truncate only)")
     _ensemble_flags(p)
     _common(p, formats=False)
     p.set_defaults(func=cmd_moments)
@@ -569,6 +575,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = rest[:1] + tokens + rest[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a value no code reads would move only the fingerprint; an explicit default passes
+    if getattr(args, "gamma", _GAMMA) != _GAMMA and args.ensemble.lower() != "power-tail":
+        parser.error("--gamma applies only to --ensemble power-tail")
+    if args.command == "moments" and args.delta != _MOMENTS_DELTA and not args.truncate:
+        parser.error("--delta applies only with --truncate")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -252,7 +252,6 @@ def _sample_std(values: np.ndarray) -> float | None:
 class SampleStats:
     """Per-replicate spectral statistics plus aggregates."""
 
-    config: EnsembleConfig
     replicates: int  # filled replicates; the dropped ones are in failed_replicates
     s_list: tuple[int, ...]
     lambda_max: np.ndarray = field(repr=False, default=None)
@@ -267,11 +266,12 @@ class SampleStats:
         """Sample standard deviation (ddof=1); None below two filled replicates."""
         return _sample_std(self.traces[s])
 
-    def trace_ci(self, s: int, z: float = 1.96) -> tuple[float, float] | None:
+    def trace_ci(self, s: int) -> tuple[float, float] | None:
+        """95% normal interval for the mean (z = 1.96); None below two filled replicates."""
         sd = self.trace_std(s)
         if sd is None:
             return None
-        half = z * sd / math.sqrt(len(self.traces[s]))
+        half = 1.96 * sd / math.sqrt(len(self.traces[s]))
         m = self.trace_mean(s)
         return (m - half, m + half)
 
@@ -349,7 +349,6 @@ def sample_stats(
     empty = np.empty(0)
     lambda_max = np.concatenate([empty] + [st["lambda_max"] for st in filled])
     return SampleStats(
-        config=config,
         replicates=len(lambda_max),
         s_list=s_list,
         lambda_max=lambda_max,
@@ -358,8 +357,9 @@ def sample_stats(
     )
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (z = 1.96) for a binomial proportion."""
+    z = 1.96
     if trials == 0:
         return (0.0, 1.0)
     phat = successes / trials
@@ -371,13 +371,10 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float
 
 @dataclass
 class TailCurve:
-    config: EnsembleConfig
-    scale: str
     x_grid: tuple[float, ...]
     thresholds: tuple[float, ...]
     exceed_counts: tuple[int, ...]
     replicates: int
-    chebyshev_s: int | None = None
     chebyshev_bounds: tuple[float | None, ...] | None = None  # None where threshold <= 0
 
     def probabilities(self) -> list[float]:
@@ -444,13 +441,10 @@ def tail_curve(
             for thr in thresholds
         )
     return TailCurve(
-        config=config,
-        scale=scale,
         x_grid=tuple(x_grid),
         thresholds=thresholds,
         exceed_counts=counts,
         replicates=len(lam),
-        chebyshev_s=chebyshev_s,
         chebyshev_bounds=cheb,
     )
 

@@ -42,9 +42,9 @@ from .walks import WALK_ENUMERATION_CEILING, Walk, WalkAnalysis, analyze
 DEFAULT_C1 = 2 * math.e
 
 
-def default_c0(v12: float, c1: float = DEFAULT_C1) -> float:
+def default_c0(v12: float) -> float:
     """Smallest admissible census threshold constant, e (1 + 8 C1^2 V12)."""
-    return math.e * (1 + 8 * c1 * c1 * float(v12))
+    return math.e * (1 + 8 * DEFAULT_C1 * DEFAULT_C1 * float(v12))
 
 
 @dataclass(frozen=True)
@@ -386,13 +386,12 @@ def _tuple_profiles(n: int, s: int) -> tuple[tuple[tuple, int], ...]:
     return tuple(sorted(rows))
 
 
-def brute_force_trace_moment(spec: MomentSpec, s: int, max_n: int = 4):
-    """Oracle: sum E[a_{i0 i1} ... a_{i_{2s-1} i0}] over all n^(2s) index tuples."""
-    n = spec.n
-    if n > max_n:
-        raise ValueError(f"brute force oracle limited to n <= {max_n}")
+def brute_force_trace_moment(spec: MomentSpec, s: int):
+    """Oracle: sum E[a_{i0 i1} ... a_{i_{2s-1} i0}] over all n^(2s) index tuples, for n <= 4."""
+    if spec.n > 4:
+        raise ValueError("brute force oracle limited to n <= 4")
     total = 0
-    for profile, count in _tuple_profiles(n, s):
+    for profile, count in _tuple_profiles(spec.n, s):
         w = Fraction(1)
         for edge in profile:
             w = w * spec.edge_moment(*edge)
@@ -409,10 +408,10 @@ def trace_moment_formula_s2(spec: MomentSpec):
     return Fraction(v4) + 2 * (spec.n - 1) * Fraction(v2) ** 2
 
 
-def truncated_moments(trunc: TruncationSpec, n: int, max_order: int = 12) -> list:
-    """V-hat_{2m} = E[a^{2m}; |a| <= U_n] for 2m = 2, 4, ..., max_order."""
+def truncated_moments(trunc: TruncationSpec, n: int) -> list:
+    """V-hat_{2m} = E[a^{2m}; |a| <= U_n] for 2m = 2, 4, ..., 12."""
     cutoff = trunc.cutoff(n)
-    return [trunc.law.truncated_moment(order, cutoff) for order in range(2, max_order + 1, 2)]
+    return [trunc.law.truncated_moment(order, cutoff) for order in range(2, 13, 2)]
 
 
 @dataclass
@@ -421,12 +420,7 @@ class WeightBoundResult:
     lhs: object
     rhs: object
     nu_profile: dict[int, int]
-    precondition_ok: bool
-    note: str = ""
-
-    @property
-    def slack(self) -> float | None:
-        return float(self.rhs) / float(self.lhs) if float(self.lhs) else None
+    precondition_ok: bool  # False: the chain 1 <= V4 <= ... <= V12 fails, no bound is claimed
 
 
 def weight_bound_check(
@@ -456,7 +450,6 @@ def weight_bound_check(
             rhs=None,
             nu_profile=an.nu_profile(),
             precondition_ok=False,
-            note="moment chain 1 <= V4 <= ... <= V12 does not hold; bound not claimed",
         )
     lhs = Fraction(1)
     for (a, b), m in an.frame_passes.items():

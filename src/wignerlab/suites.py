@@ -13,6 +13,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 
 from . import classes as cls
 from . import dyck, moments, series
@@ -45,6 +46,7 @@ class SuiteResult:
 
 
 def _timed(fn):
+    @wraps(fn)
     def wrapper(*args, **kwargs) -> SuiteResult:
         t0 = time.perf_counter()
         res = fn(*args, **kwargs)
@@ -67,17 +69,17 @@ def _count_dyck_paths(k: int) -> int:
 
 
 @_timed
-def criterion_1_catalan(k_max: int = 12) -> SuiteResult:
+def criterion_1_catalan() -> SuiteResult:
     res = SuiteResult("1 catalan suite")
+    k_max = 12
     ok = all(
         dyck.catalan(k) == sum(dyck.catalan(j) * dyck.catalan(k - 1 - j) for j in range(k))
         for k in range(1, k_max + 1)
     )
     res.add("main recurrence", ok)
-    enum_max = min(k_max, 12)
     res.add(
         "enumeration counts",
-        all(_count_dyck_paths(k) == dyck.catalan(k) for k in range(enum_max + 1)),
+        all(_count_dyck_paths(k) == dyck.catalan(k) for k in range(k_max + 1)),
     )
     res.add(
         "root degree 2 equals t_(s-1)",
@@ -101,11 +103,11 @@ def criterion_1_catalan(k_max: int = 12) -> SuiteResult:
 
 
 @_timed
-def criterion_2_exit_degree_tail(s_max: int = 12) -> SuiteResult:
+def criterion_2_exit_degree_tail() -> SuiteResult:
     res = SuiteResult("2 exit-degree tail bound")
     worst = None
     ok = True
-    for s in range(2, s_max + 1):
+    for s in range(2, 13):
         for d in range(2, s + 1):
             exact_ge = dyck.count_trees_with_exit_degree_ge(s, d)
             exact_eq = dyck.count_trees_with_exit_degree_eq(s, d)
@@ -118,8 +120,9 @@ def criterion_2_exit_degree_tail(s_max: int = 12) -> SuiteResult:
 
 
 @_timed
-def criterion_3_genfun(order: int = 40, brute_s: int = 10, nm_s: int = 12) -> SuiteResult:
+def criterion_3_genfun() -> SuiteResult:
     res = SuiteResult("3 generating-function identities")
+    order, nm_s = 40, 12
     ids = series.check_catalan_identities(order)
     res.add("t phi^2 = phi - 1", ids["t_phi_sq"])
     res.add("t phi' = invsqrt - phi", ids["t_phi_prime"])
@@ -132,7 +135,7 @@ def criterion_3_genfun(order: int = 40, brute_s: int = 10, nm_s: int = 12) -> Su
     )
     res.add(
         "n2 closed form integral and matches brute force",
-        all(series.n2_count(s) == series.brute_force_same_cluster_pairs(s) for s in range(brute_s + 1)),
+        all(series.n2_count(s) == series.brute_force_same_cluster_pairs(s) for s in range(11)),
     )
     res.add(
         "n2 series matches counts",
@@ -215,14 +218,14 @@ def criterion_6_class_bounds(s_max: int = 5, k0: int = 4) -> SuiteResult:
 
 
 @_timed
-def criterion_7_moment_oracle(n_max: int = 4, s_max: int = 4) -> SuiteResult:
+def criterion_7_moment_oracle() -> SuiteResult:
     res = SuiteResult("7 trace-moment oracle equivalence")
     rad = RademacherLaw(Fraction(1, 2))
     gau = GaussianLaw(Fraction(1, 2))
     goe = GoeLaw(Fraction(1, 2))
     trunc = moments.TruncationSpec(ThreePointLaw(), delta=0.05)
     specs = []
-    for n in range(1, n_max + 1):
+    for n in range(1, 5):
         specs.append((f"wigner-rademacher n={n}", moments.wigner_spec(rad, n)))
         specs.append((f"wigner-gaussian n={n}", moments.wigner_spec(gau, n)))
         specs.append((f"goe n={n}", moments.wigner_spec(goe, n)))
@@ -232,7 +235,7 @@ def criterion_7_moment_oracle(n_max: int = 4, s_max: int = 4) -> SuiteResult:
     ok = True
     detail = ""
     for label, spec in specs:
-        for s in range(1, s_max + 1):
+        for s in range(1, 5):
             walk_sum = moments.exact_trace_moment(spec, s).total
             brute = moments.brute_force_trace_moment(spec, s)
             if walk_sum != brute:
@@ -244,7 +247,7 @@ def criterion_7_moment_oracle(n_max: int = 4, s_max: int = 4) -> SuiteResult:
         all(
             moments.exact_trace_moment(moments.wigner_spec(rad, 1), s).total
             == rad.moment(2 * s)
-            for s in range(1, s_max + 1)
+            for s in range(1, 5)
         ),
     )
     res.add(
@@ -300,16 +303,14 @@ def criterion_10_excursion() -> SuiteResult:
 
 
 @_timed
-def criterion_11_dilute(
-    s_list=(3, 4, 5), n_list=(40, 80), c_list=(5, 10, 20)
-) -> SuiteResult:
+def criterion_11_dilute() -> SuiteResult:
     res = SuiteResult("11 dilute lower bound")
     law = GaussianLaw(Fraction(1, 2))
     ok = True
     detail = ""
-    for s in s_list:
-        for n in n_list:
-            for c in c_list:
+    for s in (3, 4, 5):
+        for n in (40, 80):
+            for c in (5, 10, 20):
                 total = moments.exact_trace_moment(moments.dilute_spec(law, n, c), s).total
                 bound = moments.dilute_lower_bound(law, n, c, s)
                 if total < bound:

@@ -38,6 +38,7 @@ from wignerlab.suites import (
     criterion_5_worked_example,
     criterion_6_class_bounds,
     criterion_7_moment_oracle,
+    criterion_10_excursion,
     criterion_11_dilute,
 )
 
@@ -54,15 +55,15 @@ def _report(res):
 
 
 def test_criterion_01_catalan_suite():
-    _report(criterion_1_catalan(k_max=12))
+    _report(criterion_1_catalan())
 
 
 def test_criterion_02_exit_degree_tail():
-    _report(criterion_2_exit_degree_tail(s_max=12))
+    _report(criterion_2_exit_degree_tail())
 
 
 def test_criterion_03_genfun_identities():
-    _report(criterion_3_genfun(order=40, brute_s=10, nm_s=12))
+    _report(criterion_3_genfun())
 
 
 def test_criterion_04_walk_structure():
@@ -78,17 +79,17 @@ def test_criterion_06_class_bounds():
 
 
 def test_criterion_07_moment_oracle():
-    _report(criterion_7_moment_oracle(n_max=4, s_max=4))
+    _report(criterion_7_moment_oracle())
 
 
 @_timed
-def criterion_8_semicircle(s_list=(2, 3, 4)) -> SuiteResult:
+def criterion_8_semicircle() -> SuiteResult:
     res = SuiteResult("8 semicircle convergence")
     rad = RademacherLaw(Fraction(1, 2))
     v = Fraction(1, 2)
     ok = True
     detail = ""
-    for s in s_list:
+    for s in (2, 3, 4):
         err = {}
         for n in (100, 200):
             total = moments.exact_trace_moment(moments.wigner_spec(rad, n), s).total
@@ -107,7 +108,7 @@ def criterion_8_semicircle(s_list=(2, 3, 4)) -> SuiteResult:
 
 
 def test_criterion_08_semicircle_convergence():
-    _report(criterion_8_semicircle(s_list=(2, 3, 4)))
+    _report(criterion_8_semicircle())
 
 
 def test_criterion_09_mc_vs_exact():
@@ -176,29 +177,10 @@ def _excursion_max_expectation(g):
 
 def test_criterion_10_excursion_functional():
     t0 = time.perf_counter()
-    res = SuiteResult("10 excursion functional")
-    res.add(
-        "B_k(0) = 1 exactly",
-        all(dyck.excursion_functional(k, 0.0) == 1.0 for k in (1, 7, 50, 400)),
-    )
-    taus = (0.25, 0.5, 1.0, 2.0, 3.0)
-    res.add(
-        "strictly increasing in tau",
-        all(
-            dyck.excursion_functional(100, a) < dyck.excursion_functional(100, b)
-            for a, b in zip(taus, taus[1:])
-        ),
-    )
-    res.add(
-        "nondecreasing in k",
-        all(
-            dyck.excursion_functional(k1, 1.0) <= dyck.excursion_functional(k2, 1.0)
-            for k1, k2 in ((50, 100), (100, 200), (200, 400))
-        ),
-    )
-    ratio = dyck.mean_max_height(2000) / math.sqrt(2000)
-    rel = abs(ratio - math.sqrt(math.pi)) / math.sqrt(math.pi)
-    res.add("mean height ratio at k=2000 within 2% of sqrt(pi)", rel <= 0.02, f"rel {rel:.4f}")
+    res = criterion_10_excursion()
+    # the suite's literal stabilization rows give way to the offset-corrected ones below
+    res.checks = [row for row in res.checks if not row[0].startswith("stabilization at tau=")]
+    assert len(res.checks) == 4
 
     # H_k / sqrt(k) -> sqrt(2) M, so the limit of B_k(tau) is E exp(tau sqrt(2) M)
     mass = _excursion_max_expectation(lambda x: 1.0)
@@ -234,7 +216,7 @@ def test_criterion_10_excursion_functional():
 
 
 def test_criterion_11_dilute_lower_bound():
-    _report(criterion_11_dilute(s_list=(3, 4, 5), n_list=(40, 80), c_list=(5, 10, 20)))
+    _report(criterion_11_dilute())
 
 
 def test_criterion_12_tail_curve_sanity():

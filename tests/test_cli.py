@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import os
 import re
@@ -196,6 +197,27 @@ def test_class_bound_rows_keep_their_own_detail(monkeypatch):
     assert not ok and detail.startswith("s=2 MuSignature(")
 
 
+def test_criteria_take_only_the_verify_flags():
+    # the criteria run at the sizes they are stated for; only `verify --max-halfsteps`
+    # and `--k0` reach the walk suites, so a new size knob means editing this table
+    params = {
+        name: list(inspect.signature(getattr(suites, name)).parameters)
+        for name in dir(suites)
+        if name.startswith("criterion_")
+    }
+    assert params == {
+        "criterion_1_catalan": [],
+        "criterion_2_exit_degree_tail": [],
+        "criterion_3_genfun": [],
+        "criterion_4_walk_structure": ["s_max"],
+        "criterion_5_worked_example": [],
+        "criterion_6_class_bounds": ["s_max", "k0"],
+        "criterion_7_moment_oracle": [],
+        "criterion_10_excursion": [],
+        "criterion_11_dilute": [],
+    }
+
+
 def test_max_halfsteps_sets_the_walk_suites_depth(monkeypatch):
     # the walk ceiling (2s <= 14) is the only upper limit
     depths = {}
@@ -270,7 +292,7 @@ def test_report_subcommand(tmp_path):
     assert failing == ["stabilization at tau=2.0: |B400-B200| <= 0.05 B400"]
 
 
-def test_report_without_timestamp_is_byte_stable(tmp_path, monkeypatch):
+def test_report_without_timestamp_is_byte_stable(tmp_path, monkeypatch, capsys):
     elapsed = iter([0.25, 7.5])
 
     def fake_suites(**_kwargs):
@@ -284,6 +306,15 @@ def test_report_without_timestamp_is_byte_stable(tmp_path, monkeypatch):
         assert run(["report", "--out", str(out), "--no-timestamp"]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
     assert "elapsed_s" not in json.loads(outs[0].read_text())["suites"][0]
+    # without --out stdout is the JSON alone: the timed summary lines stay out
+    elapsed = iter([0.25, 7.5])
+    capsys.readouterr()
+    texts = []
+    for _ in range(2):
+        assert run(["report", "--no-timestamp"]) == 0
+        texts.append(capsys.readouterr().out)
+        assert json.loads(texts[-1])["suites"][0]["name"] == "fake"
+    assert texts[0] == texts[1]
     # with the timestamp the timings stay in the payload
     monkeypatch.setattr(cli, "run_verify_suites", lambda **_kwargs: [suites.SuiteResult("fake", elapsed=1.234)])
     out = tmp_path / "c.json"
@@ -424,6 +455,43 @@ def test_unread_output_flags_and_second_config_are_usage_errors(argv, tmp_path, 
     err_lines = captured.err.splitlines()
     assert [line for line in err_lines if "error:" in line] == err_lines[-1:]
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--n", "4", "--s", "2", "--gamma", "3"],
+        ["zparts", "--n", "4", "--s", "2", "--ensemble", "gaussian", "--gamma", "30"],
+        ["mc", "--n", "4", "--replicates", "10", "--gamma", "3"],
+        ["tail", "--n", "4", "--replicates", "100", "--gamma", "3"],
+        ["moments", "--n", "4", "--s", "2", "--delta", "0.2"],
+    ],
+)
+def test_unread_gamma_and_delta_are_usage_errors(argv, capsys):
+    # --gamma off power-tail and moments --delta without --truncate are read by
+    # nothing and would move only the fingerprint
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--no-timestamp"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert [line for line in err_lines if "error:" in line] == err_lines[-1:]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["moments", "--n", "4", "--s", "2", "--ensemble", "power-tail", "--gamma", "3", "--truncate"],
+        ["moments", "--n", "4", "--s", "2", "--truncate", "--delta", "0.1"],
+        ["zparts", "--n", "4", "--s", "2", "--delta", "0.2"],
+        # an explicit default cannot be told from an omitted flag
+        ["moments", "--n", "4", "--s", "2", "--gamma", "24", "--delta", "0.05"],
+    ],
+)
+def test_read_gamma_and_delta_still_run(argv, capsys):
+    assert run(argv + ["--no-timestamp"]) == 0
+    assert "fingerprint" in capsys.readouterr().out
 
 
 OUTPUT_FLAGS = {"--out", "--format", "--no-timestamp"}

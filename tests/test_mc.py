@@ -1,7 +1,11 @@
 import contextlib
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,6 +285,39 @@ def test_blas_pin_restores_once_when_holders_leave_out_of_order(two_blas_threads
     assert get() == 1
     second.__exit__(None, None, None)
     assert get() == 2
+
+
+def _fresh_python(script: str, **env_vars: str) -> str:
+    """stdout of `script` in a new interpreter with no OPENBLAS_THREAD_TIMEOUT of its own."""
+    src = str(Path(mc.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env={**env, **env_vars}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_import_sets_the_blas_spin_timeout_unless_the_caller_did():
+    script = "import os, wignerlab\nprint(os.environ['OPENBLAS_THREAD_TIMEOUT'])\n"
+    assert _fresh_python(script) == "20\n"
+    assert _fresh_python(script, OPENBLAS_THREAD_TIMEOUT="12") == "12\n"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs per-thread CPU times from /proc")
+def test_idle_blas_workers_burn_no_cpu_after_import():
+    # with OpenBLAS's default timeout its second thread spins about 0.1 s
+    # (10 clock ticks) through the imports; here it must sleep at once
+    script = (
+        "import os, time, wignerlab\n"
+        "time.sleep(0.2)\n"
+        "ticks = 0\n"
+        "for tid in os.listdir('/proc/self/task'):\n"
+        "    if tid != str(os.getpid()):\n"
+        "        stat = open(f'/proc/self/task/{tid}/stat').read().rsplit(')', 1)[1].split()\n"
+        "        ticks += int(stat[11]) + int(stat[12])\n"
+        "print(ticks)\n"
+    )
+    assert int(_fresh_python(script)) <= 2
 
 
 class _NoOpenBlas:

@@ -208,7 +208,7 @@ def test_default_constants():
 def test_truncated_moments_rademacher():
     tr = TruncationSpec(RademacherLaw(Fraction(1)), delta=0.05)
     for n in (10, 100):
-        vals = truncated_moments(tr, n, max_order=12)
+        vals = truncated_moments(tr, n)
         assert all(v == 1 for v in vals)
 
 
@@ -238,7 +238,7 @@ def test_truncated_moments_monotone_in_n():
     tr = TruncationSpec(law, delta=0.05, delta0=0.5)
     prev = None
     for n in (20, 80, 320, 1280):
-        vals = truncated_moments(tr, n, max_order=12)
+        vals = truncated_moments(tr, n)
         assert all(v <= law.moment(2 * (i + 1)) + 1e-12 for i, v in enumerate(vals))
         if prev is not None:
             assert all(b >= a - 1e-15 for a, b in zip(prev, vals))
