@@ -299,7 +299,7 @@ def cmd_mc(args) -> int:
             f"2s={2*s}: mean=" + ("n/a" if mean is None else f"{mean:.6g}") + ("" if z is None else f" z={z:+.2f}")
         )
     if args.out:
-        write_rows(args.out, stats.rows(), vars(args).copy(), args.format, args.no_timestamp)
+        write_rows(args.out, stats.rows(), vars(args).copy(), args.format or "csv", args.no_timestamp)
         summary_path = Path(args.out).with_suffix(".summary.json")
         write_json(str(summary_path), summary, vars(args).copy(), args.no_timestamp)
     else:
@@ -513,7 +513,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=20240229)
     _ensemble_flags(p)
     _common(p)
-    p.set_defaults(func=cmd_mc)
+    # no default: an explicit --format, which only --out reads, can then be refused
+    p.set_defaults(func=cmd_mc, format=None)
 
     p = sub.add_parser("tail", help="spectral-edge exceedance curve")
     p.add_argument("--n", type=int, required=True)
@@ -580,6 +581,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--gamma applies only to --ensemble power-tail")
     if args.command == "moments" and args.delta != _MOMENTS_DELTA and not args.truncate:
         parser.error("--delta applies only with --truncate")
+    if args.command == "mc" and args.format is not None and not args.out:
+        parser.error("--format applies only with --out")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -72,15 +72,21 @@ def test_tracer_suites_exist():
 
 
 def test_eigen_solve_is_looked_up_at_call_time(monkeypatch):
-    # the tracer times eigen-solves by rebinding numpy.linalg.eigvalsh
+    # the tracer times eigen-solves by rebinding names: mc._eigvalsh, and
+    # numpy.linalg.eigvalsh behind it for stacks it leaves to numpy
     calls = []
-    real = np.linalg.eigvalsh
+    real, real_numpy = mc._eigvalsh, np.linalg.eigvalsh
 
     def counting(matrix):
-        calls.append(matrix.shape)
+        calls.append(("mc", matrix.shape))
         return real(matrix)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    def counting_numpy(matrix):
+        calls.append(("numpy", matrix.shape))
+        return real_numpy(matrix)
+
+    monkeypatch.setattr(mc, "_eigvalsh", counting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_numpy)
     mc.sample_stats(mc.EnsembleConfig(n=3, law=RademacherLaw(Fraction(1, 2)), seed=1), 2)
-    # both draws go to one stacked solve
-    assert calls == [(2, 3, 3)]
+    # both draws go to one stacked solve, which n = 3 leaves to numpy
+    assert calls == [("mc", (2, 3, 3)), ("numpy", (2, 3, 3))]

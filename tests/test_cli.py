@@ -976,3 +976,23 @@ def test_malformed_tail_grid_is_usage_error(bad, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "argument --x: invalid rational value" in captured.err
+
+
+def test_mc_format_without_out_is_a_usage_error(tmp_path, capsys):
+    # without --out, mc prints its JSON summary alone and no --format is read
+    for fmt in ("csv", "json"):
+        with pytest.raises(SystemExit) as exc:
+            run(["mc", "--n", "5", "--replicates", "3", "--format", fmt, "--no-timestamp"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err_lines = captured.err.splitlines()
+        assert [line for line in err_lines if "error:" in line] == err_lines[-1:]
+        assert "--format" in err_lines[-1]
+    # with --out it picks the rows file's format; csv when omitted
+    for fmt, first in (("json", "{"), ("csv", "replicate,"), (None, "replicate,")):
+        out_file = tmp_path / f"mc-{fmt}.out"
+        argv = ["mc", "--n", "5", "--replicates", "3", "--out", str(out_file), "--no-timestamp"]
+        assert run(argv + (["--format", fmt] if fmt else [])) == 0
+        body = [line for line in out_file.read_text().splitlines() if not line.startswith("#")]
+        assert body[0].startswith(first)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -504,6 +505,174 @@ def test_stacked_solves_equal_single_solves(n):
                 assert stats.traces[s].tolist() == [st["traces"][s] for st in want], (cfg, replicates, s)
 
 
+def _edge_configs():
+    """n = 200, where draws are solved by dsyevd and spread over threads."""
+    pt = PowerTailLaw(v=1.0, gamma=24.0)
+    return [
+        EnsembleConfig(n=200, law=RAD, seed=90),
+        EnsembleConfig(n=200, law=GoeLaw(Fraction(1, 2)), seed=91),
+        EnsembleConfig(n=200, law=RademacherLaw(Fraction(1)), dilution_c=20, seed=92),
+        EnsembleConfig(n=200, law=pt, truncation=TruncationSpec(pt, delta=0.05), seed=93),
+    ]
+
+
+def _edge_outputs(cfg):
+    """sample_stats, tail_curve and universality_compare of one n = 200 config, as plain values."""
+    stats = sample_stats(cfg, 13, s_list=(1, 4))
+    curve = tail_curve(cfg, (-1.0, 0.0, 1.0), replicates=100, chebyshev_s=3)
+    uni = universality_compare(cfg, EnsembleConfig(n=200, law=RAD, seed=94), s=4, replicates=9)
+    return (
+        stats.lambda_max.tolist(),
+        {s: t.tolist() for s, t in stats.traces.items()},
+        stats.failed_replicates,
+        curve.rows(),
+        uni,
+    )
+
+
+@pytest.mark.parametrize("cfg", _edge_configs(), ids=["rademacher", "goe", "dilute", "truncated"])
+def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg):
+    _poisoned_spectral_stats(monkeypatch, cfg, [5])
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
+        runs[workers] = _edge_outputs(cfg)
+    assert runs[1][2] == [5] and runs[1][3][0]["replicates"] == 99
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+def _no_numpy(matrix):
+    raise AssertionError("the dsyevd route called np.linalg.eigvalsh")
+
+
+@pytest.fixture
+def dsyevd_everywhere(monkeypatch):
+    """Send every n through `_eigvalsh`'s dsyevd route, with numpy's eigvalsh barred."""
+    if mc._dsyevd() is None:
+        pytest.skip("numpy's linalg extension exports no dsyevd")
+    monkeypatch.setattr(mc, "_STACK_DOUBLES", 0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", _no_numpy)
+
+
+@pytest.mark.parametrize("n", [1, 2, 30, 129, 200])
+def test_dsyevd_route_equals_numpy(request, n):
+    stacks = [np.stack([sample_matrix(cfg, rep) for rep in range(3)]) for cfg in _trace_configs(n)]
+    # numpy reads the lower triangle alone; so must the dsyevd route
+    stacks.append(np.random.default_rng(n).standard_normal((2, n, n)))
+    want = [np.linalg.eigvalsh(stack) for stack in stacks]
+    request.getfixturevalue("dsyevd_everywhere")
+    for stack, eigs in zip(stacks, want):
+        assert np.array_equal(mc._eigvalsh(stack), eigs)
+        assert np.array_equal(mc._eigvalsh(stack[1]), eigs[1])
+
+
+@pytest.mark.parametrize("n", [3, 200])
+def test_dsyevd_route_raises_on_no_convergence(request, n):
+    stack = np.zeros((2, n, n))
+    stack[1] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        np.linalg.eigvalsh(stack)
+    request.getfixturevalue("dsyevd_everywhere")
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        mc._eigvalsh(stack)
+
+
+def test_eigvalsh_leaves_other_inputs_to_numpy():
+    # dsyevd takes float64 square matrices; numpy answers, or refuses, the rest
+    stack = np.stack([sample_matrix(_edge_configs()[0], rep) for rep in range(2)])
+    narrow = stack.astype(np.float32)
+    assert mc._eigvalsh(narrow).dtype == np.float32
+    assert np.array_equal(mc._eigvalsh(narrow), np.linalg.eigvalsh(narrow))
+    with pytest.raises(np.linalg.LinAlgError, match="square"):
+        mc._eigvalsh(stack[:, :, :199])
+
+
+@pytest.mark.parametrize("cdll", [_NoOpenBlas, _unloadable], ids=["no-symbols", "no-library"])
+def test_numpy_fallback_without_dsyevd(monkeypatch, cdll):
+    cfg = _edge_configs()[1]
+    want = _edge_outputs(cfg)
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda stack: calls.append(stack.shape) or real(stack))
+    mc._dsyevd.cache_clear()
+    monkeypatch.setattr(mc.ctypes, "CDLL", cdll)
+    try:
+        assert mc._dsyevd() is None
+        got = _edge_outputs(cfg)
+    finally:
+        mc._dsyevd.cache_clear()
+    assert got == want
+    assert calls.count((1, 200, 200)) == 13 + 100
+
+
+def test_import_starts_no_thread_and_loads_nothing_more():
+    script = (
+        "import sys, threading, wignerlab\n"
+        "print(threading.active_count(), 'scipy' in sys.modules, 'concurrent.futures' in sys.modules,\n"
+        "      wignerlab.mc._dsyevd.cache_info().currsize)\n"
+    )
+    assert _fresh_python(script) == "1 False False 0\n"
+
+
+def test_replicate_threads_are_joined(monkeypatch):
+    cfg = _edge_configs()[0]
+    want = sample_stats(cfg, 7, s_list=(2,))
+    before = threading.active_count()
+    # each thread's first stack waits until all three threads hold one
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 3)
+    meet = threading.Barrier(3, timeout=30)
+    idents = set()
+    real = mc.spectral_stats
+
+    def meeting(stack, s_list):
+        if threading.get_ident() not in idents:
+            idents.add(threading.get_ident())
+            meet.wait()
+        return real(stack, s_list)
+
+    monkeypatch.setattr(mc, "spectral_stats", meeting)
+    got = sample_stats(cfg, 7, s_list=(2,))
+    assert len(idents) == 3 and threading.get_ident() in idents
+    assert threading.active_count() == before
+    assert got.rows() == want.rows()
+
+
+def test_many_threads_on_a_short_switch_interval_lose_no_stack(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows:
+    # a stack taken twice or never would change the rows
+    cfg = EnsembleConfig(n=129, law=RAD, seed=95)
+    want = sample_stats(cfg, 40, s_list=(1,))
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = sample_stats(cfg, 40, s_list=(1,))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got.rows() == want.rows()
+
+
+def test_an_error_in_a_replicate_thread_reaches_the_caller(monkeypatch):
+    cfg = _edge_configs()[0]
+    before = threading.active_count()
+    worker_failed = threading.Event()
+    real = mc.spectral_stats
+
+    def failing(stack, s_list):
+        if threading.current_thread() is not threading.main_thread():
+            worker_failed.set()
+            raise ValueError("statistic failed in a worker")
+        worker_failed.wait(30)  # the caller's stack waits until a worker has failed
+        return real(stack, s_list)
+
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(mc, "spectral_stats", failing)
+    with pytest.raises(ValueError, match="in a worker"):
+        sample_stats(cfg, 6, s_list=(1,))
+    assert worker_failed.is_set()
+    assert threading.active_count() == before
+
+
 def test_rekeyed_streams_equal_new_generators():
     # one generator re-keyed across laws, configs and replicate orders draws
     # what a new Philox keyed by (seed, replicate) draws, bit for bit: the
@@ -617,21 +786,21 @@ def test_universality_reports_systematic_difference():
 
 def test_universality_reports_dropped_replicates(monkeypatch):
     real = mc.trace_powers
-    calls = []
+    a = EnsembleConfig(n=6, law=RAD, seed=1)
+    b = EnsembleConfig(n=6, law=RAD, seed=2)
+    bad = sample_matrix(a, 3)
 
     def flaky(mat, s_list):
-        calls.append(mat)
-        if len(calls) == 4:  # replicate 3 of the first ensemble
+        if np.array_equal(mat, bad):  # replicate 3 of the first ensemble
             raise np.linalg.LinAlgError("eigvalsh did not converge")
         return real(mat, s_list)
 
     monkeypatch.setattr(mc, "trace_powers", flaky)
-    a = EnsembleConfig(n=6, law=RAD, seed=1)
-    b = EnsembleConfig(n=6, law=RAD, seed=2)
     rep = universality_compare(a, b, s=2, replicates=10)
     assert rep["replicates"] == 9
     assert rep["failed_replicates_a"] == [3]
     assert rep["failed_replicates_b"] == []
+    monkeypatch.undo()
     clean = universality_compare(a, b, s=2, replicates=10)
     assert clean["replicates"] == 10
     assert clean["failed_replicates_a"] == clean["failed_replicates_b"] == []
