@@ -200,6 +200,8 @@ def cmd_enumerate(args) -> int:
     if args.s is None:
         args.s = 3
     params = vars(args).copy()
+    # walks are the default kind, so a run without --walks shares its fingerprint
+    params["walks"] = args.dyck is None
     if args.dyck is not None:
         paths = dyck.enumerate_dyck(args.dyck)
         rows = [{"index": i, "path": str(p), "max_height": p.max_height} for i, p in enumerate(paths)]

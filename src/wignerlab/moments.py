@@ -10,13 +10,16 @@ truncation, dilution and the matrix normalization), so one committed table
 of walk counts by shape serves every ensemble. Walks with the same edge
 profile share their weight, so `_binned` is one pass over the profiles:
 it sums count * n(n-1)...(n-|V|+1) as integers into bins (nu weight for the
-total, Z-part and nu weight for the census split) and multiplies each bin
-sum by the profile weight once. Rational specs give exact `Fraction`s; a
-float-valued spec is added in that grouping, so its last bits can differ
-from a walk-by-walk sum. A brute-force sum over all
-n^(2s) index tuples is kept alongside as the oracle: it tallies every index
-tuple by its edge profile once per (n, s), independently of the walk layer,
-and weights the tallies per ensemble.
+total, Z-part and nu weight for the census split) and adds each bin sum
+times the profile's integer weight numerator, scaled to one common
+denominator per call, the lcm of the profile denominators. Each bin is one
+exact `Fraction` at the end, so no fraction is reduced per profile. A
+float-valued spec has denominator 1, so it is multiplied and added in the
+order of a profile-by-profile float sum, whose last bits can differ from a
+walk-by-walk sum. A brute-force sum over all n^(2s) index tuples is kept
+alongside as the oracle, in plain Fraction arithmetic: it tallies every
+index tuple by its edge profile once per (n, s), independently of the walk
+layer, and weights the tallies per ensemble.
 """
 
 from __future__ import annotations
@@ -240,14 +243,19 @@ def _binned(spec: MomentSpec, s: int, bin_of) -> dict:
     """The exact walk sum at 2s steps, split into the bins bin_of(n_vertices, max_passes, max_exit_degree) picks.
 
     Within one edge profile every walk has the same weight, so the integer
-    sums of count * n(n-1)...(n-|V|+1) are formed per bin first and the
-    profile weight, a product of edge moments each computed once per call,
-    multiplies each of them once. A profile whose falling factorials or
+    sums of count * n(n-1)...(n-|V|+1) are formed per bin first. The
+    profile weight is the unreduced product of its edge moments'
+    numerators over the product of their denominators, each moment taken
+    once per call. Every bin then sums those integer sums times the weight
+    numerators, scaled to the lcm of the profile denominators, and becomes
+    one Fraction at the end. A float moment has denominator 1, so a
+    float-valued spec is multiplied and added in the same order as a
+    profile-by-profile float sum. A profile whose falling factorials or
     weight vanish opens no bin.
     """
     falling = [math.perm(spec.n, k) for k in range(s + 2)]
-    edge_moments: dict[tuple[int, bool], object] = {}
-    bins: dict = {}
+    ratios: dict[tuple[int, bool], tuple] = {}  # edge -> (numerator, denominator) of its moment
+    weighted = []  # (numerator, denominator, {bin: ways}) per profile of nonzero weight
     for profile, rows in _profile_rows(s):
         sums: dict = {}
         for nv, maxm, d, count in rows:
@@ -256,19 +264,25 @@ def _binned(spec: MomentSpec, s: int, bin_of) -> dict:
                 sums[key] = sums.get(key, 0) + count * falling[nv]
         if not sums:
             continue
-        w = Fraction(1)
+        num = den = 1
         for edge in profile:
-            m = edge_moments.get(edge)
-            if m is None:
-                m = edge_moments[edge] = spec.edge_moment(*edge)
-            w = w * m
-            if w == 0:
+            r = ratios.get(edge)
+            if r is None:
+                m = spec.edge_moment(*edge)
+                r = ratios[edge] = (m, 1) if isinstance(m, float) else (m.numerator, m.denominator)
+            num *= r[0]
+            if num == 0:
                 break
-        if w == 0:
-            continue
+            den *= r[1]
+        if num != 0:
+            weighted.append((num, den, sums))
+    lcm = math.lcm(*(den for _num, den, _sums in weighted))
+    bins: dict = {}
+    for num, den, sums in weighted:
+        scaled = num * (lcm // den)
         for key, ways in sums.items():
-            bins[key] = bins.get(key, 0) + w * ways
-    return bins
+            bins[key] = bins.get(key, 0) + scaled * ways
+    return {key: total / lcm if isinstance(total, float) else Fraction(total, lcm) for key, total in bins.items()}
 
 
 def exact_trace_moment(spec: MomentSpec, s: int) -> MomentResult:
@@ -387,7 +401,11 @@ def _tuple_profiles(n: int, s: int) -> tuple[tuple[tuple, int], ...]:
 
 
 def brute_force_trace_moment(spec: MomentSpec, s: int):
-    """Oracle: sum E[a_{i0 i1} ... a_{i_{2s-1} i0}] over all n^(2s) index tuples, for n <= 4."""
+    """Oracle: sum E[a_{i0 i1} ... a_{i_{2s-1} i0}] over all n^(2s) index tuples, for n <= 4.
+
+    It multiplies and adds Fraction by Fraction on purpose, so that it stays
+    independent of the common-denominator integer sums of `_binned`.
+    """
     if spec.n > 4:
         raise ValueError("brute force oracle limited to n <= 4")
     total = 0

@@ -394,6 +394,16 @@ def test_enumerate_fingerprint_keeps_default_s(flags, digest, capsys):
     assert f"# fingerprint: {digest}\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [[], ["--s", "2"], ["--no-loops", "--s", "2"]])
+def test_enumerate_walks_flag_keeps_the_fingerprint(flags, capsys):
+    # walks are the default kind: the same rows carry one fingerprint with or without --walks
+    outs = []
+    for kind in ([], ["--walks"]):
+        assert run(["enumerate", *kind, *flags, "--no-timestamp"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_enumerate_past_dyck_ceiling_fails(capsys):
     assert run(["enumerate", "--dyck", "15", "--no-timestamp"]) == 1
     captured = capsys.readouterr()

@@ -479,8 +479,33 @@ def test_z_decomposition_exercises_z2_and_z3():
     assert sum(strict.z_parts.values()) == strict.total
 
 
-def row_by_row_oracle(spec, s, delta=None, c0=None):
-    """(total, by_nu_weight, z_parts) with every shape row weighted and added on its own.
+def oracle_rows(spec, s):
+    """(count * weight * n(n-1)...(n-|V|+1), nu weight, max passes, max exit degree) per shape row.
+
+    Every row's weight is its own product of edge moments, each moment
+    computed once per call.
+    """
+    edge_moments = {}
+    rows = []
+    for profile, nv, maxm, d, count in _walk_shapes(s):
+        ff = math.perm(spec.n, nv)
+        if ff == 0:
+            continue
+        w = Fraction(1)
+        for edge in profile:
+            if edge not in edge_moments:
+                edge_moments[edge] = spec.edge_moment(*edge)
+            w = w * edge_moments[edge]
+            if w == 0:
+                break
+        if w == 0:
+            continue
+        rows.append((count * w * ff, s + 1 - nv, maxm, d))
+    return rows
+
+
+def row_by_row_oracle(spec, s, rows, delta=None, c0=None):
+    """(total, by_nu_weight, z_parts) with the oracle_rows of (spec, s) added one by one.
 
     z_parts is None without a delta; c0 None takes the default constant.
     """
@@ -489,19 +514,7 @@ def row_by_row_oracle(spec, s, delta=None, c0=None):
     total = 0
     by_weight = {}
     parts = {1: 0, 2: 0, 3: 0, 4: 0}
-    for profile, nv, maxm, d, count in _walk_shapes(s):
-        ff = math.perm(spec.n, nv)
-        if ff == 0:
-            continue
-        w = Fraction(1)
-        for edge in profile:
-            w = w * spec.edge_moment(*edge)
-            if w == 0:
-                break
-        if w == 0:
-            continue
-        contrib = count * w * ff
-        nu1 = s + 1 - nv
+    for contrib, nu1, maxm, d in rows:
         total = total + contrib
         by_weight[nu1] = by_weight.get(nu1, 0) + contrib
         if delta is not None:
@@ -517,10 +530,20 @@ def row_by_row_oracle(spec, s, delta=None, c0=None):
     return total, by_weight, parts if delta is not None else None
 
 
+#: negative even moments over coprime denominators, so that the profile
+#: denominators have an lcm above the largest of them
+COPRIME = CustomMomentLaw(
+    even_moments=tuple(Fraction(p, q) for p, q in ((-2, 3), (5, 7), (11, 13), (-3, 17), (19, 23), (1, 29), (31, 37)))
+)
+
+
 def binned_specs(n):
-    """The five benchmark ensembles and a dilute GOE, all rational, then two float-valued specs."""
+    """The five benchmark ensembles and a dilute GOE, all rational, then two float-valued specs.
+
+    At n = 10^6 a law with negative moments over coprime denominators joins them.
+    """
     c = max(1, math.isqrt(n))
-    return [
+    specs = [
         wigner_spec(RAD, n),
         wigner_spec(GAU, n),
         wigner_spec(GOE, n),
@@ -530,6 +553,7 @@ def binned_specs(n):
         truncated_spec(TruncationSpec(GAU, delta=0.05), n),
         truncated_spec(TruncationSpec(PowerTailLaw(), delta=0.05), n),
     ]
+    return specs + [wigner_spec(COPRIME, n)] if n == 10**6 else specs
 
 
 def same_sum(got, want) -> bool:
@@ -549,13 +573,15 @@ Z_CUTS = ((0.25, None), (0.05, 50.0), (0.95, 50.0), (0.5, 1e-9), (1.0, 50.0))
 
 @pytest.mark.parametrize("s", range(8))
 def test_binned_sum_matches_row_by_row_oracle(s):
-    for n in (1, 2, 3, 7, 200, 10**6):
+    # at n = 15 and 105 the gaussian double factorials cancel against n, so profile denominators differ
+    for n in (1, 2, 3, 7, 15, 105, 200, 10**6):
         for spec in binned_specs(n):
-            total, by_weight, _ = row_by_row_oracle(spec, s)
+            rows = oracle_rows(spec, s)
+            total, by_weight, _ = row_by_row_oracle(spec, s, rows)
             res = exact_trace_moment(spec, s)
             assert same_sum(res.total, total) and same_sum(res.by_nu_weight, by_weight), (n, spec.descriptor())
             for delta, c0 in Z_CUTS:
-                z_total, z_weight, z_parts = row_by_row_oracle(spec, s, delta, c0)
+                z_total, z_weight, z_parts = row_by_row_oracle(spec, s, rows, delta, c0)
                 z = z_decomposition(spec, s, delta, c0)
                 assert same_sum(z.total, z_total) and same_sum(z.by_nu_weight, z_weight)
                 assert same_sum(z.z_parts, z_parts), (n, delta, c0, spec.descriptor())
@@ -563,6 +589,85 @@ def test_binned_sum_matches_row_by_row_oracle(s):
         # the cuts do fill all four parts
         z = [z_decomposition(wigner_spec(RAD, 7), s, delta, c0).z_parts for delta, c0 in Z_CUTS]
         assert z[0][1] > 0 and z[1][3] > 0 and z[2][2] > 0 and z[3][4] > 0
+
+
+def float_pin_specs(n):
+    """The five float-valued ensembles whose bits the exact layer keeps."""
+    c = max(1, math.isqrt(n))
+    return {
+        "truncated-gaussian": truncated_spec(TruncationSpec(GAU, delta=0.05), n),
+        "truncated-goe": truncated_spec(TruncationSpec(GOE, delta=0.05), n),
+        "truncated-power-tail": truncated_spec(TruncationSpec(PowerTailLaw(), delta=0.05), n),
+        "power-tail": wigner_spec(PowerTailLaw(), n),
+        "dilute-power-tail": dilute_spec(PowerTailLaw(), n, c),
+    }
+
+
+#: (spec, n, s) -> float.hex() of the exact total and of Z1..Z4 at delta = 0.25
+#: under the default c0, as the profile-by-profile float sum gives them; an
+#: empty part is the integer 0
+FLOAT_BITS = {
+    ("truncated-gaussian", 7, 3): ("0x1.d9e444b5a77e6p-2", "0x1.1cbade8929659p-2", "0", "0x1.7a52cc58fc319p-3", "0"),
+    ("truncated-gaussian", 7, 6): ("0x1.0ab36e50e8be4p-2", "0x1.57766ff1b1a5bp-5", "0", "0x1.bf8940a565131p-3", "0"),
+    ("truncated-gaussian", 7, 7): ("0x1.0d94933d1517fp-2", "0x1.9110f3b61071ap-6", "0", "0x1.e90708036821dp-3", "0"),
+    ("truncated-gaussian", 200, 3): ("0x1.f28d0adbeefcdp+3", "0x1.e9b8705b59601p+3", "0x1.1a935012b397cp-2", "0", "0"),
+    ("truncated-gaussian", 200, 6): ("0x1.a0d1f1663b530p+2", "0x1.89fa0a2964c46p+2", "0x1.a10a7d83356b7p-3", "0x1.39f26a179c67bp-3", "0"),
+    ("truncated-gaussian", 200, 7): ("0x1.552972e9ed68fp+2", "0x1.3df79a260853ap+2", "0x1.6d155dd7d7c02p-3", "0x1.7925baa4caea6p-3", "0"),
+    ("truncated-gaussian", 1000000, 3): ("0x1.312d1c0001d5cp+16", "0x1.312c88000e6afp+16", "0", "0", "0x1.27ffe6d58d73ap-1"),
+    ("truncated-gaussian", 1000000, 6): ("0x1.f78b06804adbcp+14", "0x1.f7878b017a77fp+14", "0", "0", "0x1.bdbf6831e5b7ap-1"),
+    ("truncated-gaussian", 1000000, 7): ("0x1.99212d106efd5p+14", "0x1.991d654235cf4p+14", "0", "0", "0x1.e3e71c9705611p-1"),
+    ("truncated-goe", 7, 3): ("0x1.15c31ba4258d7p-1", "0x1.4bda167373d0ap-2", "0", "0x1.bf5841a9ae947p-3", "0"),
+    ("truncated-goe", 7, 6): ("0x1.6a5b30cea22a9p-2", "0x1.cc179ce287e8bp-5", "0", "0x1.30d83d32512d7p-2", "0"),
+    ("truncated-goe", 7, 7): ("0x1.7faa2c2c81a55p-2", "0x1.19ecafb686fb0p-5", "0", "0x1.5c6c9635b0c60p-2", "0"),
+    ("truncated-goe", 200, 3): ("0x1.f8f91eb7f31f1p+3", "0x1.effdf506f56a2p+3", "0x1.1f65361fb69e0p-2", "0", "0"),
+    ("truncated-goe", 200, 6): ("0x1.abad98fa32941p+2", "0x1.94122dbb2db5ep+2", "0x1.aa2b57c5ef711p-3", "0x1.4942101aac54dp-3", "0"),
+    ("truncated-goe", 200, 7): ("0x1.5f9281240c49bp+2", "0x1.477c16ae18217p+2", "0x1.75f75b9a5f522p-3", "0x1.8cd5f32425b48p-3", "0"),
+    ("truncated-goe", 1000000, 3): ("0x1.312d58000da17p+16", "0x1.312c88000e6afp+16", "0", "0", "0x1.9ffffe6d11ee8p-1"),
+    ("truncated-goe", 1000000, 6): ("0x1.f78bcc80d1ae6p+14", "0x1.f7878b017a77fp+14", "0", "0", "0x1.105fd5cd9d83cp+0"),
+    ("truncated-goe", 1000000, 7): ("0x1.9921e8c1142b2p+14", "0x1.991d654235cf4p+14", "0", "0", "0x1.20dfb796f7c1ep+0"),
+    ("truncated-power-tail", 7, 3): ("0x1.db7f9aa677fd1p+4", "0x1.80e60b46f5096p+4", "0", "0x1.6a663d7e0bceap+2", "0"),
+    ("truncated-power-tail", 7, 6): ("0x1.54f3f9014a635p+9", "0x1.39d10aba55fc3p+8", "0", "0x1.7016e7483eca5p+8", "0"),
+    ("truncated-power-tail", 7, 7): ("0x1.17f0a4cf5ceb6p+11", "0x1.952e9923fe169p+9", "0", "0x1.6549fd0cbacb8p+10", "0"),
+    ("truncated-power-tail", 200, 3): ("0x1.f18595b3222f7p+9", "0x1.ee807994240e2p+9", "0x1.828e0f7f10a97p+2", "0", "0"),
+    ("truncated-power-tail", 200, 6): ("0x1.997b38658f44ep+14", "0x1.91b51c700c812p+14", "0x1.1dd1edaa23184p+8", "0x1.a76a1f6d1bb2fp+7", "0"),
+    ("truncated-power-tail", 200, 7): ("0x1.4d22536fe7154p+16", "0x1.454217af985e9p+16", "0x1.f4d6fad8bd647p+9", "0x1.fb46e54e9df23p+9", "0"),
+    ("truncated-power-tail", 1000000, 3): ("0x1.312cec3332f03p+22", "0x1.312c88000e6afp+22", "0", "0", "0x1.90cc9214f6295p+4"),
+    ("truncated-power-tail", 1000000, 6): ("0x1.f78a1007fbfa5p+26", "0x1.f7878b017a77fp+26", "0", "0", "0x1.428340c1306a8p+11"),
+    ("truncated-power-tail", 1000000, 7): ("0x1.992033daeca79p+28", "0x1.991d654235cf4p+28", "0", "0", "0x1.674c5b6c26d6fp+13"),
+    ("power-tail", 7, 3): ("0x1.df29ecc76f010p+4", "0x1.83eb1a1f58d0ep+4", "0", "0x1.6cfb4aa058c07p+2", "0"),
+    ("power-tail", 7, 6): ("0x1.5a2d1dc245135p+9", "0x1.3ec29202f4781p+8", "0", "0x1.7597a98195ae9p+8", "0"),
+    ("power-tail", 7, 7): ("0x1.1cf0568cab09fp+11", "0x1.9ca365c24b441p+9", "0", "0x1.6b8efa383071bp+10", "0"),
+    ("power-tail", 200, 3): ("0x1.f185c481b1485p+9", "0x1.ee80a7ef9db24p+9", "0x1.828e4909cb00bp+2", "0", "0"),
+    ("power-tail", 200, 6): ("0x1.997b859ac70f5p+14", "0x1.91b567c1188e6p+14", "0x1.1dd23313b23d9p+8", "0x1.a76a86afdbfefp+7", "0"),
+    ("power-tail", 200, 7): ("0x1.4d229cbf7523fp+16", "0x1.45425ed5324bfp+16", "0x1.f4d7842918439p+9", "0x1.fb4770f853ad0p+9", "0"),
+    ("power-tail", 1000000, 3): ("0x1.312cec3332f03p+22", "0x1.312c88000e6afp+22", "0", "0", "0x1.90cc9214f629cp+4"),
+    ("power-tail", 1000000, 6): ("0x1.f78a1007fbfa5p+26", "0x1.f7878b017a77fp+26", "0", "0", "0x1.428340c1306adp+11"),
+    ("power-tail", 1000000, 7): ("0x1.992033daeca79p+28", "0x1.991d654235cf4p+28", "0", "0", "0x1.674c5b6c26d73p+13"),
+    ("dilute-power-tail", 7, 3): ("0x1.6be8a079c6984p+5", "0x1.83eb1a1f58d0ep+4", "0", "0x1.53e626d4345fbp+4", "0"),
+    ("dilute-power-tail", 7, 6): ("0x1.544361bfc4986p+11", "0x1.3ec29202f4781p+8", "0", "0x1.2c6b0f7f66096p+11", "0"),
+    ("dilute-power-tail", 7, 7): ("0x1.9787166a857c9p+13", "0x1.9ca365c24b441p+9", "0", "0x1.7dbce00e60c86p+13", "0"),
+    ("dilute-power-tail", 200, 3): ("0x1.0d10edbbe074cp+10", "0x1.ee80a7ef9db24p+9", "0x1.5d099c4119ba3p+6", "0", "0"),
+    ("dilute-power-tail", 200, 6): ("0x1.05c6a4e25efafp+15", "0x1.91b567c1188e6p+14", "0x1.0f6660c7420a9p+12", "0x1.aff24e8ea726ep+11", "0"),
+    ("dilute-power-tail", 200, 7): ("0x1.c4ee1f7b24d21p+16", "0x1.45425ed5324bfp+16", "0x1.e377d0a6835ecp+13", "0x1.0cf31a448868dp+14", "0"),
+    ("dilute-power-tail", 1000000, 3): ("0x1.318b60188ec83p+22", "0x1.312c88000e6afp+22", "0", "0", "0x1.7b60620174bfdp+12"),
+    ("dilute-power-tail", 1000000, 6): ("0x1.f971ae44ee31fp+26", "0x1.f7878b017a77fp+26", "0", "0", "0x1.ea234373b9fcep+18"),
+    ("dilute-power-tail", 1000000, 7): ("0x1.9b0d7b14f16e0p+28", "0x1.991d654235cf4p+28", "0", "0", "0x1.f015d2bb9ec3bp+20"),
+}
+
+
+def hex_or_repr(x) -> str:
+    return x.hex() if isinstance(x, float) else repr(x)
+
+
+@pytest.mark.parametrize("name", sorted(float_pin_specs(1)))
+def test_float_specs_keep_their_bits(name):
+    for n in (7, 200, 10**6):
+        spec = float_pin_specs(n)[name]
+        for s in (3, 6, 7):
+            total = exact_trace_moment(spec, s).total
+            parts = z_decomposition(spec, s, 0.25).z_parts
+            got = tuple(hex_or_repr(x) for x in (total, *(parts[i] for i in (1, 2, 3, 4))))
+            assert got == FLOAT_BITS[name, n, s], (n, s)
 
 
 def test_import_builds_no_shape_table():
