@@ -40,6 +40,7 @@ from .classes import (
     mu_bound,
     psi_bound,
     ss_bound,
+    weight_bound_check,
 )
 from .series import Series, catalan_gf, n2_count, n2_series, nm_count
 from .laws import GaussianLaw, GoeLaw, PowerTailLaw, RademacherLaw, ThreePointLaw
@@ -52,7 +53,6 @@ from .moments import (
     semicircle_moment,
     truncated_moments,
     truncated_spec,
-    weight_bound_check,
     wigner_spec,
     z_decomposition,
 )

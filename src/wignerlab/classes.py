@@ -5,8 +5,9 @@ self-intersection profile (nu classes, with open/simple-double refinements)
 or the last-marked-passage profile (mu classes, with p-edges, double
 mu-edges and layered q-edges). Each class carries a closed-form counting
 bound; exhaustive enumeration provides the exact cardinalities the bounds
-are checked against. All bounds are exact rationals so comparisons never
-suffer rounding.
+are checked against. Beside the class bounds sits the coloring-argument
+bound on one walk's weight under a truncated ensemble. All bounds are exact
+rationals so comparisons never suffer rounding.
 
 The census is the one loop over the even walks of 2s steps: it streams them
 from the walk search, analyzes each once, and from that analysis tallies the
@@ -22,6 +23,7 @@ from functools import lru_cache
 
 from .dyck import DyckPath
 from .errors import BoundPreconditionError
+from .moments import MomentSpec
 from .walks import ROOT, Walk, WalkAnalysis, _even_walk_dfs, analyze, check_walk_lemmas
 
 
@@ -67,14 +69,13 @@ def _sparse(profile: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((k, c) for k, c in profile.items() if c))
 
 
-def classify_nu(walk: Walk, analysis: WalkAnalysis | None = None) -> NuSignature:
+def classify_nu(an: WalkAnalysis) -> NuSignature:
     """Self-intersection signature of a walk.
 
     r counts simple self-intersections whose closing arrival is open; p counts
     the remaining simple ones whose two arrivals ride the same oriented edge
     (the same-orientation double edges). Open wins when both apply.
     """
-    an = analysis or analyze(walk)
     r = 0
     p = 0
     for v, kappa in an.kappa_nu.items():
@@ -85,7 +86,7 @@ def classify_nu(walk: Walk, analysis: WalkAnalysis | None = None) -> NuSignature
         if closing is not None and closing in an.open_by_vertex[v]:
             r += 1
         elif v != ROOT and len(arrivals) == 2:
-            lab = walk.labels
+            lab = an.walk.labels
             if lab[arrivals[0] - 1] == lab[arrivals[1] - 1]:
                 p += 1
     theta = tuple(an.theta.steps) if an.theta is not None else None
@@ -105,7 +106,7 @@ def classify_nu(walk: Walk, analysis: WalkAnalysis | None = None) -> NuSignature
     )
 
 
-def classify_mu(walk: Walk, analysis: WalkAnalysis | None = None) -> MuSignature:
+def classify_mu(an: WalkAnalysis) -> MuSignature:
     """Modified signature built on the mu-structure.
 
     r here counts only the open simple nu-intersections realized as double
@@ -113,7 +114,6 @@ def classify_mu(walk: Walk, analysis: WalkAnalysis | None = None) -> MuSignature
     a p-edge is charged to the p-window instead, which is what the counting
     bound's (mu_2 - r)! factor requires.
     """
-    an = analysis or analyze(walk)
     r = 0
     for v, kappa in an.kappa_nu.items():
         if kappa != 2 or an.kappa_mu[v] != 2:
@@ -259,6 +259,56 @@ def upsilon_mu(sig: MuSignature, k0: int) -> int:
     return out
 
 
+@dataclass
+class WeightBoundResult:
+    passed: bool
+    lhs: object
+    rhs: object
+    nu_profile: dict[int, int]
+    precondition_ok: bool  # False: the chain 1 <= V4 <= ... <= V12 fails, no bound is claimed
+
+
+def weight_bound_check(an: WalkAnalysis, spec: MomentSpec) -> WeightBoundResult:
+    """Coloring-argument bound on the unscaled walk weight.
+
+    Checks  prod_edges Vhat_(passes) <= v^(2s) * prod_k (4 V12 (2 U_n)^(2(k-2)))^(nu_k)
+    where nu_k is the walk's self-intersection profile. The bound is claimed
+    under the moment hypotheses v^2 <= 1 <= V4 <= V6 <= ... <= V12; outside
+    them the check refuses rather than reporting a meaningless verdict.
+    """
+    if spec.truncation is None:
+        raise BoundPreconditionError("weight bound is about truncated specs")
+    s = an.s
+    cutoff = spec.truncation.cutoff(spec.n)
+    v2 = Fraction(spec.law.moment(2))
+    chain = [Fraction(spec.entry_moment(2 * m)) for m in range(2, 7)]
+    precondition_ok = v2 <= 1 <= chain[0] and all(
+        chain[i] <= chain[i + 1] for i in range(len(chain) - 1)
+    )
+    if not precondition_ok:
+        return WeightBoundResult(
+            passed=False,
+            lhs=None,
+            rhs=None,
+            nu_profile=an.nu_profile(),
+            precondition_ok=False,
+        )
+    lhs = Fraction(1)
+    for (a, b), m in an.frame_passes.items():
+        lhs *= Fraction(spec.entry_moment(m, a == b))
+    v12 = chain[-1]
+    rhs = v2**s
+    for k, c in an.nu_profile().items():
+        rhs *= (4 * v12 * Fraction(2 * cutoff) ** (2 * (k - 2))) ** c
+    return WeightBoundResult(
+        passed=lhs <= rhs,
+        lhs=lhs,
+        rhs=rhs,
+        nu_profile=an.nu_profile(),
+        precondition_ok=True,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Exhaustive census.
 
@@ -290,11 +340,10 @@ def _census(s: int) -> tuple[dict[NuSignature, int], dict[MuSignature, int], dic
     failures: dict[str, int] = {}
 
     def leaf(labels, *_):
-        walk = Walk(tuple(labels))
-        an = analyze(walk)
-        sig_nu = classify_nu(walk, an)
+        an = analyze(Walk(tuple(labels)))
+        sig_nu = classify_nu(an)
         nu[sig_nu] = nu.get(sig_nu, 0) + 1
-        sig_mu = classify_mu(walk, an)
+        sig_mu = classify_mu(an)
         mu[sig_mu] = mu.get(sig_mu, 0) + 1
         for label, held in check_walk_lemmas(an).items():
             failures[label] = failures.get(label, 0) + (not held)

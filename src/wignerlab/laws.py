@@ -40,6 +40,9 @@ class RademacherLaw:
             return Fraction(0)
         return Fraction(self.v) ** order
 
+    def abs_moment(self, order: float) -> float:
+        return float(self.v) ** order
+
     def truncated_moment(self, order: int, cutoff: float) -> Fraction:
         if order % 2:
             return Fraction(0)
@@ -68,11 +71,17 @@ class GaussianLaw:
         m = order // 2
         return Fraction(self.v) ** order * _double_factorial_odd(m)
 
+    def abs_moment(self, order: float) -> float:
+        """E|a|^order = v^order 2^(order/2) Gamma((order+1)/2) / sqrt(pi)."""
+        return float(self.v) ** order * 2 ** (order / 2) * math.gamma((order + 1) / 2) / math.sqrt(math.pi)
+
     def truncated_moment(self, order: int, cutoff: float) -> float:
         """E[a^order; |a| <= cutoff] by the two-sided integration-by-parts recursion."""
         if order % 2:
             return 0.0
         sigma = float(self.v)
+        if sigma == 0:  # a point mass at 0
+            return 1.0 if order == 0 else 0.0
         u = cutoff / sigma
         phi_u = math.exp(-0.5 * u * u) / math.sqrt(2 * math.pi)
         val = math.erf(u / math.sqrt(2))  # E[1_{|Z|<=u}]
@@ -131,6 +140,8 @@ class PowerTailLaw:
         if cutoff <= self.x0:
             return 0.0
         g, p = self.gamma, order
+        if p == g:  # the limit p -> g of the general form
+            return g * self.x0**g * math.log(cutoff / self.x0)
         return g * self.x0**p / (g - p) * (1 - (self.x0 / cutoff) ** (g - p))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -171,6 +182,9 @@ class ThreePointLaw:
         if order % 2:
             return Fraction(0)
         return 2 * self.q * Fraction(self.spike) ** order
+
+    def abs_moment(self, order: float) -> float:
+        return 2 * float(self.q) * float(self.spike) ** order
 
     def truncated_moment(self, order: int, cutoff: float) -> Fraction:
         if order % 2:

@@ -36,9 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from .dyck import catalan
-from .errors import BoundPreconditionError, EnumerationCeilingError
+from .errors import EnumerationCeilingError
 from .laws import GoeLaw
-from .walks import WALK_ENUMERATION_CEILING, Walk, WalkAnalysis, analyze
 
 #: C1 = sup over k >= 2 of 2k / (k!)^(1/k); the supremum is the k -> infinity
 #: limit 2e (the sequence increases to it, not attaining it).
@@ -196,8 +195,8 @@ class MomentResult:
         return out
 
 
-#: Even walks counted by shape for every s within the walk ceiling, one
-#: (s, profile, n_vertices, max_passes, max_exit_degree, count) row per shape.
+#: Even walks counted by shape for s = 0 up to its last s, the reach of the exact
+#: layer, one (s, profile, n_vertices, max_passes, max_exit_degree, count) row per shape.
 SHAPE_TABLE = Path(__file__).parent / "tables" / "walk_shapes.csv"
 
 
@@ -210,12 +209,11 @@ def _walk_shapes(s: int) -> tuple[tuple[tuple, int, int, int, int], ...]:
     for any ensemble, so thousands of walks collapse to a few hundred rows.
     The counts depend on neither n nor the law, so they are read from the
     committed `SHAPE_TABLE`, whose profile cell lists the pass counts with
-    an L marking a loop. The tests rebuild every row from the walk search.
+    an L marking a loop. An s with no rows is refused with the table's last
+    s as the ceiling. The tests rebuild every row from the walk search.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    if 2 * s > WALK_ENUMERATION_CEILING:
-        raise EnumerationCeilingError("walk-shape table", 2 * s, WALK_ENUMERATION_CEILING)
     prefix = f"{s},"
     rows = []
     with SHAPE_TABLE.open() as fh:
@@ -224,6 +222,8 @@ def _walk_shapes(s: int) -> tuple[tuple[tuple, int, int, int, int], ...]:
                 _s, profile, nv, maxm, d, count = line.split(",")
                 edges = tuple((int(tok.rstrip("L")), tok.endswith("L")) for tok in profile.split())
                 rows.append((edges, int(nv), int(maxm), int(d), int(count)))
+    if not rows:  # the table is sorted by s, so its last line holds the last s
+        raise EnumerationCeilingError("walk-shape table", 2 * s, 2 * int(line.split(",", 1)[0]))
     return tuple(rows)
 
 
@@ -430,59 +430,6 @@ def truncated_moments(trunc: TruncationSpec, n: int) -> list:
     """V-hat_{2m} = E[a^{2m}; |a| <= U_n] for 2m = 2, 4, ..., 12."""
     cutoff = trunc.cutoff(n)
     return [trunc.law.truncated_moment(order, cutoff) for order in range(2, 13, 2)]
-
-
-@dataclass
-class WeightBoundResult:
-    passed: bool
-    lhs: object
-    rhs: object
-    nu_profile: dict[int, int]
-    precondition_ok: bool  # False: the chain 1 <= V4 <= ... <= V12 fails, no bound is claimed
-
-
-def weight_bound_check(
-    walk: Walk, spec: MomentSpec, analysis: WalkAnalysis | None = None
-) -> WeightBoundResult:
-    """Coloring-argument bound on the unscaled walk weight.
-
-    Checks  prod_edges Vhat_(passes) <= v^(2s) * prod_k (4 V12 (2 U_n)^(2(k-2)))^(nu_k)
-    where nu_k is the walk's self-intersection profile. The bound is claimed
-    under the moment hypotheses v^2 <= 1 <= V4 <= V6 <= ... <= V12; outside
-    them the check refuses rather than reporting a meaningless verdict.
-    """
-    if spec.truncation is None:
-        raise BoundPreconditionError("weight bound is about truncated specs")
-    an = analysis or analyze(walk)
-    s = walk.s
-    cutoff = spec.truncation.cutoff(spec.n)
-    v2 = Fraction(spec.law.moment(2))
-    chain = [Fraction(spec.entry_moment(2 * m)) for m in range(2, 7)]
-    precondition_ok = v2 <= 1 <= chain[0] and all(
-        chain[i] <= chain[i + 1] for i in range(len(chain) - 1)
-    )
-    if not precondition_ok:
-        return WeightBoundResult(
-            passed=False,
-            lhs=None,
-            rhs=None,
-            nu_profile=an.nu_profile(),
-            precondition_ok=False,
-        )
-    lhs = Fraction(1)
-    for (a, b), m in an.frame_passes.items():
-        lhs *= Fraction(spec.entry_moment(m, a == b))
-    v12 = chain[-1]
-    rhs = v2**s
-    for k, c in an.nu_profile().items():
-        rhs *= (4 * v12 * Fraction(2 * cutoff) ** (2 * (k - 2))) ** c
-    return WeightBoundResult(
-        passed=lhs <= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        nu_profile=an.nu_profile(),
-        precondition_ok=True,
-    )
 
 
 def dilute_lower_bound(law, n: int, c: int, s: int):

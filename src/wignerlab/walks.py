@@ -383,7 +383,7 @@ def is_tree_structure(walk: Walk) -> bool:
 # Structural verifications.
 
 
-def verify_vertex_ledger(walk: Walk, analysis: WalkAnalysis | None = None) -> bool:
+def verify_vertex_ledger(an: WalkAnalysis) -> bool:
     """Whether the per-vertex in/out ledger and open-edge bounds hold.
 
     For every vertex: the number of non-marked exit steps equals the number of
@@ -391,9 +391,8 @@ def verify_vertex_ledger(walk: Walk, analysis: WalkAnalysis | None = None) -> bo
     of open attached frame edges is at most min(2 * kappa_nu, kappa_mu + exit
     degree), with the root's +1 conventions on both kappas.
     """
-    an = analysis or analyze(walk)
-    lab = walk.labels
-    nonmarked_exits = [0] * (walk.n_vertices + 1)
+    lab = an.walk.labels
+    nonmarked_exits = [0] * (an.walk.n_vertices + 1)
     pq_arrivals = nonmarked_exits.copy()
     for tail, marked in zip(lab, an.marked):
         if not marked:
@@ -413,12 +412,11 @@ def verify_vertex_ledger(walk: Walk, analysis: WalkAnalysis | None = None) -> bo
     return True
 
 
-def verify_exit_degree_tree_link(walk: Walk, analysis: WalkAnalysis | None = None) -> bool:
+def verify_exit_degree_tree_link(an: WalkAnalysis) -> bool:
     """Whether each vertex's exit cluster splits into at most 2 kappa + L
     groups, every group living inside one exit cluster of the underlying tree;
     hence the tree has a vertex of exit degree at least
     deg_e(beta) / (2 kappa(beta) + L)."""
-    an = analysis or analyze(walk)
     if an.theta is None:
         return True
     tree_max = max(exit_degree_profile(an.theta.steps))
@@ -426,9 +424,8 @@ def verify_exit_degree_tree_link(walk: Walk, analysis: WalkAnalysis | None = Non
     return all(d <= tree_max * (2 * an.kappa_nu[v] + L) for v, d in an.exit_degree.items())
 
 
-def verify_cell_bounds(walk: Walk, analysis: WalkAnalysis | None = None) -> bool:
+def verify_cell_bounds(an: WalkAnalysis) -> bool:
     """Whether the imported-cell bounds J <= remote BTS + kappa and Psi <= 2 kappa + L hold."""
-    an = analysis or analyze(walk)
     L = an.bts_total
     # BTS instants at each vertex, counted once: bts_remote(v) = L - heads[v]
     heads = Counter(an.walk.labels[t] for t in an.bts_instants)
@@ -457,13 +454,13 @@ def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
         "mu/p/q partition of marked steps": len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
         "BTS instants are open self-intersections": set(an.bts_instants) <= set(an.open_instants),
         "walk projects to a Dyck path": an.theta is not None and an.theta.k == s,
-        "vertex in/out ledger and open-edge bounds": verify_vertex_ledger(walk, an),
-        "imported-cell count bounds": verify_cell_bounds(walk, an),
+        "vertex in/out ledger and open-edge bounds": verify_vertex_ledger(an),
+        "imported-cell count bounds": verify_cell_bounds(an),
         "cells bound holds for unfiltered reduced arrivals too": all(
             len(an.reduced_nonmarked_arrivals[v]) <= an.bts_total - heads[v] + an.kappa_nu[v]
             for v in an.vertices
         ),
-        "exit clusters fit the cell bound on the underlying tree": verify_exit_degree_tree_link(walk, an),
+        "exit clusters fit the cell bound on the underlying tree": verify_exit_degree_tree_link(an),
     }
 
 

@@ -1,5 +1,8 @@
+import ast
+import inspect
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from wignerlab.classes import (
     nu_domination_report,
     psi_bound,
     ss_bound,
+    weight_bound_check,
 )
 from wignerlab.errors import BoundPreconditionError
 from wignerlab.walks import (
@@ -31,6 +35,23 @@ from wignerlab.walks import (
 )
 
 W14 = Walk((1, 2, 3, 4, 3, 5, 2, 3, 4, 3, 2, 5, 3, 2, 1))
+
+
+def test_walk_checks_take_one_analysis():
+    # each check reads the walk as an.walk, so no walk can meet the analysis of another
+    checks = (verify_vertex_ledger, verify_cell_bounds, verify_exit_degree_tree_link, classify_nu, classify_mu)
+    assert {check.__name__: list(inspect.signature(check).parameters) for check in checks} == {
+        check.__name__: ["an"] for check in checks
+    }
+    assert list(inspect.signature(weight_bound_check).parameters) == ["an", "spec"]
+    src = Path(classes.__file__).parent
+    takes_analysis = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and "analysis" in [arg.arg for arg in node.args.args]
+    ]
+    assert not takes_analysis
 
 
 def test_psi_examples():
@@ -54,19 +75,19 @@ def test_psi_infeasible_raises():
 
 
 def test_classify_examples():
-    sig = classify_nu(Walk((1, 2, 2, 1)))
+    sig = classify_nu(analyze(Walk((1, 2, 2, 1))))
     assert sig.nu == ((2, 1),) and sig.r == 1 and sig.p == 0
 
-    sig14 = classify_nu(W14)
+    sig14 = classify_nu(analyze(W14))
     assert sig14.nu == ((2, 1), (3, 1))
     assert sig14.r == 0 and sig14.p == 1  # the double edge 3->4 is same-oriented
 
-    mu14 = classify_mu(W14)
+    mu14 = classify_mu(analyze(W14))
     assert mu14.mu == ((1, 4), (3, 1))
     assert mu14.p_count == 1 and mu14.double_mu == 1 and mu14.q_counts == ()
     assert mu14.r == 0
 
-    tree = classify_nu(Walk((1, 2, 3, 2, 1)))
+    tree = classify_nu(analyze(Walk((1, 2, 3, 2, 1))))
     assert tree.nu == () and tree.r == 0 and tree.p == 0
 
 
@@ -147,7 +168,7 @@ def test_exact_class_size_examples():
     sig_bad = NuSignature(theta=None, nu=((2, 3),), r=0, p=0, d=4)
     assert exact_class_size(4, sig_bad) == 0
     # the worked walk's mu class is realized (witness membership)
-    mu14 = classify_mu(W14)
+    mu14 = classify_mu(analyze(W14))
     assert mu14.mu == ((1, 4), (3, 1))  # nonempty class by witness
 
 
@@ -157,9 +178,10 @@ def test_exact_class_size_examples():
 def oracle_census(s):
     nu, mu = {}, {}
     for walk in enumerate_even_walks(s):
-        sig = classify_nu(walk)
+        an = analyze(walk)
+        sig = classify_nu(an)
         nu[sig] = nu.get(sig, 0) + 1
-        sig = classify_mu(walk)
+        sig = classify_mu(an)
         mu[sig] = mu.get(sig, 0) + 1
     return nu, mu
 
@@ -168,7 +190,7 @@ def oracle_class_size(s, signature):
     total = 0
     for walk in enumerate_even_walks(s):
         if isinstance(signature, NuSignature):
-            sig = classify_nu(walk)
+            sig = classify_nu(analyze(walk))
             if (
                 (signature.theta is None or sig.theta == signature.theta)
                 and sig.nu == signature.nu
@@ -178,7 +200,7 @@ def oracle_class_size(s, signature):
             ):
                 total += 1
         else:
-            sig = classify_mu(walk)
+            sig = classify_mu(analyze(walk))
             if (
                 (signature.theta is None or sig.theta == signature.theta)
                 and sig.mu == signature.mu
@@ -223,10 +245,10 @@ def oracle_lemma_failures(s):
             len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
             set(an.bts_instants) <= set(an.open_instants),
             an.theta is not None and an.theta.k == s,
-            verify_vertex_ledger(w, an),
-            verify_cell_bounds(w, an),
+            verify_vertex_ledger(an),
+            verify_cell_bounds(an),
             all(len(an.reduced_nonmarked_arrivals[v]) <= an.bts_remote(v) + an.kappa_nu[v] for v in an.vertices),
-            verify_exit_degree_tree_link(w, an),
+            verify_exit_degree_tree_link(an),
         ]
         for label, ok in zip(failures, held):
             failures[label] += not ok
@@ -255,7 +277,7 @@ def test_exact_class_size_matches_oracle():
     samples = [
         NuSignature(theta=None, nu=(), r=0, p=0, d=4),
         NuSignature(theta=None, nu=((2, 3),), r=0, p=0, d=4),
-        classify_mu(enumerate_even_walks(s)[-1]),
+        classify_mu(analyze(enumerate_even_walks(s)[-1])),
     ]
     for sig in nu_sigs:
         # wildcard theta, a tighter exit-degree cap, and root fields ignored
@@ -277,7 +299,7 @@ def test_exact_class_size_matches_oracle():
 
 def test_census_analyzes_each_walk_once(monkeypatch):
     s = 4
-    mu_sig = classify_mu(enumerate_even_walks(s)[-1])
+    mu_sig = classify_mu(analyze(enumerate_even_walks(s)[-1]))
     analyzed = []
     real = classes.analyze
     monkeypatch.setattr(classes, "analyze", lambda walk: analyzed.append(walk) or real(walk))

@@ -12,9 +12,10 @@ from pathlib import Path
 import pytest
 
 from wignerlab import classes as cls
-from wignerlab import cli, suites, walks
+from wignerlab import cli, moments, suites, walks
 from wignerlab.cli import main
-from wignerlab.laws import GaussianLaw
+from wignerlab.errors import EnumerationCeilingError
+from wignerlab.laws import GaussianLaw, RademacherLaw
 from wignerlab.mc import EnsembleConfig
 from wignerlab.moments import TruncationSpec
 
@@ -178,8 +179,8 @@ def test_verify_analyzes_each_walk_once(fresh_census, monkeypatch):
 def test_failing_lemma_turns_suite_and_classify_red(fresh_census, monkeypatch, capsys):
     real = walks.verify_cell_bounds
 
-    def broken(walk, analysis=None):
-        return real(walk, analysis) and walk.labels != (1, 2, 1, 2, 1)
+    def broken(an):
+        return real(an) and an.walk.labels != (1, 2, 1, 2, 1)
 
     monkeypatch.setattr(walks, "verify_cell_bounds", broken)
     res = suites.criterion_4_walk_structure(s_max=2)
@@ -363,6 +364,54 @@ def test_moments_beyond_shape_ceiling(capsys):
     code = run(["moments", "--n", "10", "--s", "8", "--no-timestamp"])
     assert code == 1
     assert "enumeration ceiling 14" in capsys.readouterr().err
+
+
+def _clear_shape_caches():
+    moments._walk_shapes.cache_clear()
+    moments._profile_rows.cache_clear()
+
+
+@pytest.fixture
+def fresh_shapes():
+    yield
+    _clear_shape_caches()
+
+
+def test_exact_reach_is_the_shape_tables_last_s(fresh_shapes, tmp_path, monkeypatch, capsys):
+    # a table cut to s <= 3 refuses s = 4 by its own last s instead of summing no rows to 0
+    spec = moments.wigner_spec(RademacherLaw(Fraction(1)), 10)
+    full = [moments.exact_trace_moment(spec, s).total for s in range(4)]
+    short = tmp_path / "walk_shapes.csv"
+    with moments.SHAPE_TABLE.open() as fh:
+        short.write_text("".join(line for line in fh if line.split(",", 1)[0] in {"s", "0", "1", "2", "3"}))
+    monkeypatch.setattr(moments, "SHAPE_TABLE", short)
+    _clear_shape_caches()
+    assert [moments.exact_trace_moment(spec, s).total for s in range(4)] == full
+    with pytest.raises(EnumerationCeilingError, match="requested size 8 exceeds enumeration ceiling 6$"):
+        moments.exact_trace_moment(spec, 4)
+    with pytest.raises(EnumerationCeilingError, match="enumeration ceiling 6$"):
+        moments.z_decomposition(spec, 4, delta=0.05)
+    assert run(["mc", "--n", "10", "--s", "4", "--replicates", "20", "--seed", "1", "--no-timestamp"]) == 0
+    out = capsys.readouterr().out
+    traces = json.loads(out[out.index("{") :])["traces"]
+    assert [("exact" in entry, "z" in entry) for entry in traces.values()] == [(True, True)] * 3 + [(False, False)]
+    line8 = out.splitlines()[3]
+    assert line8.startswith("2s=8: mean=") and "z=" not in line8
+
+
+def test_truncated_power_tail_at_order_gamma(capsys):
+    # s = 2 needs the 4th truncated moment, which at gamma = 4 is the logarithmic limit
+    argv = ["moments", "--n", "50", "--s", "2", "--ensemble", "power-tail", "--gamma", "4", "--truncate"]
+    code = run(argv + ["--no-timestamp"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0].endswith("(float)")
+
+
+@pytest.mark.parametrize("ensemble", ["gaussian", "goe"])
+def test_truncated_gaussian_at_zero_scale(ensemble, capsys):
+    code = run(["moments", "--n", "20", "--s", "3", "--ensemble", ensemble, "--v", "0", "--truncate", "--no-timestamp"])
+    assert code == 0
+    assert capsys.readouterr().out.startswith("E Tr A^6 = 0.0 ")
 
 
 def test_enumerate_past_walk_ceiling_fails_at_once(capsys, monkeypatch):

@@ -89,3 +89,24 @@ def test_no_test_only_names():
         if name not in read and not (name.startswith("__") and name.endswith("__"))
     ]
     assert not unread, f"names only the tests read: {unread}"
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Every module an import names, with each `from` import's names appended to its module."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            out.add(base)
+            out.update(f"{base}.{alias.name}" for alias in node.names)
+    return out
+
+
+@pytest.mark.parametrize("name", ["moments.py", "mc.py"])
+def test_ensemble_layers_import_no_walk_layer(name):
+    # the ensembles meet the walk combinatorics only through the committed shape table
+    tree = ast.parse((ROOT / "src" / "wignerlab" / name).read_text())
+    parts = {part for module in _imported_modules(tree) for part in module.split(".")}
+    assert not parts & {"walks", "classes"}, f"{name} imports {sorted(parts & {'walks', 'classes'})}"

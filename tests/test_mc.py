@@ -834,6 +834,20 @@ def test_truncation_event_rate_power_tail():
     assert rates[200] < rates[50]
 
 
+@pytest.mark.parametrize(
+    "law",
+    [RAD, GaussianLaw(Fraction(1)), GoeLaw(Fraction(1)), ThreePointLaw(), PowerTailLaw(v=1.0, gamma=24.0)],
+    ids=lambda law: law.name,
+)
+def test_truncation_event_rate_union_bound_for_every_law(law):
+    # the E|a|^(12 + 2 delta0) hypothesis is law-free, so every law gives its union bound
+    cfg = EnsembleConfig(n=20, law=law, truncation=TruncationSpec(law, delta=0.05, delta0=0.5), seed=8)
+    out = truncation_event_rate(cfg, 5)
+    cutoff = out["cutoff"]
+    assert out["moment_order"] == 13.0
+    assert out["union_bound"] == 20**2 * law.abs_moment(13.0) / cutoff**13.0 > 0
+
+
 @pytest.mark.parametrize("replicates", [0, 1])
 def test_spreads_need_two_replicates(replicates):
     # below two filled replicates a spread is None, never NaN

@@ -16,6 +16,7 @@ import pytest
 from scipy import integrate
 
 from wignerlab import moments
+from wignerlab.classes import weight_bound_check
 from wignerlab.laws import (
     GaussianLaw,
     GoeLaw,
@@ -36,7 +37,6 @@ from wignerlab.moments import (
     trace_moment_formula_s2,
     truncated_moments,
     truncated_spec,
-    weight_bound_check,
     wigner_spec,
     _tuple_profiles,
     _walk_shapes,
@@ -260,6 +260,37 @@ def test_power_tail_moment_condition():
         law.abs_moment(25)
 
 
+def test_truncated_power_tail_at_order_gamma_is_the_limit():
+    # at p = gamma the moment is g x0^g ln(U / x0), between its values at gamma -+ 1e-6
+    at = PowerTailLaw(v=1.0, gamma=4.0).truncated_moment(4, 2.0)
+    below = PowerTailLaw(v=1.0, gamma=4.0 - 1e-6).truncated_moment(4, 2.0)
+    above = PowerTailLaw(v=1.0, gamma=4.0 + 1e-6).truncated_moment(4, 2.0)
+    assert at == pytest.approx(4 * 0.5**2 * math.log(2 / math.sqrt(0.5)), rel=1e-15)
+    assert round(at, 7) == 1.0397208 and min(below, above) < at < max(below, above)
+
+
+@pytest.mark.parametrize("law", [GaussianLaw(Fraction(0)), GoeLaw(Fraction(0))], ids=lambda law: law.name)
+def test_truncated_gaussian_at_zero_scale_is_a_point_mass(law):
+    assert [law.truncated_moment(order, 1.5) for order in range(5)] == [1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        RademacherLaw(Fraction(1, 2)),
+        GaussianLaw(Fraction(3, 2)),
+        GoeLaw(Fraction(1, 3)),
+        ThreePointLaw(),
+        PowerTailLaw(v=1.0, gamma=24.0),
+    ],
+    ids=lambda law: law.name,
+)
+def test_abs_moment_is_the_moment_at_even_orders(law):
+    for order in range(0, 15, 2):
+        assert law.abs_moment(order) == pytest.approx(float(law.moment(order)), rel=1e-12, abs=0)
+    assert 0 < law.abs_moment(13) < math.inf
+
+
 def test_weight_bound_exhaustive_hypothesis_laws():
     # n = 1000 keeps the truncation level above the three-point spikes, so the
     # truncated moment chain 1 <= V4 <= ... <= V12 is intact
@@ -267,7 +298,7 @@ def test_weight_bound_exhaustive_hypothesis_laws():
         spec = truncated_spec(TruncationSpec(law, delta=0.05), 1000)
         for s in range(1, 5):
             for walk in enumerate_even_walks(s):
-                res = weight_bound_check(walk, spec)
+                res = weight_bound_check(analyze(walk), spec)
                 assert res.precondition_ok
                 assert res.passed, (law.name, walk)
 
@@ -276,7 +307,7 @@ def test_weight_bound_tree_walks_tight():
     spec = truncated_spec(TruncationSpec(ThreePointLaw(), delta=0.05), 1000)
     from wignerlab.walks import Walk
 
-    res = weight_bound_check(Walk((1, 2, 3, 2, 1)), spec)
+    res = weight_bound_check(analyze(Walk((1, 2, 3, 2, 1))), spec)
     assert res.passed and res.nu_profile == {}
     assert res.lhs <= Fraction(1, 4) ** 2  # v^(2s) with v^2 = 1/4
 
@@ -285,7 +316,7 @@ def test_weight_bound_refuses_outside_hypotheses():
     # Rademacher at v = 1/2 has V4 = 1/16 < 1: the moment chain fails and the
     # bound is not claimed there (it would in fact be violated)
     spec = truncated_spec(TruncationSpec(RademacherLaw(Fraction(1, 2)), delta=0.05), 100)
-    res = weight_bound_check(enumerate_even_walks(2)[0], spec)
+    res = weight_bound_check(analyze(enumerate_even_walks(2)[0]), spec)
     assert not res.precondition_ok
 
 

@@ -197,14 +197,14 @@ def test_structure_checks_exhaustive():
     for s in range(5):
         for w in enumerate_even_walks(s):
             an = analyze(w)
-            assert verify_vertex_ledger(w, an)
-            assert verify_cell_bounds(w, an)
-            assert verify_exit_degree_tree_link(w, an)
+            assert verify_vertex_ledger(an)
+            assert verify_cell_bounds(an)
+            assert verify_exit_degree_tree_link(an)
 
 
 def test_vertex_ledger_content():
     an = analyze(W14)
-    assert verify_vertex_ledger(W14, an)
+    assert verify_vertex_ledger(an)
     lab = W14.labels
     nonmarked_exits = sum(1 for t, m in enumerate(an.marked) if not m and lab[t] == 4)
     assert nonmarked_exits == 2 == len(an.marked_arrivals[4])
@@ -215,7 +215,7 @@ def test_vertex_ledger_content():
 
 def test_cell_bounds_w14_numbers():
     an = analyze(W14)
-    assert verify_cell_bounds(W14, an)
+    assert verify_cell_bounds(an)
     assert len(an.imported_cells[3]) == 1
     assert an.bts_remote(3) == 2
     assert an.kappa_nu[3] == 1
@@ -225,18 +225,18 @@ def test_lemma_predicates_fail_when_a_bound_breaks():
     # W14 sits on several bounds: vertex 3 has 2 open attached edges against
     # min(2 kappa_nu, kappa_mu + deg_e) = 2, and tree_max = 3 with L = 2
     an = analyze(W14)
-    assert verify_lemma_checks(W14, an)
+    assert verify_lemma_checks(an)
     open_edges = replace(an, max_open_attached={**an.max_open_attached, 3: 3})
-    assert not verify_vertex_ledger(W14, open_edges)
+    assert not verify_vertex_ledger(open_edges)
     # vertex 2: J = 4 > remote 0 + kappa 3, while Psi = 3 + 4 <= 2 * 3 + 2
     imported = replace(an, imported_cells={**an.imported_cells, 2: (1, 6, 10, 12)})
-    assert not verify_cell_bounds(W14, imported)
+    assert not verify_cell_bounds(imported)
     # the root: Psi = 5 > 2 * 1 + 2, while J = 0 <= remote 2 + kappa 1
     primary = replace(an, primary_cells={**an.primary_cells, 1: (1, 2, 3, 4, 5)})
-    assert not verify_cell_bounds(W14, primary)
+    assert not verify_cell_bounds(primary)
     # vertex 3: deg_e = 13 > tree_max 3 * (2 kappa 1 + L 2)
     exits = replace(an, exit_degree={**an.exit_degree, 3: 13})
-    assert not verify_exit_degree_tree_link(W14, exits)
+    assert not verify_exit_degree_tree_link(exits)
     # both BTS instants sit at vertex 2, so its remote count is 0 and vertex 3's is 2:
     # unfiltered reduced arrivals at 2 may reach 0 + kappa 3, at 3 may reach 2 + kappa 1
     unfiltered = "cells bound holds for unfiltered reduced arrivals too"
@@ -271,13 +271,13 @@ def test_open_simple_intersection_realized_on_a_p_edge():
     assert an.marked_arrivals[3] == (2, 8)
     assert 8 in an.open_by_vertex[3]
     assert an.p_count == 1
-    assert verify_lemma_checks(w, an)
+    assert verify_lemma_checks(an)
 
     from wignerlab.classes import classify_mu, classify_nu
 
-    nu_sig = classify_nu(w, an)
+    nu_sig = classify_nu(an)
     assert nu_sig.r == 1  # open simple in the nu classification
-    mu_sig = classify_mu(w, an)
+    mu_sig = classify_mu(an)
     assert mu_sig.r == 0  # but not a double-mu window
     assert mu_sig.mu == ((1, 4), (3, 1))
 
@@ -288,14 +288,14 @@ def test_double_mu_edge_walk():
     assert w.is_even()
     an = analyze(w)
     assert an.double_mu_count == 1
-    assert verify_lemma_checks(w, an)
+    assert verify_lemma_checks(an)
 
 
-def verify_lemma_checks(w, an):
+def verify_lemma_checks(an):
     return (
-        verify_vertex_ledger(w, an)
-        and verify_cell_bounds(w, an)
-        and verify_exit_degree_tree_link(w, an)
+        verify_vertex_ledger(an)
+        and verify_cell_bounds(an)
+        and verify_exit_degree_tree_link(an)
     )
 
 
@@ -389,8 +389,8 @@ def test_random_trajectory_walk_invariants(body):
         assert an.kappa_mu[v] <= an.kappa_nu[v]
     if walk.is_even():
         assert sum(an.marked) * 2 == n_steps
-        assert verify_vertex_ledger(walk, an)
-        assert verify_cell_bounds(walk, an)
+        assert verify_vertex_ledger(an)
+        assert verify_cell_bounds(an)
 
 
 def analyze_oracle(walk: Walk) -> WalkAnalysis:
