@@ -7,7 +7,9 @@ mu-edges and layered q-edges). Each class carries a closed-form counting
 bound; exhaustive enumeration provides the exact cardinalities the bounds
 are checked against. Beside the class bounds sits the coloring-argument
 bound on one walk's weight under a truncated ensemble. All bounds are exact
-rationals so comparisons never suffer rounding.
+rationals so comparisons never suffer rounding; a class bound multiplies its
+integer numerators and denominators and becomes one `Fraction` at the end,
+so no fraction is reduced factor by factor.
 
 The census is the one loop over the even walks of 2s steps: it streams them
 from the walk search, analyzes each once, and from that analysis tallies the
@@ -194,18 +196,19 @@ def ss_bound(s: int, sig: NuSignature, h_theta: int) -> Fraction:
     plain = nu.get(2, 0) - r_nonroot - sig.p
     if plain < 0 or r_nonroot < 0:
         raise BoundPreconditionError("r + p exceeds nu_2")
-    out = Fraction(s**2, 2) ** plain / math.factorial(plain)
-    out *= Fraction(6 * s * h_theta) ** r_nonroot / math.factorial(r_nonroot)
-    out *= Fraction(s * sig.d) ** sig.p / math.factorial(sig.p)
+    num = s ** (2 * plain) * (6 * s * h_theta) ** r_nonroot * (s * sig.d) ** sig.p
+    den = 2**plain * math.factorial(plain) * math.factorial(r_nonroot) * math.factorial(sig.p)
     for k, c in nu.items():
         if k >= 3:
-            out *= Fraction(s**k * upsilon_nu(k), math.factorial(k)) ** c / math.factorial(c)
+            num *= (s**k * upsilon_nu(k)) ** c
+            den *= math.factorial(k) ** c * math.factorial(c)
     n_root = sig.root_kappa - 1
     if n_root == 1:
-        out *= Fraction(6 * h_theta) if sig.root_open else Fraction(s)
+        num *= 6 * h_theta if sig.root_open else s
     elif n_root >= 2:
-        out *= Fraction(s**n_root, math.factorial(n_root)) * upsilon_nu(n_root + 1)
-    return out
+        num *= s**n_root * upsilon_nu(n_root + 1)
+        den *= math.factorial(n_root)
+    return Fraction(num, den)
 
 
 def mu_bound(s: int, sig: MuSignature, k0: int) -> Fraction:
@@ -216,7 +219,7 @@ def mu_bound(s: int, sig: MuSignature, k0: int) -> Fraction:
     """
     mu = sig.mu_dict()
     mu_weight = sum((m - 1) * c for m, c in mu.items() if m >= 2)
-    if Fraction(mu_weight) > Fraction(s - 1, 6):
+    if 6 * mu_weight > s - 1:
         raise BoundPreconditionError(
             f"|mu|_1 = {mu_weight} exceeds (s-1)/6 = {Fraction(s-1,6)}"
         )
@@ -230,21 +233,22 @@ def mu_bound(s: int, sig: MuSignature, k0: int) -> Fraction:
     if plain < 0:
         raise BoundPreconditionError("r exceeds mu_2")
     d = sig.d
-    out = Fraction(s**2, 2) ** plain / math.factorial(plain)
-    out *= Fraction(2 * s * h) ** sig.r / math.factorial(sig.r)
+    pp, ppp = sig.p_count, sig.double_mu
+    num = s ** (2 * plain) * (2 * s * h) ** sig.r * (s * d) ** pp * (mu_weight * d) ** ppp
+    den = 2**plain * math.factorial(plain) * math.factorial(sig.r) * math.factorial(pp)
+    den *= s**ppp * math.factorial(ppp)
     for m, c in mu.items():
         if 3 <= m <= k0:
-            out *= Fraction(s**m, math.factorial(m)) ** c / math.factorial(c)
-    pp, ppp = sig.p_count, sig.double_mu
-    out *= Fraction(s * d) ** pp / math.factorial(pp)
-    out *= Fraction(mu_weight * d, s) ** ppp / math.factorial(ppp)
-    q = sig.q_counts
-    if q:
-        out *= Fraction((pp + ppp) * d) ** q[0] / math.factorial(q[0])
-        for j in range(1, len(q)):
-            out *= Fraction(q[j - 1] * d) ** q[j] / math.factorial(q[j])
-    out *= upsilon_mu(sig, k0)
-    return out
+            num *= s ** (m * c)
+            den *= math.factorial(m) ** c * math.factorial(c)
+    # the first q-layer's factor takes the p- and double mu-edge count, each later one the layer before
+    prev = pp + ppp
+    for qj in sig.q_counts:
+        num *= (prev * d) ** qj
+        den *= math.factorial(qj)
+        prev = qj
+    num *= upsilon_mu(sig, k0)
+    return Fraction(num, den)
 
 
 def upsilon_mu(sig: MuSignature, k0: int) -> int:

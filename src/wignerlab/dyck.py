@@ -7,9 +7,10 @@ Dyck path (computed from the exact height distribution, never by sampling).
 
 Root-degree and exit-degree counts are closed forms (ballot numbers and
 Lagrange inversion), so they have no enumeration ceiling. `_dyck_dfs` is the
-one walk over paths and serves as their test oracle: it hands each path's
-live step list to a leaf, so the oracles count without building paths, and
-`enumerate_dyck` is the leaf that keeps them.
+one walk over paths and serves as their test oracle: it meets in the middle,
+joining each first half to the second halves that close it, and hands each
+path's step tuple to a leaf, so the oracles count without building paths,
+and `enumerate_dyck` is the leaf that keeps them.
 
 All counts are arbitrary-precision integers; bounds that must be compared
 against exact counts are returned as `Fraction`.
@@ -91,10 +92,15 @@ class PlaneTree:
 
 
 def _dyck_dfs(k: int, leaf) -> None:
-    """Depth-first search over the Dyck paths of half-length k.
+    """Search over the Dyck paths of half-length k, met in the middle.
 
-    Calls leaf(steps) once per path, lexicographic with up-steps first. steps
-    is the live list of +-1 steps: a leaf must copy what it keeps.
+    Calls leaf(steps) once per path, lexicographic with up-steps first, with
+    steps a tuple of +-1 steps. A path is a first half, a ballot prefix of k
+    steps, followed by a second half, k steps from the first half's end
+    height h down to 0 that never dip below 0. The second halves are the
+    ballot prefixes ending at h, reversed and negated; they are listed once
+    per call, grouped by h. A depth-first search over the first halves then
+    joins each one to every second half in seconds[h].
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -102,26 +108,33 @@ def _dyck_dfs(k: int, leaf) -> None:
         raise EnumerationCeilingError("enumerate_dyck", k, DYCK_ENUMERATION_CEILING)
     steps: list[int] = []
 
-    def rec(ups: int, downs: int) -> None:
-        if ups == k and downs == k:
-            leaf(steps)
+    def ballot(h: int, visit) -> None:
+        # visit(prefix, end height) for each ballot prefix of k steps extending steps, up-steps first
+        if len(steps) == k:
+            visit(tuple(steps), h)
             return
-        if ups < k:
-            steps.append(1)
-            rec(ups + 1, downs)
-            steps.pop()
-        if downs < ups:
-            steps.append(-1)
-            rec(ups, downs + 1)
-            steps.pop()
+        for st in (1, -1):
+            if h + st >= 0:
+                steps.append(st)
+                ballot(h + st, visit)
+                steps.pop()
 
-    rec(0, 0)
+    seconds: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
+    ballot(0, lambda first, h: seconds[h].append(tuple(-st for st in reversed(first))))
+    for halves in seconds:
+        halves.sort(reverse=True)  # +1 > -1: up-steps first
+
+    def join(first: tuple[int, ...], h: int) -> None:
+        for second in seconds[h]:
+            leaf(first + second)
+
+    ballot(0, join)
 
 
 def enumerate_dyck(k: int) -> list[DyckPath]:
     """All Dyck paths of half-length k, lexicographic with up-steps first."""
     paths: list[DyckPath] = []
-    _dyck_dfs(k, lambda steps: paths.append(DyckPath(tuple(steps))))
+    _dyck_dfs(k, lambda steps: paths.append(DyckPath(steps)))
     return paths
 
 

@@ -181,15 +181,23 @@ class ThreePointLaw:
     def moment(self, order: int) -> Fraction:
         if order % 2:
             return Fraction(0)
+        if order == 0:  # the atom at 0 carries mass 1 - 2q
+            return Fraction(1)
         return 2 * self.q * Fraction(self.spike) ** order
 
     def abs_moment(self, order: float) -> float:
+        if order == 0:
+            return 1.0
         return 2 * float(self.q) * float(self.spike) ** order
 
     def truncated_moment(self, order: int, cutoff: float) -> Fraction:
+        """E[a^order; |a| <= cutoff], so order 0 gives the kept mass."""
         if order % 2:
             return Fraction(0)
-        return self.moment(order) if Fraction(self.spike) <= Fraction(cutoff) else Fraction(0)
+        kept = Fraction(self.spike) <= Fraction(cutoff)
+        if order == 0:  # the atom at 0 always lies inside the cutoff
+            return Fraction(1) if kept else 1 - 2 * Fraction(self.q)
+        return self.moment(order) if kept else Fraction(0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         u = rng.random(size)

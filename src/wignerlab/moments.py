@@ -285,11 +285,19 @@ def _binned(spec: MomentSpec, s: int, bin_of) -> dict:
     return {key: total / lcm if isinstance(total, float) else Fraction(total, lcm) for key, total in bins.items()}
 
 
+def _total(spec: MomentSpec, bins: dict):
+    """The sum of the bins. With no bin open it is 0, or 0.0 for a float-valued
+    spec, so that a zero total keeps the spec's exact or float label."""
+    if bins:
+        return sum(bins.values())
+    return 0.0 if isinstance(spec.edge_moment(2), float) else 0
+
+
 def exact_trace_moment(spec: MomentSpec, s: int) -> MomentResult:
     """E Tr A^(2s) as the exact weighted walk sum, binned by nu weight s + 1 - |V|."""
     by_weight = _binned(spec, s, lambda nv, _maxm, _d: s + 1 - nv)
     return MomentResult(
-        n=spec.n, s=s, total=sum(by_weight.values()), by_nu_weight=by_weight, descriptor=spec.descriptor()
+        n=spec.n, s=s, total=_total(spec, by_weight), by_nu_weight=by_weight, descriptor=spec.descriptor()
     )
 
 
@@ -329,7 +337,7 @@ def z_decomposition(
     return MomentResult(
         n=n,
         s=s,
-        total=sum(by_weight.values()),
+        total=_total(spec, by_weight),
         by_nu_weight=by_weight,
         z_parts=parts,
         c0=c0,

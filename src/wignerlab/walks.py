@@ -11,7 +11,6 @@ point, instants of broken tree structure, and primary/imported cells.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 from .dyck import DyckPath, exit_degree_profile
@@ -132,16 +131,24 @@ class WalkAnalysis:
     max_open_attached: dict[int, int]
 
     @property
-    def vertices(self) -> list[int]:
-        return list(range(1, self.walk.n_vertices + 1))
+    def vertices(self) -> range:
+        return range(1, self.walk.n_vertices + 1)
 
     @property
     def bts_total(self) -> int:
         return len(self.bts_instants)
 
-    def bts_remote(self, beta: int) -> int:
+    @property
+    def bts_heads(self) -> list[int]:
+        """bts_heads[v] = number of BTS instants at vertex v, indexed by label."""
         lab = self.walk.labels
-        return sum(1 for t in self.bts_instants if lab[t] != beta)
+        heads = [0] * (self.walk.n_vertices + 1)
+        for t in self.bts_instants:
+            heads[lab[t]] += 1
+        return heads
+
+    def bts_remote(self, beta: int) -> int:
+        return self.bts_total - self.bts_heads[beta]
 
     def nu_profile(self) -> dict[int, int]:
         """nu_k = number of vertices of self-intersection degree k, k >= 2."""
@@ -402,12 +409,14 @@ def verify_vertex_ledger(an: WalkAnalysis) -> bool:
     for layer in an.q_layers:
         for t in layer:
             pq_arrivals[lab[t]] += 1
-    for v in an.vertices:
-        arrivals = len(an.marked_arrivals[v])
-        mu_part = an.kappa_mu[v] - (1 if v == ROOT else 0)
-        if nonmarked_exits[v] != arrivals or mu_part + pq_arrivals[v] != arrivals:
+    kappa_nu, kappa_mu = an.kappa_nu, an.kappa_mu
+    exit_degree, max_open = an.exit_degree, an.max_open_attached
+    for v, arrivals in an.marked_arrivals.items():
+        count = len(arrivals)
+        mu_part = kappa_mu[v] - (1 if v == ROOT else 0)
+        if nonmarked_exits[v] != count or mu_part + pq_arrivals[v] != count:
             return False
-        if an.max_open_attached[v] > min(2 * an.kappa_nu[v], an.kappa_mu[v] + an.exit_degree[v]):
+        if max_open[v] > min(2 * kappa_nu[v], kappa_mu[v] + exit_degree[v]):
             return False
     return True
 
@@ -427,12 +436,12 @@ def verify_exit_degree_tree_link(an: WalkAnalysis) -> bool:
 def verify_cell_bounds(an: WalkAnalysis) -> bool:
     """Whether the imported-cell bounds J <= remote BTS + kappa and Psi <= 2 kappa + L hold."""
     L = an.bts_total
-    # BTS instants at each vertex, counted once: bts_remote(v) = L - heads[v]
-    heads = Counter(an.walk.labels[t] for t in an.bts_instants)
-    for v in an.vertices:
-        j = len(an.imported_cells[v])
-        kappa = an.kappa_nu[v]
-        if j > L - heads[v] + kappa or len(an.primary_cells[v]) + j > 2 * kappa + L:
+    # bts_remote(v) = L - heads[v]
+    heads, kappa_nu, primary_cells = an.bts_heads, an.kappa_nu, an.primary_cells
+    for v, imported in an.imported_cells.items():
+        j = len(imported)
+        kappa = kappa_nu[v]
+        if j > L - heads[v] + kappa or len(primary_cells[v]) + j > 2 * kappa + L:
             return False
     return True
 
@@ -447,18 +456,19 @@ def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
     walk = an.walk
     s = an.s
     n_marked = sum(an.marked)
-    heads = Counter(walk.labels[t] for t in an.bts_instants)
+    L = an.bts_total
+    heads, kappa_nu, kappa_mu = an.bts_heads, an.kappa_nu, an.kappa_mu
     return {
         "marked/non-marked balance": n_marked == s and walk.n_steps - n_marked == s,
-        "kappa_mu <= kappa_nu": all(an.kappa_mu[v] <= an.kappa_nu[v] for v in an.vertices),
+        "kappa_mu <= kappa_nu": all(mu <= kappa_nu[v] for v, mu in kappa_mu.items()),
         "mu/p/q partition of marked steps": len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
         "BTS instants are open self-intersections": set(an.bts_instants) <= set(an.open_instants),
         "walk projects to a Dyck path": an.theta is not None and an.theta.k == s,
         "vertex in/out ledger and open-edge bounds": verify_vertex_ledger(an),
         "imported-cell count bounds": verify_cell_bounds(an),
         "cells bound holds for unfiltered reduced arrivals too": all(
-            len(an.reduced_nonmarked_arrivals[v]) <= an.bts_total - heads[v] + an.kappa_nu[v]
-            for v in an.vertices
+            len(arrivals) <= L - heads[v] + kappa_nu[v]
+            for v, arrivals in an.reduced_nonmarked_arrivals.items()
         ),
         "exit clusters fit the cell bound on the underlying tree": verify_exit_degree_tree_link(an),
     }

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -22,6 +23,8 @@ from wignerlab.classes import (
     nu_domination_report,
     psi_bound,
     ss_bound,
+    upsilon_mu,
+    upsilon_nu,
     weight_bound_check,
 )
 from wignerlab.errors import BoundPreconditionError
@@ -143,6 +146,101 @@ def test_mu_bound_refusals():
     )
     with pytest.raises(BoundPreconditionError):
         mu_bound(20, sig2, k0=4)  # kappa_nu cap exceeded
+
+
+def ss_bound_oracle(s, sig, h_theta):
+    """ss_bound multiplied out Fraction by Fraction, one factor at a time."""
+    nu = sig.nu_dict()
+    root_simple_open = sig.root_open and sig.root_kappa == 2
+    if sig.root_kappa >= 2:
+        nu[sig.root_kappa] = nu.get(sig.root_kappa, 0) - 1
+        if nu[sig.root_kappa] < 0:
+            raise BoundPreconditionError("root degree missing from nu profile")
+        if nu[sig.root_kappa] == 0:
+            del nu[sig.root_kappa]
+    r_nonroot = sig.r - (1 if root_simple_open else 0)
+    plain = nu.get(2, 0) - r_nonroot - sig.p
+    if plain < 0 or r_nonroot < 0:
+        raise BoundPreconditionError("r + p exceeds nu_2")
+    out = Fraction(s**2, 2) ** plain / math.factorial(plain)
+    out *= Fraction(6 * s * h_theta) ** r_nonroot / math.factorial(r_nonroot)
+    out *= Fraction(s * sig.d) ** sig.p / math.factorial(sig.p)
+    for k, c in nu.items():
+        if k >= 3:
+            out *= Fraction(s**k * upsilon_nu(k), math.factorial(k)) ** c / math.factorial(c)
+    n_root = sig.root_kappa - 1
+    if n_root == 1:
+        out *= Fraction(6 * h_theta) if sig.root_open else Fraction(s)
+    elif n_root >= 2:
+        out *= Fraction(s**n_root, math.factorial(n_root)) * upsilon_nu(n_root + 1)
+    return out
+
+
+def mu_bound_oracle(s, sig, k0):
+    """mu_bound multiplied out Fraction by Fraction, its hypothesis compared in Fractions."""
+    mu = sig.mu_dict()
+    mu_weight = sum((m - 1) * c for m, c in mu.items() if m >= 2)
+    if Fraction(mu_weight) > Fraction(s - 1, 6):
+        raise BoundPreconditionError(f"|mu|_1 = {mu_weight} exceeds (s-1)/6 = {Fraction(s-1,6)}")
+    if sig.max_kappa_nu > k0:
+        raise BoundPreconditionError(f"kappa_nu reaches {sig.max_kappa_nu} > k0 = {k0}")
+    h = DyckH(sig.theta) if sig.theta else 0
+    plain = mu.get(2, 0) - sig.r
+    if plain < 0:
+        raise BoundPreconditionError("r exceeds mu_2")
+    d = sig.d
+    out = Fraction(s**2, 2) ** plain / math.factorial(plain)
+    out *= Fraction(2 * s * h) ** sig.r / math.factorial(sig.r)
+    for m, c in mu.items():
+        if 3 <= m <= k0:
+            out *= Fraction(s**m, math.factorial(m)) ** c / math.factorial(c)
+    pp, ppp = sig.p_count, sig.double_mu
+    out *= Fraction(s * d) ** pp / math.factorial(pp)
+    out *= Fraction(mu_weight * d, s) ** ppp / math.factorial(ppp)
+    q = sig.q_counts
+    if q:
+        out *= Fraction((pp + ppp) * d) ** q[0] / math.factorial(q[0])
+        for j in range(1, len(q)):
+            out *= Fraction(q[j - 1] * d) ** q[j] / math.factorial(q[j])
+    out *= upsilon_mu(sig, k0)
+    return out
+
+
+def bound_or_refusal(bound, *args):
+    try:
+        return bound(*args)
+    except BoundPreconditionError as exc:
+        return f"refused: {exc}"
+
+
+@pytest.mark.parametrize("s", range(6))
+def test_class_bounds_match_fraction_oracles(s):
+    # every census signature at its own s, and at s = 25, where far fewer
+    # mu classes are refused; k0 = 2 also refuses on kappa_nu
+    for sig in nu_census(s):
+        h = DyckH(sig.theta)
+        for at in (s, 25):
+            got = bound_or_refusal(ss_bound, at, sig, h)
+            assert got == bound_or_refusal(ss_bound_oracle, at, sig, h)
+            assert isinstance(got, (Fraction, str))
+    for sig in mu_census(s):
+        for at, k0 in ((s, 4), (25, 4), (25, 2)):
+            got = bound_or_refusal(mu_bound, at, sig, k0)
+            assert got == bound_or_refusal(mu_bound_oracle, at, sig, k0)
+            assert isinstance(got, (Fraction, str))
+
+
+def test_mu_bound_matches_fraction_oracle_on_deep_q_layers():
+    # no census signature with s <= 5 has q-layers that differ from the
+    # p- and double mu-edge count, so each layer's own factor is checked here
+    for q_counts in ((3,), (1, 2), (2, 1, 3), (4, 4, 1, 2)):
+        for p_count, double_mu in ((0, 0), (2, 1), (3, 0)):
+            sig = MuSignature(
+                theta=(1, 1, -1, 1, -1, -1), mu=((1, 3), (2, 1), (3, 1)), p_count=p_count,
+                double_mu=double_mu, q_counts=q_counts, r=1, d=3, max_kappa_nu=3,
+            )
+            for at in (19, 40):
+                assert mu_bound(at, sig, 4) == mu_bound_oracle(at, sig, 4)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3, 4])

@@ -784,6 +784,25 @@ def test_float_totals_are_labelled_float(capsys):
     assert rows[-1][:3] == ["total", "0.3125", "5/16"]
 
 
+def test_zero_float_totals_are_labelled_float(capsys):
+    # at --v 0 every walk weight vanishes, so no bin opens; a float-valued
+    # spec still gives a float zero, a rational one an exact zero
+    base = ["--n", "20", "--s", "3", "--v", "0", "--no-timestamp"]
+    for ensemble, label in (
+        (["--ensemble", "power-tail"], "(float)"),
+        (["--ensemble", "gaussian", "--truncate"], "(float)"),
+        (["--ensemble", "gaussian"], "(exact 0)"),
+    ):
+        assert run(["moments", *base, *ensemble]) == 0
+        out = capsys.readouterr().out
+        assert out.split("\n")[0] == f"E Tr A^6 = 0.0  {label}"
+        payload = json.loads(out[out.index("{") :])
+        assert payload["total_exact"] == (None if label == "(float)" else "0")
+    assert run(["zparts", *base, "--format", "csv", "--ensemble", "power-tail"]) == 0
+    rows = zparts_rows(capsys.readouterr().out)
+    assert rows[-1] == ["total", "0.0", "", "1.0"]
+
+
 def test_dilute_labels_float_totals(capsys):
     args = ["dilute", "--n", "10", "--s", "2", "--c", "2", "--no-timestamp"]
     assert run(args + ["--ensemble", "power-tail"]) == 0

@@ -74,6 +74,36 @@ def test_search_refuses_before_any_leaf(k, error):
         _dyck_dfs(k, leaf)
 
 
+def recursive_dyck_dfs(k, leaf):
+    """Oracle: one recursion over whole paths with a live step list, up-steps first."""
+    steps = []
+
+    def rec(ups, downs):
+        if ups == k and downs == k:
+            leaf(steps)
+            return
+        if ups < k:
+            steps.append(1)
+            rec(ups + 1, downs)
+            steps.pop()
+        if downs < ups:
+            steps.append(-1)
+            rec(ups, downs + 1)
+            steps.pop()
+
+    rec(0, 0)
+
+
+@pytest.mark.parametrize("k", range(14))
+def test_search_matches_recursive_oracle(k):
+    expected = []
+    recursive_dyck_dfs(k, lambda steps: expected.append(tuple(steps)))
+    seen = []
+    _dyck_dfs(k, seen.append)
+    assert seen == expected
+    assert all(type(steps) is tuple for steps in seen)
+
+
 def test_path_validation():
     with pytest.raises(ValueError):
         DyckPath((1, 1, -1))  # unbalanced

@@ -252,6 +252,34 @@ def test_truncated_moments_monotone_in_n():
         assert law.truncated_moment(order, 5.0) == pytest.approx(q, rel=1e-9)
 
 
+def test_order_zero_moments_of_every_law():
+    # E[a^0] = E|a|^0 = 1, and E[a^0; |a| <= U] = P(|a| <= U)
+    laws = (
+        RademacherLaw(Fraction(1, 2)),
+        GaussianLaw(Fraction(1, 2)),
+        GoeLaw(Fraction(1, 2)),
+        PowerTailLaw(v=1.0, gamma=24.0),
+        ThreePointLaw(),
+    )
+    for law in laws:
+        assert law.moment(0) == 1
+        assert law.abs_moment(0) == 1
+        assert law.truncated_moment(0, 100.0) == pytest.approx(1)
+    assert RademacherLaw(Fraction(1, 2)).truncated_moment(0, 0.25) == 0
+    assert GaussianLaw(Fraction(1)).truncated_moment(0, 1.0) == pytest.approx(math.erf(1 / math.sqrt(2)))
+    power = PowerTailLaw(v=1.0, gamma=24.0)
+    assert power.truncated_moment(0, power.x0 / 2) == 0
+    assert power.truncated_moment(0, 2 * power.x0) == pytest.approx(1 - 2.0**-24)
+    three = ThreePointLaw()  # spike 2 with mass 2q = 1/16
+    assert three.moment(0) == three.truncated_moment(0, 2.0) == 1
+    assert three.truncated_moment(0, 1.0) == Fraction(15, 16)
+    assert all(type(m) is Fraction for m in (three.moment(0), three.truncated_moment(0, 1.0)))
+    # even orders >= 2 keep their values
+    assert [three.moment(k) for k in (2, 4)] == [Fraction(1, 4), Fraction(1)]
+    assert three.truncated_moment(2, 2.0) == Fraction(1, 4) and three.truncated_moment(2, 1.0) == 0
+    assert three.abs_moment(2) == 0.25
+
+
 def test_power_tail_moment_condition():
     law = PowerTailLaw(v=1.0, gamma=24.0)
     assert law.abs_moment(13) < math.inf  # 12 + 2 delta0 with delta0 = 0.5

@@ -1,5 +1,6 @@
 import csv
 import json
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wignerlab.cli import GOLDEN_DIR
-from wignerlab.dyck import DyckPath, catalan
+from wignerlab.dyck import DyckPath, catalan, exit_degree_profile
 from wignerlab.errors import EnumerationCeilingError
 from wignerlab.walks import (
     Walk,
@@ -539,3 +540,110 @@ def test_analyze_matches_oracle_on_fragments():
     assert analyze(Walk((1, 2, 2, 1))).theta is None
     assert analyze(Walk((1, 2, 3, 1))).theta is None
     assert report_to_json(analyze(W14)) == report_to_json(analyze_oracle(W14))
+
+
+# Oracles: the walk lemmas with Counter tallies of the BTS heads and a
+# vertex list, against the per-vertex dicts and per-label lists of walks.py.
+
+
+def vertex_ledger_oracle(an):
+    lab = an.walk.labels
+    nonmarked_exits = [0] * (an.walk.n_vertices + 1)
+    pq_arrivals = nonmarked_exits.copy()
+    for tail, marked in zip(lab, an.marked):
+        if not marked:
+            nonmarked_exits[tail] += 1
+    for _, head in an.p_edges:
+        pq_arrivals[head] += 1
+    for layer in an.q_layers:
+        for t in layer:
+            pq_arrivals[lab[t]] += 1
+    for v in list(range(1, an.walk.n_vertices + 1)):
+        arrivals = len(an.marked_arrivals[v])
+        mu_part = an.kappa_mu[v] - (1 if v == 1 else 0)
+        if nonmarked_exits[v] != arrivals or mu_part + pq_arrivals[v] != arrivals:
+            return False
+        if an.max_open_attached[v] > min(2 * an.kappa_nu[v], an.kappa_mu[v] + an.exit_degree[v]):
+            return False
+    return True
+
+
+def cell_bounds_oracle(an):
+    L = an.bts_total
+    heads = Counter(an.walk.labels[t] for t in an.bts_instants)
+    for v in list(range(1, an.walk.n_vertices + 1)):
+        j = len(an.imported_cells[v])
+        kappa = an.kappa_nu[v]
+        if j > L - heads[v] + kappa or len(an.primary_cells[v]) + j > 2 * kappa + L:
+            return False
+    return True
+
+
+def tree_link_oracle(an):
+    if an.theta is None:
+        return True
+    tree_max = max(exit_degree_profile(an.theta.steps))
+    L = an.bts_total
+    return all(d <= tree_max * (2 * an.kappa_nu[v] + L) for v, d in an.exit_degree.items())
+
+
+def walk_lemmas_oracle(an):
+    s = an.s
+    n_marked = sum(an.marked)
+    verts = list(range(1, an.walk.n_vertices + 1))
+    heads = Counter(an.walk.labels[t] for t in an.bts_instants)
+    return {
+        "marked/non-marked balance": n_marked == s and an.walk.n_steps - n_marked == s,
+        "kappa_mu <= kappa_nu": all(an.kappa_mu[v] <= an.kappa_nu[v] for v in verts),
+        "mu/p/q partition of marked steps": len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
+        "BTS instants are open self-intersections": set(an.bts_instants) <= set(an.open_instants),
+        "walk projects to a Dyck path": an.theta is not None and an.theta.k == s,
+        "vertex in/out ledger and open-edge bounds": vertex_ledger_oracle(an),
+        "imported-cell count bounds": cell_bounds_oracle(an),
+        "cells bound holds for unfiltered reduced arrivals too": all(
+            len(an.reduced_nonmarked_arrivals[v]) <= an.bts_total - heads[v] + an.kappa_nu[v]
+            for v in verts
+        ),
+        "exit clusters fit the cell bound on the underlying tree": tree_link_oracle(an),
+    }
+
+
+def assert_lemmas_match_oracles(an):
+    where = an.walk.to_string()
+    want = walk_lemmas_oracle(an)
+    assert check_walk_lemmas(an) == want, where
+    assert verify_vertex_ledger(an) is want["vertex in/out ledger and open-edge bounds"], where
+    assert verify_cell_bounds(an) is want["imported-cell count bounds"], where
+    assert verify_exit_degree_tree_link(an) is want["exit clusters fit the cell bound on the underlying tree"], where
+
+
+def test_walk_lemmas_match_oracles_on_every_even_walk():
+    count = 0
+    for s in range(7):
+        for w in enumerate_even_walks(s):
+            assert_lemmas_match_oracles(analyze(w))
+            count += 1
+    assert count == 70_331
+
+
+def test_walk_lemmas_match_oracles_where_they_fail():
+    # odd closed sequences break the ledger and the balance, and one more
+    # arrival or open edge at one vertex pushes an even walk over a bound
+    for steps in range(9):
+        for lab in _closed_label_sequences(steps):
+            assert_lemmas_match_oracles(analyze(Walk(lab)))
+    broken = 0
+    for s in range(5):
+        for w in enumerate_even_walks(s):
+            an = analyze(w)
+            for v in an.vertices:
+                for name in ("imported_cells", "primary_cells", "reduced_nonmarked_arrivals"):
+                    cells = getattr(an, name)
+                    padded = replace(an, **{name: {**cells, v: cells[v] + (0,) * (1 + an.kappa_nu[v])}})
+                    assert_lemmas_match_oracles(padded)
+                    broken += not all(check_walk_lemmas(padded).values())
+                for name in ("max_open_attached", "exit_degree"):
+                    bumped = replace(an, **{name: {**getattr(an, name), v: 4 * s + 2}})
+                    assert_lemmas_match_oracles(bumped)
+                    broken += not all(check_walk_lemmas(bumped).values())
+    assert broken > 0
