@@ -344,7 +344,8 @@ def _census(s: int) -> tuple[dict[NuSignature, int], dict[MuSignature, int], dic
     failures: dict[str, int] = {}
 
     def leaf(labels, *_):
-        an = analyze(Walk(tuple(labels)))
+        # the search's labels are canonical and closed at the root
+        an = analyze(Walk._unchecked(tuple(labels)))
         sig_nu = classify_nu(an)
         nu[sig_nu] = nu.get(sig_nu, 0) + 1
         sig_mu = classify_mu(an)

@@ -54,6 +54,13 @@ class DyckPath:
         if height != 0:
             raise ValueError("total sum must be zero")
 
+    @classmethod
+    def _unchecked(cls, steps: tuple[int, ...]) -> "DyckPath":
+        """A path from steps known to form a Dyck path; skips `__post_init__`."""
+        path = object.__new__(cls)
+        path.__dict__["steps"] = steps
+        return path
+
     @property
     def k(self) -> int:
         return len(self.steps) // 2

@@ -378,9 +378,12 @@ class SampleStats:
         return (self.trace_mean(s) - exact_value) / (sd / math.sqrt(len(self.traces[s])))
 
     def rows(self) -> list[dict]:
+        """One row per filled replicate, labelled by its replicate index."""
+        dropped = set(self.failed_replicates)
+        kept = [rep for rep in range(self.replicates + len(dropped)) if rep not in dropped]
         out = []
-        for i in range(len(self.lambda_max)):
-            row = {"replicate": i, "lambda_max": float(self.lambda_max[i])}
+        for i, rep in enumerate(kept):
+            row = {"replicate": rep, "lambda_max": float(self.lambda_max[i])}
             for s in self.s_list:
                 row[f"trace_{2*s}"] = float(self.traces[s][i])
             out.append(row)

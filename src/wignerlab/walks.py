@@ -44,6 +44,18 @@ class Walk:
                 raise ValueError("labels must appear in first-appearance order")
             seen = max(seen, x)
 
+    @classmethod
+    def _unchecked(cls, labels: tuple[int, ...]) -> "Walk":
+        """A walk from labels known to be canonical and closed at the root.
+
+        Skips `__post_init__`: only for labels that hold by construction,
+        such as the walk search's or a canonical relabelling of a sequence
+        that starts and ends at the root.
+        """
+        walk = object.__new__(cls)
+        walk.__dict__["labels"] = labels
+        return walk
+
     @property
     def n_steps(self) -> int:
         return len(self.labels) - 1
@@ -77,13 +89,13 @@ class Walk:
     @staticmethod
     def from_labels(raw: list[int] | tuple[int, ...]) -> "Walk":
         """Relabel an arbitrary closed label sequence into canonical form."""
-        mapping: dict[int, int] = {}
-        out = []
-        for x in raw:
-            if x not in mapping:
-                mapping[x] = len(mapping) + 1
-            out.append(mapping[x])
-        return Walk(tuple(out))
+        return Walk(_relabel(raw))
+
+
+def _relabel(raw: list[int] | tuple[int, ...]) -> tuple[int, ...]:
+    """The labels renumbered 1, 2, ... in order of first appearance."""
+    mapping: dict[int, int] = {}
+    return tuple([mapping.setdefault(x, len(mapping) + 1) for x in raw])
 
 
 def _frame_key(a: int, b: int) -> tuple[int, int]:
@@ -204,7 +216,6 @@ def analyze(walk: Walk) -> WalkAnalysis:
     """
     lab = walk.labels
     nv = max(lab)
-    verts = range(1, nv + 1)
     marked_list: list[bool] = []
     frame_passes: dict[tuple[int, int], int] = {}
     marked_arrivals: list[list[int]] = [[] for _ in range(nv + 1)]
@@ -245,22 +256,28 @@ def analyze(walk: Walk) -> WalkAnalysis:
         a = b
     marked = tuple(marked_list)
 
-    # mu / p / q classification per directed edge, last marked passage first
+    # mu / p / q classification per directed edge, last marked passage first;
+    # a double mu-edge is counted when the second of its two directions comes
     mu_edges: dict[tuple[int, int], int] = {}
     p_edges: dict[tuple[int, int], int] = {}
     q_layer_map: dict[int, list[int]] = {}
     mu_heads = [0] * (nv + 1)
     mu_heads[ROOT] = 1
+    double_mu_count = 0
     for edge, instants in directed_marked.items():
+        a, b = edge
         mu_edges[edge] = instants[-1]
-        mu_heads[edge[1]] += 1
+        mu_heads[b] += 1
+        if a != b and (b, a) in mu_edges:
+            double_mu_count += 1
         if len(instants) >= 2:
             p_edges[edge] = instants[-2]
-        for depth, t in enumerate(reversed(instants[:-2]), start=1):
-            q_layer_map.setdefault(depth, []).append(t)
-    q_layers = tuple(
-        tuple(sorted(q_layer_map[j])) for j in sorted(q_layer_map)
-    )
+            if len(instants) > 2:
+                for depth, t in enumerate(reversed(instants[:-2]), start=1):
+                    q_layer_map.setdefault(depth, []).append(t)
+    q_layers = ()
+    if q_layer_map:
+        q_layers = tuple(tuple(sorted(q_layer_map[j])) for j in sorted(q_layer_map))
 
     # reduction, BTS instants, cells
     raw, step_map = _reduce_raw(lab, marked)
@@ -280,11 +297,33 @@ def analyze(walk: Walk) -> WalkAnalysis:
             if r < len(raw) - 1 and red_marked[r]:
                 imported[head].append(step_map[r - 1])
 
+    # every frame edge has even passes exactly when half the steps are
+    # marked; each non-marked step then closes an earlier marked pass of its
+    # edge, so the marked pattern is a Dyck path
     theta = None
-    if not any(m & 1 for m in frame_passes.values()):
-        theta = DyckPath(tuple(1 if m else -1 for m in marked))
+    if 2 * marked_list.count(True) == len(marked_list):
+        theta = DyckPath._unchecked(tuple([1 if m else -1 for m in marked]))
 
-    arrivals = {v: tuple(marked_arrivals[v]) for v in verts}
+    # the per-vertex reports, in label order
+    arrivals: dict[int, tuple[int, ...]] = {}
+    kappa_nu: dict[int, int] = {}
+    open_by: dict[int, tuple[int, ...]] = {}
+    exits: dict[int, int] = {}
+    kappa_mu: dict[int, int] = {}
+    imported_cells: dict[int, tuple[int, ...]] = {}
+    reduced_nonmarked: dict[int, tuple[int, ...]] = {}
+    max_open: dict[int, int] = {}
+    for v in range(1, nv + 1):
+        arrivals[v] = arr = tuple(marked_arrivals[v])
+        kappa_nu[v] = len(arr)
+        open_by[v] = tuple(open_by_vertex[v])
+        exits[v] = exit_degree[v]
+        kappa_mu[v] = mu_heads[v]
+        imported_cells[v] = tuple(imported[v])
+        reduced_nonmarked[v] = tuple(nonmarked_red[v])
+        max_open[v] = max_open_attached[v]
+    kappa_nu[ROOT] += 1
+
     return WalkAnalysis(
         walk=walk,
         s=walk.s,
@@ -292,24 +331,25 @@ def analyze(walk: Walk) -> WalkAnalysis:
         theta=theta,
         frame_passes=frame_passes,
         marked_arrivals=arrivals,
-        kappa_nu={v: len(arrivals[v]) + (1 if v == ROOT else 0) for v in verts},
+        kappa_nu=kappa_nu,
         open_instants=tuple(open_instants),
-        open_by_vertex={v: tuple(open_by_vertex[v]) for v in verts},
-        exit_degree={v: exit_degree[v] for v in verts},
+        open_by_vertex=open_by,
+        exit_degree=exits,
         max_exit_degree=max(exit_degree),
         mu_edges=mu_edges,
         p_edges=p_edges,
         q_layers=q_layers,
-        kappa_mu={v: mu_heads[v] for v in verts},
+        kappa_mu=kappa_mu,
         p_count=len(p_edges),
-        double_mu_count=sum(1 for a, b in mu_edges if a < b and (b, a) in mu_edges),
-        q_counts=tuple(len(layer) for layer in q_layers),
-        reduced=Walk.from_labels(raw),
+        double_mu_count=double_mu_count,
+        q_counts=tuple(map(len, q_layers)),
+        # the reduction keeps the first and last labels, both the root
+        reduced=Walk._unchecked(_relabel(raw)),
         bts_instants=tuple(bts),
         primary_cells=dict(arrivals),
-        imported_cells={v: tuple(imported[v]) for v in verts},
-        reduced_nonmarked_arrivals={v: tuple(nonmarked_red[v]) for v in verts},
-        max_open_attached={v: max_open_attached[v] for v in verts},
+        imported_cells=imported_cells,
+        reduced_nonmarked_arrivals=reduced_nonmarked,
+        max_open_attached=max_open,
     )
 
 
@@ -462,7 +502,7 @@ def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
         "marked/non-marked balance": n_marked == s and walk.n_steps - n_marked == s,
         "kappa_mu <= kappa_nu": all(mu <= kappa_nu[v] for v, mu in kappa_mu.items()),
         "mu/p/q partition of marked steps": len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
-        "BTS instants are open self-intersections": set(an.bts_instants) <= set(an.open_instants),
+        "BTS instants are open self-intersections": set(an.bts_instants).issubset(an.open_instants),
         "walk projects to a Dyck path": an.theta is not None and an.theta.k == s,
         "vertex in/out ledger and open-edge bounds": verify_vertex_ledger(an),
         "imported-cell count bounds": verify_cell_bounds(an),

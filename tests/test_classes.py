@@ -401,6 +401,10 @@ def test_census_analyzes_each_walk_once(monkeypatch):
     analyzed = []
     real = classes.analyze
     monkeypatch.setattr(classes, "analyze", lambda walk: analyzed.append(walk) or real(walk))
+    # the census looks its classifiers up at call time, as a tracer patches them
+    classified = {"classify_nu": 0, "classify_mu": 0}
+    for name in classified:
+        monkeypatch.setattr(classes, name, _counted(classified, name, getattr(classes, name)))
     classes._census.cache_clear()
     nu_census(s)
     mu_census(s)
@@ -410,3 +414,31 @@ def test_census_analyzes_each_walk_once(monkeypatch):
     assert exact_class_size(s, NuSignature(theta=None, nu=(), r=0, p=0, d=4)) == 14
     assert exact_class_size(s, mu_sig) >= 1
     assert len(analyzed) == len(enumerate_even_walks(s)) == 433
+    assert classified == {"classify_nu": 433, "classify_mu": 433}
+    assert sorted(w.labels for w in analyzed) == sorted(w.labels for w in enumerate_even_walks(s))
+
+
+def _counted(counts, name, fn):
+    def wrapper(an):
+        counts[name] += 1
+        return fn(an)
+
+    return wrapper
+
+
+def test_census_validates_no_walk(monkeypatch):
+    # the walk search's labels are canonical, so the census leaf skips
+    # Walk.__post_init__, and analyze's reduced walk is relabelled canonically
+    calls = []
+    real = Walk.__post_init__
+    monkeypatch.setattr(Walk, "__post_init__", lambda self: calls.append(self) or real(self))
+    classes._census.cache_clear()
+    try:
+        nu, mu, failures = classes._census(4)
+    finally:
+        classes._census.cache_clear()
+    assert calls == []
+    assert sum(nu.values()) == sum(mu.values()) == 433
+    assert set(failures.values()) == {0}
+    Walk((1, 2, 1))
+    assert len(calls) == 1  # the public constructor still validates

@@ -474,6 +474,18 @@ def test_sample_stats_counts_filled_replicates(monkeypatch):
     assert len(stats.rows()) == 9
 
 
+def test_rows_keep_their_replicate_index_past_a_dropped_one(monkeypatch):
+    cfg = EnsembleConfig(n=10, law=RAD, seed=7)
+    clean = sample_stats(cfg, 6, s_list=(1, 2))
+    assert [row["replicate"] for row in clean.rows()] == list(range(6))
+    _poisoned_spectral_stats(monkeypatch, cfg, [3])
+    stats = sample_stats(cfg, 6, s_list=(1, 2))
+    rows = stats.rows()
+    assert [row["replicate"] for row in rows] == [0, 1, 2, 4, 5]
+    want = {row["replicate"]: row for row in clean.rows()}
+    assert rows == [want[row["replicate"]] for row in rows]
+
+
 def test_failure_mid_batch_drops_only_the_failing_replicates(monkeypatch):
     # n = 30 stacks 36 draws: replicates 0-35, 36-71 and 72-99
     cfg = EnsembleConfig(n=30, law=GoeLaw(Fraction(1, 2)), seed=9)

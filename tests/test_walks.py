@@ -521,7 +521,8 @@ def test_analyze_matches_oracle_on_every_even_walk():
         assert_same_analysis(analyze(w), analyze_oracle(w))
 
 
-def test_analyze_matches_oracle_on_fragments():
+def _fragments() -> list[Walk]:
+    """Textbook fragments and every closed label sequence of at most 8 steps, odd ones included."""
     fragments = [
         W14,
         Walk((1, 2, 3, 2, 1)),
@@ -533,13 +534,29 @@ def test_analyze_matches_oracle_on_fragments():
         Walk((1, 2, 3, 1)),
         Walk((1,)),
     ]
-    fragments += [Walk(lab) for steps in range(9) for lab in _closed_label_sequences(steps)]
-    for w in fragments:
+    return fragments + [Walk(lab) for steps in range(9) for lab in _closed_label_sequences(steps)]
+
+
+def test_analyze_matches_oracle_on_fragments():
+    for w in _fragments():
         assert_same_analysis(analyze(w), analyze_oracle(w))
     # non-even walks project to no Dyck path
     assert analyze(Walk((1, 2, 2, 1))).theta is None
     assert analyze(Walk((1, 2, 3, 1))).theta is None
     assert report_to_json(analyze(W14)) == report_to_json(analyze_oracle(W14))
+
+
+def test_analyze_builds_only_what_validation_accepts():
+    # analyze skips validation on its reduced walk and its Dyck path; both
+    # must equal what the validating constructors build from the same data
+    walks = [w for s in range(7) for w in enumerate_even_walks(s)]
+    assert len(walks) == 70_331
+    for w in walks + _fragments():
+        an = analyze(w)
+        assert Walk(an.reduced.labels) == an.reduced
+        assert (an.theta is not None) == w.is_even()
+        if an.theta is not None:
+            assert DyckPath(an.theta.steps) == an.theta
 
 
 # Oracles: the walk lemmas with Counter tallies of the BTS heads and a
