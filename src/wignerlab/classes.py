@@ -19,9 +19,10 @@ class signatures and checks the per-walk lemmas of the walk structure suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .dyck import DyckPath
 from .errors import BoundPreconditionError
@@ -29,8 +30,7 @@ from .moments import MomentSpec
 from .walks import ROOT, Walk, WalkAnalysis, _even_walk_dfs, analyze, check_walk_lemmas
 
 
-@dataclass(frozen=True)
-class NuSignature:
+class NuSignature(NamedTuple):
     """Class key: Dyck path, nu profile (k >= 2), open/double-simple counts.
 
     The root enters the nu profile with its +1 convention; root_kappa and
@@ -50,8 +50,7 @@ class NuSignature:
         return dict(self.nu)
 
 
-@dataclass(frozen=True)
-class MuSignature:
+class MuSignature(NamedTuple):
     """Class key: Dyck path, mu profile (m >= 1), p/double-mu/q-layer counts."""
 
     theta: tuple[int, ...] | None
@@ -140,34 +139,17 @@ def classify_mu(an: WalkAnalysis) -> MuSignature:
 # Partition counting and bounds.
 
 
-def psi_exact(s: int, nu: dict[int, int]) -> Fraction:
-    """Number of ways to partition s labelled marked instants into the nu plets.
+def psi_bound(s: int, nu: dict[int, int]) -> tuple[Fraction, Fraction]:
+    """(exact, bound) for partitioning s labelled marked instants into the nu plets.
 
-    s! / ((s - sum k nu_k)! * prod (k!)^{nu_k} nu_k!).
+    With P = prod (k!)^{nu_k} nu_k! and used = sum k nu_k, exact = s! / ((s - used)! P)
+    and its product relaxation bound = s^used / P; exact <= bound always.
     """
     used = sum(k * c for k, c in nu.items())
     if used > s:
         raise BoundPreconditionError(f"infeasible nu profile: uses {used} > s={s}")
-    denom = math.factorial(s - used)
-    for k, c in nu.items():
-        denom *= math.factorial(k) ** c * math.factorial(c)
-    return Fraction(math.factorial(s), denom)
-
-
-def psi_product_bound(s: int, nu: dict[int, int]) -> Fraction:
-    """prod_k (s^k / k!)^{nu_k} / nu_k!, the product relaxation of psi_exact."""
-    used = sum(k * c for k, c in nu.items())
-    if used > s:
-        raise BoundPreconditionError(f"infeasible nu profile: uses {used} > s={s}")
-    out = Fraction(1)
-    for k, c in nu.items():
-        out *= Fraction(s**k, math.factorial(k)) ** c / math.factorial(c)
-    return out
-
-
-def psi_bound(s: int, nu: dict[int, int]) -> tuple[Fraction, Fraction]:
-    """(exact multinomial, product upper bound); exact <= bound always."""
-    return psi_exact(s, nu), psi_product_bound(s, nu)
+    plets = math.prod(math.factorial(k) ** c * math.factorial(c) for k, c in nu.items())
+    return Fraction(math.factorial(s), math.factorial(s - used) * plets), Fraction(s**used, plets)
 
 
 def upsilon_nu(k: int) -> int:
@@ -390,12 +372,12 @@ def exact_class_size(s: int, signature: NuSignature | MuSignature) -> int:
             and (sig.nu, sig.r, sig.p) == key
             and sig.d <= signature.d
         )
-    key = replace(signature, theta=None, max_kappa_nu=0)
+    key = signature._replace(theta=None, max_kappa_nu=0)
     return sum(
         cnt
         for sig, cnt in mu.items()
         if signature.theta in (None, sig.theta)
-        and replace(sig, theta=None, max_kappa_nu=0) == key
+        and sig._replace(theta=None, max_kappa_nu=0) == key
     )
 
 

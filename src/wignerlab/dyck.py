@@ -273,29 +273,19 @@ def paths_with_max_height_le(k: int, h: int) -> int:
     """Number of 2k-step Dyck paths with maximal height <= h.
 
     Exact double-reflection sum over the strip [0, h]:
-        sum_j C(2k, k + j(h+2)) - C(2k, k + j(h+2) - 1).
+        sum_j C(2k, k + j(h+2)) - C(2k, k + j(h+2) - 1),
+    where only |j| <= k // (h+2) + 1 can give a nonzero term.
     """
     if h < 0:
         return 1 if k == 0 else 0
     if h >= k:
         return catalan(k)
     row = _binomial_row(2 * k)
-    period = h + 2
-    total = 0
-    j = 0
-    while True:
-        hit = False
-        for idx in ({k + j * period, k - j * period} if j else {k}):
-            if 0 <= idx <= 2 * k:
-                total += row[idx]
-                hit = True
-            if 0 <= idx - 1 <= 2 * k:
-                total -= row[idx - 1]
-                hit = True
-        if not hit:
-            break
-        j += 1
-    return total
+    span = k // (h + 2) + 1
+    return sum(
+        (row[i] if 0 <= i <= 2 * k else 0) - (row[i - 1] if 0 < i <= 2 * k + 1 else 0)
+        for i in (k + j * (h + 2) for j in range(-span, span + 1))
+    )
 
 
 @lru_cache(maxsize=8)

@@ -4,6 +4,10 @@ Everything here is coefficientwise-exact: no floating point, no root
 extraction. The reciprocal square root of 1-4t is *defined* by its central
 binomial coefficients, so all identities live in Q[[t]] truncated at a
 chosen order.
+
+The same-exit-cluster counts n_m are the binomial closed form C(2s, s-m) of
+the paper's convolution (derived in `nm_count`); the convolution itself
+stays in the tests as their oracle.
 """
 
 from __future__ import annotations
@@ -120,28 +124,16 @@ def n2_count(s: int) -> int:
     return int(val)
 
 
-def _odd_weighted_catalan(order: int) -> Series:
-    """A(t) = sum_u (2u+1) t_u t^u."""
-    return Series(tuple(Fraction((2 * u + 1) * catalan(u)) for u in range(order + 1)))
-
-
 def nm_count(m: int, s: int) -> int:
     """Number of ways to mark m edges of one exit cluster, over trees with s edges.
 
-    Convolution sum_{u+v_1+..+v_{2m-1}=s-m} (2u+1) t_u t_{v_1} ... t_{v_{2m-1}}.
+    The paper's convolution sum_{u+v_1+..+v_{2m-1}=s-m} (2u+1) t_u t_{v_1} ... t_{v_{2m-1}}
+    is [t^(s-m)] (phi + 2t phi') phi^(2m-1) = [t^(s-m)] (phi^(2m) + (t/m) (phi^(2m))'),
+    and Lagrange's [t^n] phi^k = k/(2n+k) C(2n+k, n) sums it to C(2s, s-m).
     """
     if m < 2:
         raise ValueError("m must be >= 2")
-    if s < m:
-        return 0
-    order = s - m
-    prod = _odd_weighted_catalan(order)
-    phi = catalan_gf(order)
-    for _ in range(2 * m - 1):
-        prod = prod * phi
-    val = prod[order]
-    assert val.denominator == 1
-    return int(val)
+    return comb(2 * s, s - m) if s >= m else 0
 
 
 def n2_series(order: int) -> Series:

@@ -1,13 +1,13 @@
 import ast
+import hashlib
 import inspect
 import math
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from wignerlab import classes
+from wignerlab import classes, cli
 from wignerlab.classes import (
     MuSignature,
     NuSignature,
@@ -380,13 +380,13 @@ def test_exact_class_size_matches_oracle():
     for sig in nu_sigs:
         # wildcard theta, a tighter exit-degree cap, and root fields ignored
         samples += [
-            replace(sig, theta=None),
-            replace(sig, d=sig.d - 1),
-            replace(sig, root_kappa=sig.root_kappa + 1, root_open=not sig.root_open),
+            sig._replace(theta=None),
+            sig._replace(d=sig.d - 1),
+            sig._replace(root_kappa=sig.root_kappa + 1, root_open=not sig.root_open),
         ]
     for sig in mu_sigs:
         # wildcard theta, max_kappa_nu ignored, and a mismatching exit degree
-        samples += [replace(sig, theta=None), replace(sig, max_kappa_nu=9), replace(sig, d=sig.d + 1)]
+        samples += [sig._replace(theta=None), sig._replace(max_kappa_nu=9), sig._replace(d=sig.d + 1)]
     assert len(samples) == 42
     sizes = []
     for sig in samples:
@@ -442,3 +442,28 @@ def test_census_validates_no_walk(monkeypatch):
     assert set(failures.values()) == {0}
     Walk((1, 2, 1))
     assert len(calls) == 1  # the public constructor still validates
+
+
+# sha256 of each census CSV text: the mu rows sort by their signature's repr,
+# so a change to that repr reorders them and moves these digests
+CENSUS_CSV_SHA256 = {
+    1: "2402891ccee1c1044a52e7e7199d2445ab14ef2a0008ce85c1565a3b3d609a03",
+    2: "3d017728ed7d4c13a035639eb5c1c55fbd50807c1f1b4072f05465d489af94b8",
+    3: "65f9c60132337af1d0a4ec8ea5ca49cb06d5e13665cdda7ab460bc41e76c60c0",
+    4: "307e66511ec14d9aeab8828e5140f28975a473720a1dc442ea73ec337c1f4e06",
+    5: "988472fb18d88da0c1a6fb5f688606c77a4543fbef600c2c170a29d51e9f339e",
+}
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_census_rows_keep_their_order(s):
+    text = cli._rows_to_csv(census_csv_rows(s))
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_CSV_SHA256[s]
+    nu, mu = nu_census(s), mu_census(s)
+    for sig in [*nu, *mu]:
+        copy = sig._replace()
+        assert copy == sig and hash(copy) == hash(sig)
+    # equal keys hash equal, so an empty intersection means no nu key equals a mu key
+    assert not set(nu) & set(mu)
+    assert all(repr(sig).startswith("NuSignature(theta=") for sig in nu)
+    assert all(repr(sig).startswith("MuSignature(theta=") for sig in mu)

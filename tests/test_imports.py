@@ -91,6 +91,17 @@ def test_no_test_only_names():
     assert not unread, f"names only the tests read: {unread}"
 
 
+def test_no_assert_in_package():
+    # python -O strips assert statements, so a runtime check in the package must raise
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "wignerlab").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert statements in the package: {found}"
+
+
 def _imported_modules(tree: ast.Module) -> set[str]:
     """Every module an import names, with each `from` import's names appended to its module."""
     out = set()

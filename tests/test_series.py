@@ -87,9 +87,26 @@ def test_nm_counts():
     for s in range(2, 11):
         assert nm_count(2, s) == n2_count(s)
     assert nm_count(3, 3) == 1
-    for m in (3, 4):
-        for s in range(m, 9):
+    for m, s_max in ((3, 8), (4, 8), (5, 10)):
+        for s in range(m, s_max + 1):
             assert nm_count(m, s) == brute_force_same_cluster_pairs(s, m)
+
+
+def convolution_nm(m: int, s: int) -> int:
+    """The paper's n_m: sum_(u+v_1+..+v_(2m-1)=s-m) (2u+1) t_u t_(v_1) ... t_(v_(2m-1)), in integers."""
+    if s < m:
+        return 0
+    order = s - m
+    prod = [(2 * u + 1) * catalan(u) for u in range(order + 1)]
+    for _ in range(2 * m - 1):
+        prod = [sum(prod[i] * catalan(j - i) for i in range(j + 1)) for j in range(order + 1)]
+    return prod[order]
+
+
+def test_nm_count_is_the_convolution():
+    for m in range(2, 7):
+        for s in range(15):
+            assert nm_count(m, s) == convolution_nm(m, s), (m, s)
 
 
 def test_nm_bound():
