@@ -51,6 +51,10 @@ class RademacherLaw:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return (2.0 * rng.integers(0, 2, size=size) - 1.0) * float(self.v)
 
+    def magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """np.abs(self.sample(rng, size))."""
+        return np.abs(self.sample(rng, size))
+
     def descriptor(self) -> dict:
         return {"law": self.name, "v": str(self.v)}
 
@@ -91,6 +95,10 @@ class GaussianLaw:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.standard_normal(size) * float(self.v)
+
+    def magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """np.abs(self.sample(rng, size))."""
+        return np.abs(self.sample(rng, size))
 
     def descriptor(self) -> dict:
         return {"law": self.name, "v": str(self.v)}
@@ -144,10 +152,14 @@ class PowerTailLaw:
             return g * self.x0**g * math.log(cutoff / self.x0)
         return g * self.x0**p / (g - p) * (1 - (self.x0 / cutoff) ** (g - p))
 
+    def magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """np.abs(self.sample(rng, size)), bit for bit, without drawing the signs."""
+        return self.x0 * (1.0 - rng.random(size)) ** (-1.0 / self.gamma)
+
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        mag = self.x0 * (1.0 - rng.random(size)) ** (-1.0 / self.gamma)
-        sign = 2.0 * rng.integers(0, 2, size=size) - 1.0
-        return mag * sign
+        # the signs are drawn after the magnitudes, so `magnitudes` may stop short of them
+        mag = self.magnitudes(rng, size)
+        return mag * (2.0 * rng.integers(0, 2, size=size) - 1.0)
 
     def descriptor(self) -> dict:
         return {"law": self.name, "v": repr(self.v), "gamma": repr(self.gamma)}
@@ -206,6 +218,10 @@ class ThreePointLaw:
         out[u < q] = float(self.spike)
         out[(u >= q) & (u < 2 * q)] = -float(self.spike)
         return out
+
+    def magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """np.abs(self.sample(rng, size))."""
+        return np.abs(self.sample(rng, size))
 
     def descriptor(self) -> dict:
         return {"law": self.name, "spike": str(self.spike), "q": str(self.q)}

@@ -287,8 +287,8 @@ def _dsyevd_workspace(n: int) -> tuple[int, int]:
 def _solves_alone(n: int) -> bool:
     """Whether one n x n draw fills a stack on its own (n >= 129).
 
-    Such draws go to `_eigvalsh`'s dsyevd route and are spread over threads
-    by `_replicate_loop`.
+    Such draws go to `_eigvalsh`'s dsyevd route, or the tail's own
+    (`_tail_stats`), and are spread over threads by `_replicate_loop`.
     """
     return n * n > _STACK_DOUBLES // 2
 
@@ -327,6 +327,132 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
         if ints[3]:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return eigs.reshape(stack.shape[:-1])
+
+
+@lru_cache(maxsize=None)
+def _tridiagonal_lapack():
+    """LAPACK's (dsytrd, dstebz) with 64-bit integers, as numpy's linalg
+    extension exports them, or None where it does not."""
+    lib = _linalg_library()
+    try:
+        dsytrd, dstebz = lib.scipy_dsytrd_64_, lib.scipy_dstebz_64_
+    except AttributeError:  # no library (None) or no such symbol
+        return None
+    # uplo, n, a, lda, d, e, tau, work, lwork, info, then uplo's hidden length
+    dsytrd.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 9 + [ctypes.c_size_t]
+    dsytrd.restype = None
+    # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
+    # isplit, work, iwork, info, then the hidden lengths of range and order
+    dstebz.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 16 + [ctypes.c_size_t] * 2
+    dstebz.restype = None
+    return dsytrd, dstebz
+
+
+@lru_cache(maxsize=None)
+def _dsytrd_workspace(n: int) -> int:
+    """The lwork that dsytrd's own query (lwork = -1) asks for at n: the
+    blocked reduction, which dsyevd also runs."""
+    ints = np.array([n, -1, 0], dtype=np.int64)  # n (also lda), lwork, info
+    work, unused = np.zeros(1), np.zeros(1)  # nothing else is read by a query
+    at = ints.ctypes.data
+    _tridiagonal_lapack()[0](b"L", at, unused.ctypes.data, at, unused.ctypes.data, unused.ctypes.data,
+                             unused.ctypes.data, work.ctypes.data, at + 8, at + 16, 1)
+    return int(work[0])
+
+
+def _tridiagonalize(matrix: np.ndarray, dsytrd) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of a tridiagonal T orthogonally similar to
+    the symmetric `matrix`: dsytrd on a column-major copy, with uplo L and
+    the queried workspace, which is how dsyevd reduces it."""
+    n = len(matrix)
+    a = np.array(matrix, order="F")  # dsytrd overwrites its input
+    d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    lwork = _dsytrd_workspace(n)
+    work = np.empty(lwork)
+    ints = np.array([n, lwork, 0], dtype=np.int64)  # n (also lda), lwork, info
+    at = ints.ctypes.data
+    dsytrd(b"L", at, a.ctypes.data, at, d.ctypes.data, e.ctypes.data, tau.ctypes.data,
+           work.ctypes.data, at + 8, at + 16, 1)
+    return d, e
+
+
+def _spectrum_ends(d: np.ndarray, e: np.ndarray, dstebz) -> tuple[float, float]:
+    """The lowest and the highest eigenvalue of the symmetric tridiagonal T
+    (diagonal d, off-diagonal e), by Sturm-sequence bisection (dstebz, range
+    I, once for index 1 and once for index n) to the tightest tolerance,
+    twice the underflow threshold. A failed bisection raises LinAlgError."""
+    n = len(d)
+    ints = np.array([n, 0, 0, 0, 0, 0], dtype=np.int64)  # n, il, iu, m, nsplit, info
+    reals = np.array([0.0, 0.0, 2 * np.finfo(float).tiny])  # vl, vu (unread for range I), abstol
+    w, work = np.empty(n), np.empty(4 * n)
+    iblock, isplit, iwork = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(3 * n, dtype=np.int64)
+    at, real = ints.ctypes.data, reals.ctypes.data
+    ends = []
+    for index in (1, n):
+        ints[1] = ints[2] = index
+        dstebz(b"I", b"E", at, real, real + 8, at + 8, at + 16, real + 16, d.ctypes.data, e.ctypes.data,
+               at + 24, at + 32, w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
+               work.ctypes.data, iwork.ctypes.data, at + 40, 1, 1)
+        if ints[5]:
+            raise np.linalg.LinAlgError("Bisection for an extreme eigenvalue failed")
+        ends.append(float(w[0]))
+    return ends[0], ends[1]
+
+
+def _band_trace(d: np.ndarray, e: np.ndarray, s: int) -> float:
+    """Tr T^(2s) = ||T^s||_F^2 for the symmetric tridiagonal T with diagonal
+    d and off-diagonal e, in O(n s^2).
+
+    T^s has 2s + 1 diagonals, and they are built one power at a time. Row r
+    of `band` holds (T^k)[i, i + r - p] on an index line that pads the n
+    indices with p = s + 1 zeros a side; row r of each window view holds
+    T's diagonal and off-diagonal read from position i + r - p of the same
+    line, so a row's product with T takes three of its neighbours. The
+    padding keeps every read inside the arrays, and T padded with zeros
+    has the same powers on the real indices.
+    """
+    n, p = len(d), s + 1
+    line = n + 2 * p
+    diag, upper = np.zeros(line + 2 * p), np.zeros(line + 2 * p)
+    diag[2 * p : 2 * p + n] = d
+    upper[2 * p : 2 * p + n - 1] = e
+    diag_at = np.lib.stride_tricks.sliding_window_view(diag, line)
+    upper_at = np.lib.stride_tricks.sliding_window_view(upper, line)
+    band = np.zeros((2 * p + 1, line))
+    band[p, p : p + n] = 1.0  # T^0 on the real indices only
+    for _ in range(s):
+        band[1:-1] = band[:-2] * upper_at[:-2] + band[1:-1] * diag_at[1:-1] + band[2:] * upper_at[1:-1]
+    return float(np.vdot(band, band))
+
+
+def _tail_stats(stack: np.ndarray, s_list: tuple[int, ...]) -> dict:
+    """`spectral_stats` of a stack as far as a tail reads it: lambda_max
+    and Tr A^(2s) for s in s_list.
+
+    ||A|| = max(|lambda_1|, |lambda_n|) needs only the two ends of the
+    spectrum. So a float64 stack of draws with n >= 129 (`_solves_alone`)
+    skips the QL sweep that computes all n eigenvalues in dsyevd: each draw
+    is reduced to a tridiagonal T (`_tridiagonalize`), whose two extreme
+    eigenvalues come from bisection (`_spectrum_ends`), and
+    Tr A^(2s) = Tr T^(2s) comes from T's band (`_band_trace`). ctypes
+    releases the GIL for both LAPACK calls, so replicate threads overlap.
+    lambda_max agrees with `spectral_stats`' to about 1e-14 and the traces
+    to rounding. Smaller draws, other inputs and every input of a build
+    without the two symbols take `spectral_stats`, looked up at call time.
+    """
+    n = stack.shape[-1]
+    lapack = _tridiagonal_lapack() if _solves_alone(n) and stack.dtype == np.float64 else None
+    if lapack is None:
+        return spectral_stats(stack, s_list)
+    dsytrd, dstebz = lapack
+    lam, traces = [], {s: [] for s in s_list}
+    for mat in stack:
+        d, e = _tridiagonalize(mat, dsytrd)
+        low, high = _spectrum_ends(d, e, dstebz)
+        lam.append(max(abs(low), abs(high)))
+        for s in s_list:
+            traces[s].append(_band_trace(d, e, s))
+    return {"lambda_max": np.array(lam), "traces": {s: np.array(t) for s, t in traces.items()}}
 
 
 def _usable_cpus() -> int:
@@ -395,6 +521,11 @@ class SampleStats:
 _STACK_DOUBLES = 2**15
 
 
+def _stack_size(n: int) -> int:
+    """Draws per stacked eigen-solve: max(1, _STACK_DOUBLES // n^2)."""
+    return max(1, _STACK_DOUBLES // n**2)
+
+
 def _replicate_loop(
     config: EnsembleConfig, replicates: int, statistic, batch: int = 1
 ) -> tuple[list, list[int]]:
@@ -412,8 +543,8 @@ def _replicate_loop(
     takes the next stack no thread has taken, with its own generator
     re-keyed to each replicate's stream, and the results are gathered by
     stack index. So the output is the same bits on any number of cores.
-    The threads overlap because dsyevd (`_eigvalsh`) and numpy's matrix
-    products release the GIL. Smaller draws stay on the caller's thread,
+    The threads overlap because dsyevd (`_eigvalsh`), the tail's dsytrd
+    and dstebz (`_tail_stats`) and numpy's matrix products release the GIL. Smaller draws stay on the caller's thread,
     where threads saved little wall time for about 45% more CPU. Every thread
     is joined before the loop returns; the first exception a thread raised
     is then raised here, and the other threads stop after their stack.
@@ -480,7 +611,7 @@ def sample_stats(
         config,
         replicates,
         lambda stack: spectral_stats(stack, s_list),
-        batch=max(1, _STACK_DOUBLES // config.n**2),
+        batch=_stack_size(config.n),
     )
     empty = np.empty(0)
     lambda_max = np.concatenate([empty] + [st["lambda_max"] for st in filled])
@@ -550,6 +681,14 @@ def tail_curve(
 
     Also reports, per grid point, the Markov-style bound mean(Tr A^(2s)) /
     threshold^(2s) estimated from the same replicates when chebyshev_s (>= 1) is given.
+
+    Each replicate computes only what the curve reads (`_tail_stats`): at
+    n >= 129, lambda_max by bisection at the two ends of the spectrum and
+    Tr A^(2s) from the tridiagonal band, with no full spectrum. The
+    exceedance counts are those of `sample_stats`' lambda_max; the bound
+    may differ from one built on its traces in the last bits. A replicate
+    whose solve fails is dropped, and LinAlgError is raised when every
+    replicate is.
     """
     if replicates < 100:
         raise ValueError("at least 100 replicates are required for a tail curve")
@@ -566,12 +705,16 @@ def tail_curve(
         raise ValueError("scale must be 'wigner' or 'dilute'")
     thresholds = tuple(2 * v * (1 + x / denom) for x in x_grid)
     s_list = (chebyshev_s,) if chebyshev_s is not None else ()
-    stats = sample_stats(config, replicates, s_list=s_list)
-    lam = stats.lambda_max
+    filled, _ = _replicate_loop(
+        config, replicates, lambda stack: _tail_stats(stack, s_list), batch=_stack_size(config.n)
+    )
+    if not filled:
+        raise np.linalg.LinAlgError(f"all {replicates} replicates failed their eigen-solve")
+    lam = np.concatenate([st["lambda_max"] for st in filled])
     counts = tuple(int(np.sum(lam > thr)) for thr in thresholds)
     cheb = None
     if chebyshev_s is not None:
-        mean_trace = stats.trace_mean(chebyshev_s)
+        mean_trace = float(np.mean(np.concatenate([st["traces"][chebyshev_s] for st in filled])))
         cheb = tuple(
             mean_trace / thr ** (2 * chebyshev_s) if thr > 0 else None
             for thr in thresholds
@@ -647,17 +790,23 @@ def universality_compare(
 
 
 def truncation_event_rate(config: EnsembleConfig, replicates: int) -> dict:
-    """Empirical probability that some raw entry exceeds the truncation level."""
+    """Empirical probability that some raw entry exceeds the truncation level.
+
+    The event reads only |a|, so each replicate draws its entries'
+    magnitudes (`law.magnitudes`) from its own Philox stream. They equal
+    the absolute values of the raw entries `sample_entries` draws, bit for
+    bit, so the hits are the same; a law that draws its signs after its
+    magnitudes (power-tail) skips them.
+    """
     if config.truncation is None:
         raise ValueError("config has no truncation")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
-    cutoff = config.truncation.cutoff(config.n)
+    n, cutoff = config.n, config.truncation.cutoff(config.n)
     hits = 0
     rng = _rng(config, 0)
     for rep in range(replicates):
-        rng, vals = sample_entries(config, rep, rng)
-        if np.any(np.abs(vals) > cutoff):
+        if np.any(config.law.magnitudes(_rng(config, rep, rng), n * (n + 1) // 2) > cutoff):
             hits += 1
     rate = hits / replicates
     ci = wilson_interval(hits, replicates)

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from wignerlab import mc
+from wignerlab import cli, mc
 from wignerlab.laws import GaussianLaw, GoeLaw, PowerTailLaw, RademacherLaw, ThreePointLaw
 from wignerlab.mc import (
     EnsembleConfig,
@@ -446,18 +447,28 @@ def test_sample_stats_reproducible():
 
 def _poisoned_spectral_stats(monkeypatch, config, bad_replicates):
     """Make every eigen-solve whose stack holds one of the bad replicates'
-    draws raise LinAlgError; returns the list of stack sizes solved."""
-    real = mc.spectral_stats
+    draws raise LinAlgError, in sample_stats and in the tail's own statistic;
+    returns the list of stack sizes that spectral_stats solved."""
+    real, real_tail = mc.spectral_stats, mc._tail_stats
     bad = [sample_matrix(config, rep) for rep in bad_replicates]
     sizes = []
 
+    def poisoned(stack):
+        return any(np.array_equal(mat, b) for mat in stack for b in bad)
+
     def flaky(stack, s_list):
         sizes.append(len(stack))
-        if any(np.array_equal(mat, b) for mat in stack for b in bad):
+        if poisoned(stack):
             raise np.linalg.LinAlgError("eigvalsh did not converge")
         return real(stack, s_list)
 
+    def flaky_tail(stack, s_list):
+        if poisoned(stack):
+            raise np.linalg.LinAlgError("bisection failed")
+        return real_tail(stack, s_list)
+
     monkeypatch.setattr(mc, "spectral_stats", flaky)
+    monkeypatch.setattr(mc, "_tail_stats", flaky_tail)
     return sizes
 
 
@@ -607,23 +618,180 @@ def test_numpy_fallback_without_dsyevd(monkeypatch, cdll):
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda stack: calls.append(stack.shape) or real(stack))
     mc._dsyevd.cache_clear()
+    mc._tridiagonal_lapack.cache_clear()
     monkeypatch.setattr(mc.ctypes, "CDLL", cdll)
     try:
-        assert mc._dsyevd() is None
+        assert mc._dsyevd() is None and mc._tridiagonal_lapack() is None
         got = _edge_outputs(cfg)
     finally:
         mc._dsyevd.cache_clear()
+        mc._tridiagonal_lapack.cache_clear()
+    # the tail's bound sums eigenvalue powers here and band products on the LAPACK route
+    for got_row, want_row in zip(got[3], want[3]):
+        assert got_row.pop("chebyshev_bound") == pytest.approx(want_row.pop("chebyshev_bound"), rel=1e-12)
     assert got == want
     assert calls.count((1, 200, 200)) == 13 + 100
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
+def test_band_trace_equals_the_matrix_power(n):
+    rng = np.random.default_rng(n)
+    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    for s in range(7):
+        want = np.trace(np.linalg.matrix_power(t, 2 * s))
+        assert math.isclose(mc._band_trace(d, e, s), want, rel_tol=1e-12), (n, s)
+
+
+def _no_spectrum(stack, s_list):
+    raise AssertionError("the LAPACK route called spectral_stats")
+
+
+@pytest.fixture
+def tail_lapack():
+    """Skip where numpy's linalg extension lacks dsytrd or dstebz."""
+    if mc._tridiagonal_lapack() is None:
+        pytest.skip("numpy's linalg extension exports no dsytrd or dstebz")
+
+
+def _tail_route_configs(n):
+    return _trace_configs(n) + [EnsembleConfig(n=n, law=RademacherLaw(Fraction(0)), seed=74)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 129, 200])
+def test_tail_statistic_matches_the_full_spectrum(monkeypatch, tail_lapack, n):
+    # rademacher, goe, dilute, truncated power-tail and the v = 0 zero matrix;
+    # n = 1 and 2 are sent down the LAPACK route as well
+    s_list = tuple(range(7))
+    draws = [sample_matrix(cfg, rep) for cfg in _tail_route_configs(n) for rep in range(3)]
+    monkeypatch.setattr(mc, "_STACK_DOUBLES", 0)
+    monkeypatch.setattr(mc, "spectral_stats", _no_spectrum)  # the LAPACK route takes every draw
+    for mat in draws:
+        eigs = np.linalg.eigvalsh(mat)
+        got = mc._tail_stats(mat[np.newaxis], s_list)
+        assert abs(got["lambda_max"][0] - np.max(np.abs(eigs))) <= 1e-13
+        for s in s_list:
+            assert math.isclose(got["traces"][s][0], np.sum(eigs ** (2 * s)), rel_tol=1e-12), s
+
+
+def test_tail_counts_equal_the_eigvalsh_counts(tail_lapack):
+    # 2,000 n = 200 draws over four ensembles, counted against thresholds both ways
+    grid = (-2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
+    for cfg in _edge_configs():
+        curve = tail_curve(cfg, grid, replicates=500)
+        lam = sample_stats(cfg, 500, s_list=()).lambda_max
+        assert curve.replicates == 500
+        assert curve.exceed_counts == tuple(int(np.sum(lam > thr)) for thr in curve.thresholds), cfg
+
+
+def test_a_failed_bisection_drops_that_replicate(monkeypatch, tail_lapack):
+    # on one thread, replicate k makes dstebz calls 2k and 2k + 1
+    cfg = _edge_configs()[0]
+    grid = (-1.0, 0.0, 1.0)
+    lam = sample_stats(cfg, 100, s_list=()).lambda_max
+    dsytrd, dstebz = mc._tridiagonal_lapack()
+    calls = []
+
+    def failing_for_replicate_5(*args):
+        dstebz(*args)
+        if len(calls) == 10:
+            ctypes.c_int64.from_address(args[17]).value = 1  # info
+        calls.append(1)
+
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(mc, "_tridiagonal_lapack", lambda: (dsytrd, failing_for_replicate_5))
+    curve = tail_curve(cfg, grid, replicates=100)
+    assert len(calls) == 2 * 100 - 1  # replicate 5 stopped after its first bisection
+    kept = np.delete(lam, 5)
+    assert curve.replicates == 99
+    assert curve.exceed_counts == tuple(int(np.sum(kept > thr)) for thr in curve.thresholds)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("n", [2, 200])
+def test_tail_statistic_raises_on_a_non_finite_draw(monkeypatch, tail_lapack, n, bad):
+    stack = np.zeros((1, n, n))
+    stack[0, 1, 1] = bad
+    monkeypatch.setattr(mc, "_STACK_DOUBLES", 0)
+    monkeypatch.setattr(mc, "spectral_stats", _no_spectrum)
+    with pytest.raises(np.linalg.LinAlgError, match="Bisection"):
+        mc._tail_stats(stack, (1,))
+
+
+def _failing_statistic(stack, s_list):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+@pytest.mark.parametrize("route", ["stacked", "lapack"])
+@pytest.mark.parametrize("chebyshev_s", [None, 2])
+def test_a_tail_with_every_replicate_dropped_raises(request, monkeypatch, route, chebyshev_s):
+    if route == "stacked":
+        n = 20
+        monkeypatch.setattr(mc, "spectral_stats", _failing_statistic)
+    else:  # every bisection reports a failure
+        n = 200
+        request.getfixturevalue("tail_lapack")
+        dsytrd, dstebz = mc._tridiagonal_lapack()
+
+        def failing(*args):
+            dstebz(*args)
+            ctypes.c_int64.from_address(args[17]).value = 1  # info
+
+        monkeypatch.setattr(mc, "_tridiagonal_lapack", lambda: (dsytrd, failing))
+    cfg = EnsembleConfig(n=n, law=RAD, seed=23)
+    with pytest.raises(np.linalg.LinAlgError, match="all 100 replicates failed"):
+        tail_curve(cfg, (0.0,), replicates=100, chebyshev_s=chebyshev_s)
+
+
+def test_the_tail_command_reports_every_replicate_dropped(monkeypatch, capsys):
+    monkeypatch.setattr(mc, "_tail_stats", _failing_statistic)
+    assert cli.main(["tail", "--n", "20", "--replicates", "100", "--chebyshev-s", "2", "--no-timestamp"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: all 100 replicates failed") and captured.err.count("\n") == 1
+
+
+_LAWS = [RAD, GaussianLaw(Fraction(1)), GoeLaw(Fraction(1, 2)), ThreePointLaw(), PowerTailLaw(v=1.0, gamma=24.0)]
+
+
+@pytest.mark.parametrize("law", _LAWS + [RademacherLaw(Fraction(0))], ids=lambda law: f"{law.name}-{law.v}")
+def test_magnitudes_are_the_absolute_samples_bit_for_bit(law):
+    for size in (0, 1, 7, 210, 5050):
+        key = np.array([31, size], dtype=np.uint64)
+        got = law.magnitudes(np.random.Generator(np.random.Philox(key=key)), size)
+        want = np.abs(law.sample(np.random.Generator(np.random.Philox(key=key)), size))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), size
+
+
+def test_truncation_hits_are_unchanged_on_criterion_13():
+    # criterion 13's configs; the hits are those of the raw-entry check, at 4,000 replicates each
+    law = PowerTailLaw(v=1.0, gamma=24.0)
+    trunc = TruncationSpec(law, delta=0.05, delta0=0.5)
+    for n, hits in ((50, 38), (100, 15), (200, 8)):
+        out = truncation_event_rate(EnsembleConfig(n=n, law=law, truncation=trunc, seed=13_000 + n), 4000)
+        assert round(out["rate"] * 4000) == hits, n
+
+
+@pytest.mark.parametrize(
+    "law",
+    # scaled so that about a third to a half of the replicates hit, except rademacher's all-or-none
+    [RAD, GaussianLaw(Fraction(2, 5)), GoeLaw(Fraction(2, 5)), ThreePointLaw(q=Fraction(1, 256)), PowerTailLaw(v=0.85)],
+    ids=lambda law: law.name,
+)
+def test_truncation_hits_equal_the_raw_entry_check(law):
+    cfg = EnsembleConfig(n=12, law=law, truncation=TruncationSpec(law, delta=0.16), seed=3)
+    cutoff = cfg.truncation.cutoff(12)
+    want = sum(bool(np.any(np.abs(sample_entries(cfg, rep)[1]) > cutoff)) for rep in range(300))
+    assert round(truncation_event_rate(cfg, 300)["rate"] * 300) == want
 
 
 def test_import_starts_no_thread_and_loads_nothing_more():
     script = (
         "import sys, threading, wignerlab\n"
         "print(threading.active_count(), 'scipy' in sys.modules, 'concurrent.futures' in sys.modules,\n"
-        "      wignerlab.mc._dsyevd.cache_info().currsize)\n"
+        "      wignerlab.mc._dsyevd.cache_info().currsize, wignerlab.mc._tridiagonal_lapack.cache_info().currsize)\n"
     )
-    assert _fresh_python(script) == "1 False False 0\n"
+    assert _fresh_python(script) == "1 False False 0 0\n"
 
 
 def test_replicate_threads_are_joined(monkeypatch):
