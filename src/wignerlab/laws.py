@@ -25,8 +25,20 @@ def _check_scale(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
+class _SampledMagnitudes:
+    """|a| for a law that draws its signs with its values: from the signed draw."""
+
+    def magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """np.abs(self.sample(rng, size))."""
+        return np.abs(self.sample(rng, size))
+
+    def largest_magnitude(self, rng: np.random.Generator, size: int) -> float:
+        """self.magnitudes(rng, size).max(), for size >= 1."""
+        return self.magnitudes(rng, size).max()
+
+
 @dataclass(frozen=True)
-class RademacherLaw:
+class RademacherLaw(_SampledMagnitudes):
     """a = +-v with equal probability."""
 
     v: Fraction = Fraction(1)
@@ -51,16 +63,12 @@ class RademacherLaw:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return (2.0 * rng.integers(0, 2, size=size) - 1.0) * float(self.v)
 
-    def magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """np.abs(self.sample(rng, size))."""
-        return np.abs(self.sample(rng, size))
-
     def descriptor(self) -> dict:
         return {"law": self.name, "v": str(self.v)}
 
 
 @dataclass(frozen=True)
-class GaussianLaw:
+class GaussianLaw(_SampledMagnitudes):
     """Centered normal with standard deviation v."""
 
     v: Fraction = Fraction(1)
@@ -95,10 +103,6 @@ class GaussianLaw:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.standard_normal(size) * float(self.v)
-
-    def magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """np.abs(self.sample(rng, size))."""
-        return np.abs(self.sample(rng, size))
 
     def descriptor(self) -> dict:
         return {"law": self.name, "v": str(self.v)}
@@ -154,7 +158,16 @@ class PowerTailLaw:
 
     def magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """np.abs(self.sample(rng, size)), bit for bit, without drawing the signs."""
-        return self.x0 * (1.0 - rng.random(size)) ** (-1.0 / self.gamma)
+        return self._magnitude_of(rng.random(size))
+
+    def largest_magnitude(self, rng: np.random.Generator, size: int) -> float:
+        """self.magnitudes(rng, size).max(), for size >= 1, bit for bit: the
+        map from u to |a| rises with u, so only the largest u goes through it."""
+        return self._magnitude_of(rng.random(size).max(keepdims=True))[0]
+
+    def _magnitude_of(self, u: np.ndarray) -> np.ndarray:
+        """|a| = x0 (1 - u)^(-1/gamma) for uniforms u in [0, 1)."""
+        return self.x0 * (1.0 - u) ** (-1.0 / self.gamma)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # the signs are drawn after the magnitudes, so `magnitudes` may stop short of them
@@ -166,7 +179,7 @@ class PowerTailLaw:
 
 
 @dataclass(frozen=True)
-class ThreePointLaw:
+class ThreePointLaw(_SampledMagnitudes):
     """a = +-spike with probability q each, else 0; heavy even moments.
 
     With spike=2, q=1/32 this realizes v^2 = 1/4 together with the moment
@@ -218,10 +231,6 @@ class ThreePointLaw:
         out[u < q] = float(self.spike)
         out[(u >= q) & (u < 2 * q)] = -float(self.spike)
         return out
-
-    def magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """np.abs(self.sample(rng, size))."""
-        return np.abs(self.sample(rng, size))
 
     def descriptor(self) -> dict:
         return {"law": self.name, "spike": str(self.spike), "q": str(self.q)}

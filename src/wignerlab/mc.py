@@ -141,7 +141,8 @@ def sample_matrix(
 
 
 def spectral_stats(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict:
-    """Largest absolute eigenvalue and even trace powers from the spectrum.
+    """The eigenvalues, ascending, with the largest absolute one and even
+    trace powers from them.
 
     The spectrum comes from `_eigvalsh`, which equals `np.linalg.eigvalsh`
     bit for bit and, from n = 129 up, releases the GIL while it solves. A
@@ -152,8 +153,8 @@ def spectral_stats(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict:
     lam = np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
     traces = {s: np.sum(eigs ** (2 * s), axis=-1) for s in s_list}
     if matrix.ndim == 2:
-        return {"lambda_max": float(lam), "traces": {s: float(t) for s, t in traces.items()}}
-    return {"lambda_max": lam, "traces": traces}
+        return {"eigenvalues": eigs, "lambda_max": float(lam), "traces": {s: float(t) for s, t in traces.items()}}
+    return {"eigenvalues": eigs, "lambda_max": lam, "traces": traces}
 
 
 def _matrix_power(matrix: np.ndarray, s: int) -> np.ndarray:
@@ -287,7 +288,7 @@ def _dsyevd_workspace(n: int) -> tuple[int, int]:
 def _solves_alone(n: int) -> bool:
     """Whether one n x n draw fills a stack on its own (n >= 129).
 
-    Such draws go to `_eigvalsh`'s dsyevd route, or the tail's own
+    Such draws go to `_eigvalsh`'s dsyevd route, or the tail's dsytrd
     (`_tail_stats`), and are spread over threads by `_replicate_loop`.
     """
     return n * n > _STACK_DOUBLES // 2
@@ -331,128 +332,143 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _tridiagonal_lapack():
-    """LAPACK's (dsytrd, dstebz) with 64-bit integers, as numpy's linalg
-    extension exports them, or None where it does not."""
+    """LAPACK's dsytrd with 64-bit integers, as numpy's linalg extension
+    exports it, or None where it does not."""
     lib = _linalg_library()
     try:
-        dsytrd, dstebz = lib.scipy_dsytrd_64_, lib.scipy_dstebz_64_
+        dsytrd = lib.scipy_dsytrd_64_
     except AttributeError:  # no library (None) or no such symbol
         return None
     # uplo, n, a, lda, d, e, tau, work, lwork, info, then uplo's hidden length
     dsytrd.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 9 + [ctypes.c_size_t]
     dsytrd.restype = None
-    # range, order, n, vl, vu, il, iu, abstol, d, e, m, nsplit, w, iblock,
-    # isplit, work, iwork, info, then the hidden lengths of range and order
-    dstebz.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 16 + [ctypes.c_size_t] * 2
-    dstebz.restype = None
-    return dsytrd, dstebz
+    return dsytrd
+
+
+#: dsytrd's block size, set through its workspace. On one BLAS thread it
+#: reduced faster than LAPACK's default of 32 at every n measured: 0.25
+#: against 0.34 ms at n = 129, 1.14 against 1.31 ms at n = 200 and 4.2
+#: against 6.4 ms at n = 400 (medians of 30 calls, 2-vCPU Xeon).
+_DSYTRD_BLOCK = 16
 
 
 @lru_cache(maxsize=None)
 def _dsytrd_workspace(n: int) -> int:
-    """The lwork that dsytrd's own query (lwork = -1) asks for at n: the
-    blocked reduction, which dsyevd also runs."""
+    """dsytrd's lwork at n: what its own query (lwork = -1) asks for, capped
+    at _DSYTRD_BLOCK * n, which blocks the reduction by _DSYTRD_BLOCK."""
     ints = np.array([n, -1, 0], dtype=np.int64)  # n (also lda), lwork, info
     work, unused = np.zeros(1), np.zeros(1)  # nothing else is read by a query
     at = ints.ctypes.data
-    _tridiagonal_lapack()[0](b"L", at, unused.ctypes.data, at, unused.ctypes.data, unused.ctypes.data,
-                             unused.ctypes.data, work.ctypes.data, at + 8, at + 16, 1)
-    return int(work[0])
+    _tridiagonal_lapack()(b"L", at, unused.ctypes.data, at, unused.ctypes.data, unused.ctypes.data,
+                          unused.ctypes.data, work.ctypes.data, at + 8, at + 16, 1)
+    return min(int(work[0]), _DSYTRD_BLOCK * n)
 
 
-def _tridiagonalize(matrix: np.ndarray, dsytrd) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of a tridiagonal T orthogonally similar to
-    the symmetric `matrix`: dsytrd on a column-major copy, with uplo L and
-    the queried workspace, which is how dsyevd reduces it."""
+def _tridiagonalize(matrix: np.ndarray, dsytrd, d: np.ndarray, e: np.ndarray) -> None:
+    """Write into d and e the diagonal and off-diagonal of a tridiagonal T
+    orthogonally similar to the symmetric `matrix`: dsytrd with uplo L on a
+    column-major copy."""
     n = len(matrix)
     a = np.array(matrix, order="F")  # dsytrd overwrites its input
-    d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    tau = np.empty(n - 1)
     lwork = _dsytrd_workspace(n)
     work = np.empty(lwork)
     ints = np.array([n, lwork, 0], dtype=np.int64)  # n (also lda), lwork, info
     at = ints.ctypes.data
     dsytrd(b"L", at, a.ctypes.data, at, d.ctypes.data, e.ctypes.data, tau.ctypes.data,
            work.ctypes.data, at + 8, at + 16, 1)
+
+
+def _tail_stats(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each draw of a (k, n, n) stack as a symmetric tridiagonal T with the
+    draw's spectrum: T's diagonals, (k, n), and off-diagonals, (k, n - 1).
+
+    A float64 stack with n >= 129 (`_solves_alone`) is reduced draw by draw
+    by dsytrd (`_tridiagonalize`), and ctypes releases the GIL for each
+    call, so replicate threads overlap. Smaller draws, other inputs and
+    every input of a build without the symbol take their eigenvalues from
+    `spectral_stats`, looked up at call time, as the diagonal of a diagonal
+    T. A non-finite diagonal or off-diagonal raises LinAlgError.
+    """
+    k, n = stack.shape[:2]
+    dsytrd = _tridiagonal_lapack() if _solves_alone(n) and stack.dtype == np.float64 else None
+    if dsytrd is None:
+        d, e = spectral_stats(stack, ())["eigenvalues"], np.zeros((k, n - 1))
+    else:
+        d, e = np.empty((k, n)), np.empty((k, n - 1))
+        for mat, diag, off in zip(stack, d, e):
+            _tridiagonalize(mat, dsytrd, diag, off)
+    if not (np.isfinite(d).all() and np.isfinite(e).all()):
+        raise np.linalg.LinAlgError("A draw's tridiagonal form is non-finite")
     return d, e
 
 
-def _spectrum_ends(d: np.ndarray, e: np.ndarray, dstebz) -> tuple[float, float]:
-    """The lowest and the highest eigenvalue of the symmetric tridiagonal T
-    (diagonal d, off-diagonal e), by Sturm-sequence bisection (dstebz, range
-    I, once for index 1 and once for index n) to the tightest tolerance,
-    twice the underflow threshold. A failed bisection raises LinAlgError."""
-    n = len(d)
-    ints = np.array([n, 0, 0, 0, 0, 0], dtype=np.int64)  # n, il, iu, m, nsplit, info
-    reals = np.array([0.0, 0.0, 2 * np.finfo(float).tiny])  # vl, vu (unread for range I), abstol
-    w, work = np.empty(n), np.empty(4 * n)
-    iblock, isplit, iwork = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(3 * n, dtype=np.int64)
-    at, real = ints.ctypes.data, reals.ctypes.data
-    ends = []
-    for index in (1, n):
-        ints[1] = ints[2] = index
-        dstebz(b"I", b"E", at, real, real + 8, at + 8, at + 16, real + 16, d.ctypes.data, e.ctypes.data,
-               at + 24, at + 32, w.ctypes.data, iblock.ctypes.data, isplit.ctypes.data,
-               work.ctypes.data, iwork.ctypes.data, at + 40, 1, 1)
-        if ints[5]:
-            raise np.linalg.LinAlgError("Bisection for an extreme eigenvalue failed")
-        ends.append(float(w[0]))
-    return ends[0], ends[1]
+def _count_beyond(d: np.ndarray, e: np.ndarray, thresholds: tuple[float, ...]) -> np.ndarray:
+    """#{j : |lambda_j| > t} for each symmetric tridiagonal T of a batch
+    (diagonals d, (k, n); off-diagonals e, (k, n - 1)) and each threshold t,
+    as a (k, len(thresholds)) array of counts.
+
+    #{lambda(T) <= t} and #{lambda(-T) <= t} are Sturm counts as LAPACK's
+    bisection (dstebz) makes them: the pivots of T - t in order, each pivot
+    smaller in magnitude than pivmin = (smallest normal) * max(1, max e^2)
+    replaced by -pivmin, and those <= 0 counted. So an eigenvalue equal to
+    t is not beyond it. For t >= 0 the two counts leave
+    2n - #{lambda(T) <= t} - #{lambda(-T) <= t} eigenvalues beyond t; for
+    t < 0 every eigenvalue is, and the sum is capped at n. ||T|| > t iff the
+    count is positive, that is iff either Sturm count is below n.
+    """
+    k, n = d.shape
+    t = np.asarray(thresholds, dtype=float)
+    e2 = (e * e).T[:, np.newaxis, :, np.newaxis]  # (n - 1, 1, k, 1)
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, e2.max(axis=0, initial=0.0))
+    signed = np.stack([d, -d]).transpose(2, 0, 1)[..., np.newaxis]  # (n, 2, k, 1): T and -T
+    pivot = signed[0] - t
+    below = np.zeros((2, k, len(t)), dtype=np.int64)
+    for j in range(n):
+        if j:
+            pivot = signed[j] - e2[j - 1] / pivot - t
+        pivot = np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
+        below += pivot <= 0
+    return np.minimum(2 * n - below.sum(axis=0), n)
 
 
-def _band_trace(d: np.ndarray, e: np.ndarray, s: int) -> float:
-    """Tr T^(2s) = ||T^s||_F^2 for the symmetric tridiagonal T with diagonal
-    d and off-diagonal e, in O(n s^2).
+def _band_trace(d: np.ndarray, e: np.ndarray, s: int) -> np.ndarray:
+    """Tr T^(2s) = ||T^s||_F^2 for each symmetric tridiagonal T of a batch,
+    with diagonals d, (k, n), and off-diagonals e, (k, n - 1), in O(k n s^2).
 
     T^s has 2s + 1 diagonals, and they are built one power at a time. Row r
-    of `band` holds (T^k)[i, i + r - p] on an index line that pads the n
-    indices with p = s + 1 zeros a side; row r of each window view holds
-    T's diagonal and off-diagonal read from position i + r - p of the same
-    line, so a row's product with T takes three of its neighbours. The
+    of a draw's `band` holds (T^j)[i, i + r - p] on an index line that pads
+    the n indices with p = s + 1 zeros a side; row r of each window view
+    holds T's diagonal and off-diagonal read from position i + r - p of the
+    same line, so a row's product with T takes three of its neighbours. The
     padding keeps every read inside the arrays, and T padded with zeros
-    has the same powers on the real indices.
+    has the same powers on the real indices. T^j fills only the rows
+    p - j to p + j. The draws go through in groups whose bands hold at most
+    _STACK_DOUBLES doubles, which also ran faster than one group.
     """
-    n, p = len(d), s + 1
+    k, n = d.shape
+    p = s + 1
     line = n + 2 * p
-    diag, upper = np.zeros(line + 2 * p), np.zeros(line + 2 * p)
-    diag[2 * p : 2 * p + n] = d
-    upper[2 * p : 2 * p + n - 1] = e
-    diag_at = np.lib.stride_tricks.sliding_window_view(diag, line)
-    upper_at = np.lib.stride_tricks.sliding_window_view(upper, line)
-    band = np.zeros((2 * p + 1, line))
-    band[p, p : p + n] = 1.0  # T^0 on the real indices only
-    for _ in range(s):
-        band[1:-1] = band[:-2] * upper_at[:-2] + band[1:-1] * diag_at[1:-1] + band[2:] * upper_at[1:-1]
-    return float(np.vdot(band, band))
-
-
-def _tail_stats(stack: np.ndarray, s_list: tuple[int, ...]) -> dict:
-    """`spectral_stats` of a stack as far as a tail reads it: lambda_max
-    and Tr A^(2s) for s in s_list.
-
-    ||A|| = max(|lambda_1|, |lambda_n|) needs only the two ends of the
-    spectrum. So a float64 stack of draws with n >= 129 (`_solves_alone`)
-    skips the QL sweep that computes all n eigenvalues in dsyevd: each draw
-    is reduced to a tridiagonal T (`_tridiagonalize`), whose two extreme
-    eigenvalues come from bisection (`_spectrum_ends`), and
-    Tr A^(2s) = Tr T^(2s) comes from T's band (`_band_trace`). ctypes
-    releases the GIL for both LAPACK calls, so replicate threads overlap.
-    lambda_max agrees with `spectral_stats`' to about 1e-14 and the traces
-    to rounding. Smaller draws, other inputs and every input of a build
-    without the two symbols take `spectral_stats`, looked up at call time.
-    """
-    n = stack.shape[-1]
-    lapack = _tridiagonal_lapack() if _solves_alone(n) and stack.dtype == np.float64 else None
-    if lapack is None:
-        return spectral_stats(stack, s_list)
-    dsytrd, dstebz = lapack
-    lam, traces = [], {s: [] for s in s_list}
-    for mat in stack:
-        d, e = _tridiagonalize(mat, dsytrd)
-        low, high = _spectrum_ends(d, e, dstebz)
-        lam.append(max(abs(low), abs(high)))
-        for s in s_list:
-            traces[s].append(_band_trace(d, e, s))
-    return {"lambda_max": np.array(lam), "traces": {s: np.array(t) for s, t in traces.items()}}
+    group = max(1, _STACK_DOUBLES // ((2 * p + 1) * line))
+    if k > group:
+        return np.concatenate([_band_trace(d[i : i + group], e[i : i + group], s)
+                               for i in range(0, k, group)])
+    diag, upper = np.zeros((k, line + 2 * p)), np.zeros((k, line + 2 * p))
+    diag[:, 2 * p : 2 * p + n] = d
+    upper[:, 2 * p : 2 * p + n - 1] = e
+    diag_at = np.lib.stride_tricks.sliding_window_view(diag, line, axis=-1)
+    upper_at = np.lib.stride_tricks.sliding_window_view(upper, line, axis=-1)
+    band = np.zeros((k, 2 * p + 1, line))
+    band[:, p, p : p + n] = 1.0  # T^0 on the real indices only
+    for j in range(1, s + 1):
+        lo, hi = p - j, p + j + 1
+        band[:, lo:hi] = (
+            band[:, lo - 1 : hi - 1] * upper_at[:, lo - 1 : hi - 1]
+            + band[:, lo:hi] * diag_at[:, lo:hi]
+            + band[:, lo + 1 : hi + 1] * upper_at[:, lo:hi]
+        )
+    band = band.reshape(k, -1)
+    return np.einsum("ij,ij->i", band, band)
 
 
 def _usable_cpus() -> int:
@@ -517,7 +533,8 @@ class SampleStats:
 
 
 #: Doubles per stacked eigen-solve: n = 30 stacks 36 draws, n >= 129 one.
-#: A budget of 2^17 saves little more and raises peak memory by 7%.
+#: A budget of 2^17 saves little more and raises peak memory by 7%. It also
+#: bounds a tail's chunk of draws (`tail_curve`) and band (`_band_trace`).
 _STACK_DOUBLES = 2**15
 
 
@@ -527,16 +544,18 @@ def _stack_size(n: int) -> int:
 
 
 def _replicate_loop(
-    config: EnsembleConfig, replicates: int, statistic, batch: int = 1
+    config: EnsembleConfig, reps: range, statistic, batch: int = 1
 ) -> tuple[list, list[int]]:
-    """statistic(stack) over the replicates' draws, in replicate order.
+    """statistic(stack) over the draws of the replicates in `reps`, in order.
 
-    The draws go to statistic as (k, n, n) stacks of `batch` consecutive
-    replicates (the last stack may hold fewer), and every statistic runs on
-    one BLAS thread. A stack whose statistic raises LinAlgError is redone
-    one draw at a time, and the draws that raise again are dropped. Returns
-    the statistics, one per stack that was filled, and the indices of the
-    dropped replicates, ascending.
+    The replicates are absolute indices, which key their Philox streams; a
+    range that runs backwards, range(replicates) for a negative count, is
+    refused. The draws go to statistic as (k, n, n) stacks of `batch`
+    consecutive replicates (the last stack may hold fewer), and every
+    statistic runs on one BLAS thread. A stack whose statistic raises
+    LinAlgError is redone one draw at a time, and the draws that raise
+    again are dropped. Returns the statistics, one per stack that was
+    filled, and the indices of the dropped replicates, ascending.
 
     Draws that fill a stack alone (n >= 129, `_solves_alone`) are dealt to
     min(usable CPUs, stacks) threads, the caller's among them: each thread
@@ -544,14 +563,15 @@ def _replicate_loop(
     re-keyed to each replicate's stream, and the results are gathered by
     stack index. So the output is the same bits on any number of cores.
     The threads overlap because dsyevd (`_eigvalsh`), the tail's dsytrd
-    and dstebz (`_tail_stats`) and numpy's matrix products release the GIL. Smaller draws stay on the caller's thread,
-    where threads saved little wall time for about 45% more CPU. Every thread
+    (`_tail_stats`) and numpy's matrix products release the GIL. Smaller
+    draws stay on the caller's thread, where threads saved little wall time
+    for about 45% more CPU. Every thread
     is joined before the loop returns; the first exception a thread raised
     is then raised here, and the other threads stop after their stack.
     """
-    if replicates < 0:
+    if reps.stop < reps.start:
         raise ValueError("replicates must be >= 0")
-    starts = range(0, replicates, batch)
+    starts = range(0, len(reps), batch)
     done: list = [None] * len(starts)  # per stack: (statistics, dropped replicates)
     todo = iter(range(len(starts)))
     take = threading.Lock()
@@ -576,11 +596,11 @@ def _replicate_loop(
                     index = next(todo, None)
                 if index is None:
                     return
-                reps = range(starts[index], min(starts[index] + batch, replicates))
-                mats = [sample_matrix(config, rep, rng) for rep in reps]
+                stack_reps = reps[starts[index] : starts[index] + batch]
+                mats = [sample_matrix(config, rep, rng) for rep in stack_reps]
                 filled, failed = done[index] = [], []
                 # a lone draw goes as a view, not a copy
-                solve(np.stack(mats) if len(mats) > 1 else mats[0][np.newaxis], reps, filled, failed)
+                solve(np.stack(mats) if len(mats) > 1 else mats[0][np.newaxis], stack_reps, filled, failed)
         except BaseException as exc:
             errors.append(exc)
             halt.set()
@@ -607,19 +627,19 @@ def sample_stats(
 ) -> SampleStats:
     """lambda_max and Tr A^(2s) for s in s_list, per replicate, from stacked eigen-solves."""
     s_list = tuple(s_list)
-    filled, failed = _replicate_loop(
-        config,
-        replicates,
-        lambda stack: spectral_stats(stack, s_list),
-        batch=_stack_size(config.n),
-    )
+
+    def statistic(stack):
+        stats = spectral_stats(stack, s_list)
+        return stats["lambda_max"], stats["traces"]  # the eigenvalues are not kept
+
+    filled, failed = _replicate_loop(config, range(replicates), statistic, batch=_stack_size(config.n))
     empty = np.empty(0)
-    lambda_max = np.concatenate([empty] + [st["lambda_max"] for st in filled])
+    lambda_max = np.concatenate([empty] + [lam for lam, _ in filled])
     return SampleStats(
         replicates=len(lambda_max),
         s_list=s_list,
         lambda_max=lambda_max,
-        traces={s: np.concatenate([empty] + [st["traces"][s] for st in filled]) for s in s_list},
+        traces={s: np.concatenate([empty] + [traces[s] for _, traces in filled]) for s in s_list},
         failed_replicates=failed,
     )
 
@@ -643,6 +663,8 @@ class TailCurve:
     exceed_counts: tuple[int, ...]
     replicates: int
     chebyshev_bounds: tuple[float | None, ...] | None = None  # None where threshold <= 0
+    # per threshold, the mean over filled draws of #{j : |lambda_j| > threshold}
+    mean_beyond: tuple[float, ...] = ()
 
     def probabilities(self) -> list[float]:
         return [c / self.replicates for c in self.exceed_counts]
@@ -670,6 +692,24 @@ class TailCurve:
         return out
 
 
+def _tail_chunk(
+    config: EnsembleConfig, reps: range, thresholds: tuple[float, ...], s: int | None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The tail's statistics of the replicates in `reps` that are not
+    dropped: #{j : |lambda_j| > t} per draw and threshold (`_count_beyond`),
+    and Tr A^(2s) per draw (`_band_trace`), or None without s.
+
+    The draws' tridiagonals come from `_replicate_loop` and live only in
+    this call, so a tail holds one chunk of them at a time.
+    """
+    filled, _ = _replicate_loop(config, reps, _tail_stats, batch=_stack_size(config.n))
+    if not filled:
+        return np.zeros((0, len(thresholds)), dtype=np.int64), None if s is None else np.empty(0)
+    d, e = (np.concatenate(parts) for parts in zip(*filled))
+    del filled  # the per-stack pieces, before the counts need room
+    return _count_beyond(d, e, thresholds), None if s is None else _band_trace(d, e, s)
+
+
 def tail_curve(
     config: EnsembleConfig,
     x_grid: tuple[float, ...],
@@ -677,44 +717,55 @@ def tail_curve(
     replicates: int = 1000,
     chebyshev_s: int | None = None,
 ) -> TailCurve:
-    """Empirical exceedance of lambda_max over 2v (1 + x / n^(2/3)) or 2v (1 + x / c).
+    """Empirical exceedance of ||A|| over 2v (1 + x / n^(2/3)) or 2v (1 + x / c).
 
-    Also reports, per grid point, the Markov-style bound mean(Tr A^(2s)) /
-    threshold^(2s) estimated from the same replicates when chebyshev_s (>= 1) is given.
+    When chebyshev_s (>= 1) is given, also reports per grid point
+    mean(Tr A^(2s)) / threshold^(2s), with the mean taken over the same
+    replicates: an estimate of E Tr A^(2s) / t^(2s), not a bound on the
+    exceedance probability.
 
-    Each replicate computes only what the curve reads (`_tail_stats`): at
-    n >= 129, lambda_max by bisection at the two ends of the spectrum and
-    Tr A^(2s) from the tridiagonal band, with no full spectrum. The
-    exceedance counts are those of `sample_stats`' lambda_max; the bound
-    may differ from one built on its traces in the last bits. A replicate
-    whose solve fails is dropped, and LinAlgError is raised when every
-    replicate is.
+    The replicate threads only reduce each draw to a tridiagonal T with its
+    spectrum (`_tail_stats`). Every threshold is then answered on the
+    caller's thread, in bulk over a chunk of at most _STACK_DOUBLES // n
+    draws: Sturm counts decide ||A|| > t and count the eigenvalues beyond t
+    (`_count_beyond`, into `mean_beyond`), and Tr A^(2s) = Tr T^(2s) comes
+    from T's band (`_band_trace`). A replicate whose draw fails is dropped,
+    and LinAlgError is raised when every replicate is.
     """
     if replicates < 100:
         raise ValueError("at least 100 replicates are required for a tail curve")
     if chebyshev_s is not None and chebyshev_s < 1:
         raise ValueError("chebyshev_s must be >= 1")
+    n = config.n
     v = float(config.law.v)
     if scale == "wigner":
-        denom = config.n ** (2.0 / 3.0)
+        denom = n ** (2.0 / 3.0)
     elif scale == "dilute":
         if config.dilution_c is None:
             raise ValueError("dilute scale needs a dilution concentration")
         denom = float(config.dilution_c)
     else:
         raise ValueError("scale must be 'wigner' or 'dilute'")
+    if not all(math.isfinite(x) for x in x_grid):
+        raise ValueError("x_grid points must be finite")
     thresholds = tuple(2 * v * (1 + x / denom) for x in x_grid)
-    s_list = (chebyshev_s,) if chebyshev_s is not None else ()
-    filled, _ = _replicate_loop(
-        config, replicates, lambda stack: _tail_stats(stack, s_list), batch=_stack_size(config.n)
-    )
-    if not filled:
+    drawn = 0
+    exceed = np.zeros(len(thresholds), dtype=np.int64)
+    beyond = np.zeros(len(thresholds), dtype=np.int64)
+    traces = []
+    chunk = max(1, _STACK_DOUBLES // n)
+    for start in range(0, replicates, chunk):
+        reps = range(start, min(start + chunk, replicates))
+        counts, chunk_traces = _tail_chunk(config, reps, thresholds, chebyshev_s)
+        drawn += len(counts)
+        exceed += np.count_nonzero(counts, axis=0)
+        beyond += counts.sum(axis=0)
+        traces.append(chunk_traces)
+    if not drawn:
         raise np.linalg.LinAlgError(f"all {replicates} replicates failed their eigen-solve")
-    lam = np.concatenate([st["lambda_max"] for st in filled])
-    counts = tuple(int(np.sum(lam > thr)) for thr in thresholds)
     cheb = None
     if chebyshev_s is not None:
-        mean_trace = float(np.mean(np.concatenate([st["traces"][chebyshev_s] for st in filled])))
+        mean_trace = float(np.mean(np.concatenate(traces)))
         cheb = tuple(
             mean_trace / thr ** (2 * chebyshev_s) if thr > 0 else None
             for thr in thresholds
@@ -722,9 +773,10 @@ def tail_curve(
     return TailCurve(
         x_grid=tuple(x_grid),
         thresholds=thresholds,
-        exceed_counts=counts,
-        replicates=len(lam),
+        exceed_counts=tuple(int(c) for c in exceed),
+        replicates=drawn,
         chebyshev_bounds=cheb,
+        mean_beyond=tuple(float(b) / drawn for b in beyond),
     )
 
 
@@ -752,8 +804,8 @@ def universality_compare(
     def trace(stack):
         return trace_powers(stack[0], (s,))[s]
 
-    a, failed_a = _replicate_loop(config_a, replicates, trace)
-    b, failed_b = _replicate_loop(config_b, replicates, trace)
+    a, failed_a = _replicate_loop(config_a, range(replicates), trace)
+    b, failed_b = _replicate_loop(config_b, range(replicates), trace)
     traces_a = np.array(a, dtype=float)
     traces_b = np.array(b, dtype=float)
     n = config_a.n
@@ -792,11 +844,12 @@ def universality_compare(
 def truncation_event_rate(config: EnsembleConfig, replicates: int) -> dict:
     """Empirical probability that some raw entry exceeds the truncation level.
 
-    The event reads only |a|, so each replicate draws its entries'
-    magnitudes (`law.magnitudes`) from its own Philox stream. They equal
-    the absolute values of the raw entries `sample_entries` draws, bit for
-    bit, so the hits are the same; a law that draws its signs after its
-    magnitudes (power-tail) skips them.
+    The event reads only the largest |a|, so each replicate asks its law
+    for it (`law.largest_magnitude`) from its own Philox stream. It equals
+    the largest absolute value of the raw entries `sample_entries` draws,
+    bit for bit, so the hits are the same. A law that draws its signs after
+    its magnitudes (power-tail) skips them and maps only its largest
+    uniform to a magnitude.
     """
     if config.truncation is None:
         raise ValueError("config has no truncation")
@@ -806,7 +859,7 @@ def truncation_event_rate(config: EnsembleConfig, replicates: int) -> dict:
     hits = 0
     rng = _rng(config, 0)
     for rep in range(replicates):
-        if np.any(config.law.magnitudes(_rng(config, rep, rng), n * (n + 1) // 2) > cutoff):
+        if config.law.largest_magnitude(_rng(config, rep, rng), n * (n + 1) // 2) > cutoff:
             hits += 1
     rate = hits / replicates
     ci = wilson_interval(hits, replicates)

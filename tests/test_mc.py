@@ -462,10 +462,10 @@ def _poisoned_spectral_stats(monkeypatch, config, bad_replicates):
             raise np.linalg.LinAlgError("eigvalsh did not converge")
         return real(stack, s_list)
 
-    def flaky_tail(stack, s_list):
+    def flaky_tail(stack):
         if poisoned(stack):
-            raise np.linalg.LinAlgError("bisection failed")
-        return real_tail(stack, s_list)
+            raise np.linalg.LinAlgError("reduction failed")
+        return real_tail(stack)
 
     monkeypatch.setattr(mc, "spectral_stats", flaky)
     monkeypatch.setattr(mc, "_tail_stats", flaky_tail)
@@ -626,7 +626,7 @@ def test_numpy_fallback_without_dsyevd(monkeypatch, cdll):
     finally:
         mc._dsyevd.cache_clear()
         mc._tridiagonal_lapack.cache_clear()
-    # the tail's bound sums eigenvalue powers here and band products on the LAPACK route
+    # the tail's bound sums eigenvalue powers here and band products on the dsytrd route
     for got_row, want_row in zip(got[3], want[3]):
         assert got_row.pop("chebyshev_bound") == pytest.approx(want_row.pop("chebyshev_bound"), rel=1e-12)
     assert got == want
@@ -635,23 +635,27 @@ def test_numpy_fallback_without_dsyevd(monkeypatch, cdll):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 50])
 def test_band_trace_equals_the_matrix_power(n):
+    # three draws in one batch: each trace is its own matrix power's
     rng = np.random.default_rng(n)
-    d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
-    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    d, e = rng.standard_normal((3, n)), rng.standard_normal((3, n - 1))
     for s in range(7):
-        want = np.trace(np.linalg.matrix_power(t, 2 * s))
-        assert math.isclose(mc._band_trace(d, e, s), want, rel_tol=1e-12), (n, s)
+        got = mc._band_trace(d, e, s)
+        assert got.shape == (3,)
+        for i in range(3):
+            t = np.diag(d[i]) + np.diag(e[i], 1) + np.diag(e[i], -1)
+            want = np.trace(np.linalg.matrix_power(t, 2 * s))
+            assert math.isclose(got[i], want, rel_tol=1e-12), (n, s, i)
 
 
 def _no_spectrum(stack, s_list):
-    raise AssertionError("the LAPACK route called spectral_stats")
+    raise AssertionError("the dsytrd route called spectral_stats")
 
 
 @pytest.fixture
 def tail_lapack():
-    """Skip where numpy's linalg extension lacks dsytrd or dstebz."""
+    """Skip where numpy's linalg extension lacks dsytrd."""
     if mc._tridiagonal_lapack() is None:
-        pytest.skip("numpy's linalg extension exports no dsytrd or dstebz")
+        pytest.skip("numpy's linalg extension exports no dsytrd")
 
 
 def _tail_route_configs(n):
@@ -661,17 +665,19 @@ def _tail_route_configs(n):
 @pytest.mark.parametrize("n", [1, 2, 129, 200])
 def test_tail_statistic_matches_the_full_spectrum(monkeypatch, tail_lapack, n):
     # rademacher, goe, dilute, truncated power-tail and the v = 0 zero matrix;
-    # n = 1 and 2 are sent down the LAPACK route as well
+    # n = 1 and 2 are sent down the dsytrd route as well
     s_list = tuple(range(7))
     draws = [sample_matrix(cfg, rep) for cfg in _tail_route_configs(n) for rep in range(3)]
     monkeypatch.setattr(mc, "_STACK_DOUBLES", 0)
-    monkeypatch.setattr(mc, "spectral_stats", _no_spectrum)  # the LAPACK route takes every draw
+    monkeypatch.setattr(mc, "spectral_stats", _no_spectrum)  # the dsytrd route takes every draw
     for mat in draws:
         eigs = np.linalg.eigvalsh(mat)
-        got = mc._tail_stats(mat[np.newaxis], s_list)
-        assert abs(got["lambda_max"][0] - np.max(np.abs(eigs))) <= 1e-13
+        d, e = mc._tail_stats(mat[np.newaxis])
+        assert d.shape == (1, n) and e.shape == (1, n - 1)
+        tridiagonal = np.diag(d[0]) + np.diag(e[0], 1) + np.diag(e[0], -1)
+        assert abs(np.max(np.abs(np.linalg.eigvalsh(tridiagonal))) - np.max(np.abs(eigs))) <= 1e-13
         for s in s_list:
-            assert math.isclose(got["traces"][s][0], np.sum(eigs ** (2 * s)), rel_tol=1e-12), s
+            assert math.isclose(mc._band_trace(d, e, s)[0], np.sum(eigs ** (2 * s)), rel_tol=1e-12), s
 
 
 def test_tail_counts_equal_the_eigvalsh_counts(tail_lapack):
@@ -684,24 +690,90 @@ def test_tail_counts_equal_the_eigvalsh_counts(tail_lapack):
         assert curve.exceed_counts == tuple(int(np.sum(lam > thr)) for thr in curve.thresholds), cfg
 
 
-def test_a_failed_bisection_drops_that_replicate(monkeypatch, tail_lapack):
-    # on one thread, replicate k makes dstebz calls 2k and 2k + 1
+def _full_spectrum_tail(cfg, replicates, thresholds):
+    """Per threshold t, the draws with max|eigvalsh| > t and the mean number of
+    |eigvalsh| > t per draw, over the first `replicates` draws of cfg."""
+    eigs = np.abs([np.linalg.eigvalsh(sample_matrix(cfg, rep)) for rep in range(replicates)])
+    norms = eigs.max(axis=1)
+    return (
+        tuple(int(np.sum(norms > t)) for t in thresholds),
+        tuple(int(np.sum(eigs > t)) / replicates for t in thresholds),
+    )
+
+
+@pytest.mark.parametrize("n", [20, 200])
+def test_exceedance_at_edge_thresholds_equals_the_full_spectrum(n):
+    # the stacked route (n = 20) and the dsytrd route (n = 200); thresholds
+    # -4v, 0 and v, the grid's 2v and above, and 2v (1 + 100 n), far above any norm
+    scale = n ** (2.0 / 3.0)
+    grid = (-3 * scale, -scale, -scale / 2, 0.0, 1.0, scale * n * 100)
+    for cfg in _tail_route_configs(n):  # the last is the v = 0 zero matrix, with every threshold 0
+        curve = tail_curve(cfg, grid, replicates=100)
+        assert (curve.exceed_counts, curve.mean_beyond) == _full_spectrum_tail(cfg, 100, curve.thresholds), cfg
+        assert curve.exceed_counts[0] == (100 if cfg.law.v else 0) and curve.exceed_counts[-1] == 0
+    # ||0|| = 0 exceeds every t < 0 and no t >= 0, however small
+    d, e = mc._tail_stats(np.zeros((2, n, n)))
+    below_zero = mc._count_beyond(d, e, (-1.0, -1e-300, 0.0, 1e-300, 1.0))
+    assert below_zero.tolist() == [[n, n, 0, 0, 0]] * 2
+
+
+@pytest.mark.parametrize("n", [30, 200])
+def test_mean_beyond_is_the_mean_eigenvalue_count(n):
+    grid = (-2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
+    for cfg in _trace_configs(n):
+        curve = tail_curve(cfg, grid, replicates=100)
+        assert curve.mean_beyond == _full_spectrum_tail(cfg, 100, curve.thresholds)[1], cfg
+        assert "mean_beyond" not in curve.rows()[0]
+
+
+def test_a_chunked_tail_equals_one_chunk(monkeypatch):
+    # 100 replicates at n = 200: one chunk by default, three of 33 and one of
+    # 1 with the budget cut to 33 draws; replicate 40, in the second, fails
+    cfg = _edge_configs()[1]
+    grid = (-1.0, 0.0, 1.0)
+    _poisoned_spectral_stats(monkeypatch, cfg, [40])
+    calls = []
+    real = mc._replicate_loop
+
+    def recording(config, reps, statistic, batch=1):
+        filled, failed = real(config, reps, statistic, batch)
+        calls.append((reps, failed))
+        return filled, failed
+
+    monkeypatch.setattr(mc, "_replicate_loop", recording)
+    whole = tail_curve(cfg, grid, replicates=100, chebyshev_s=3)
+    assert calls == [(range(100), [40])]
+    calls.clear()
+    monkeypatch.setattr(mc, "_STACK_DOUBLES", 33 * cfg.n)
+    chunked = tail_curve(cfg, grid, replicates=100, chebyshev_s=3)
+    assert calls == [(range(0, 33), []), (range(33, 66), [40]), (range(66, 99), []), (range(99, 100), [])]
+    assert chunked == whole and whole.replicates == 99
+
+
+def _non_finite_reduction(dsytrd, fails):
+    """dsytrd that writes NaN into the diagonal of the calls for which fails(call index) holds."""
+    calls = []
+
+    def reduce(*args):
+        dsytrd(*args)
+        if fails(len(calls)):
+            ctypes.c_double.from_address(args[4]).value = math.nan  # d[0]
+        calls.append(1)
+
+    return reduce, calls
+
+
+def test_a_non_finite_reduction_drops_that_replicate(monkeypatch, tail_lapack):
+    # on one thread, replicate k makes dsytrd call k; the workspace query is cached first
     cfg = _edge_configs()[0]
     grid = (-1.0, 0.0, 1.0)
     lam = sample_stats(cfg, 100, s_list=()).lambda_max
-    dsytrd, dstebz = mc._tridiagonal_lapack()
-    calls = []
-
-    def failing_for_replicate_5(*args):
-        dstebz(*args)
-        if len(calls) == 10:
-            ctypes.c_int64.from_address(args[17]).value = 1  # info
-        calls.append(1)
-
+    mc._dsytrd_workspace(cfg.n)
+    failing_for_replicate_5, calls = _non_finite_reduction(mc._tridiagonal_lapack(), lambda call: call == 5)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(mc, "_tridiagonal_lapack", lambda: (dsytrd, failing_for_replicate_5))
+    monkeypatch.setattr(mc, "_tridiagonal_lapack", lambda: failing_for_replicate_5)
     curve = tail_curve(cfg, grid, replicates=100)
-    assert len(calls) == 2 * 100 - 1  # replicate 5 stopped after its first bisection
+    assert len(calls) == 100  # one reduction per replicate
     kept = np.delete(lam, 5)
     assert curve.replicates == 99
     assert curve.exceed_counts == tuple(int(np.sum(kept > thr)) for thr in curve.thresholds)
@@ -714,11 +786,11 @@ def test_tail_statistic_raises_on_a_non_finite_draw(monkeypatch, tail_lapack, n,
     stack[0, 1, 1] = bad
     monkeypatch.setattr(mc, "_STACK_DOUBLES", 0)
     monkeypatch.setattr(mc, "spectral_stats", _no_spectrum)
-    with pytest.raises(np.linalg.LinAlgError, match="Bisection"):
-        mc._tail_stats(stack, (1,))
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        mc._tail_stats(stack)
 
 
-def _failing_statistic(stack, s_list):
+def _failing_statistic(stack, s_list=()):
     raise np.linalg.LinAlgError("did not converge")
 
 
@@ -728,16 +800,12 @@ def test_a_tail_with_every_replicate_dropped_raises(request, monkeypatch, route,
     if route == "stacked":
         n = 20
         monkeypatch.setattr(mc, "spectral_stats", _failing_statistic)
-    else:  # every bisection reports a failure
+    else:  # every reduction gives a non-finite diagonal
         n = 200
         request.getfixturevalue("tail_lapack")
-        dsytrd, dstebz = mc._tridiagonal_lapack()
-
-        def failing(*args):
-            dstebz(*args)
-            ctypes.c_int64.from_address(args[17]).value = 1  # info
-
-        monkeypatch.setattr(mc, "_tridiagonal_lapack", lambda: (dsytrd, failing))
+        mc._dsytrd_workspace(n)
+        failing, _ = _non_finite_reduction(mc._tridiagonal_lapack(), lambda call: True)
+        monkeypatch.setattr(mc, "_tridiagonal_lapack", lambda: failing)
     cfg = EnsembleConfig(n=n, law=RAD, seed=23)
     with pytest.raises(np.linalg.LinAlgError, match="all 100 replicates failed"):
         tail_curve(cfg, (0.0,), replicates=100, chebyshev_s=chebyshev_s)
@@ -761,6 +829,16 @@ def test_magnitudes_are_the_absolute_samples_bit_for_bit(law):
         got = law.magnitudes(np.random.Generator(np.random.Philox(key=key)), size)
         want = np.abs(law.sample(np.random.Generator(np.random.Philox(key=key)), size))
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), size
+
+
+@pytest.mark.parametrize("law", _LAWS, ids=lambda law: law.name)
+def test_largest_magnitude_is_the_largest_magnitude_bit_for_bit(law):
+    for seed in range(20):
+        for size in (1, 7, 210, 5050):
+            key = np.array([seed, size], dtype=np.uint64)
+            got = law.largest_magnitude(np.random.Generator(np.random.Philox(key=key)), size)
+            want = law.magnitudes(np.random.Generator(np.random.Philox(key=key)), size).max()
+            assert np.float64(got).tobytes() == want.tobytes(), (seed, size)
 
 
 def test_truncation_hits_are_unchanged_on_criterion_13():
@@ -917,6 +995,13 @@ def test_tail_curve_monotone_and_extremes():
     assert rows[0]["replicates"] == 400
     with pytest.raises(ValueError):
         tail_curve(cfg, (0.0,), replicates=50)
+
+
+@pytest.mark.parametrize("point", [math.nan, math.inf, -math.inf])
+def test_tail_curve_refuses_a_non_finite_grid_point(point):
+    cfg = EnsembleConfig(n=20, law=RAD, seed=23)
+    with pytest.raises(ValueError, match="finite"):
+        tail_curve(cfg, (0.0, point), replicates=100)
 
 
 def test_tail_curve_without_a_bound_asks_for_no_traces(monkeypatch):
