@@ -126,9 +126,9 @@ def classify_mu(an: WalkAnalysis) -> MuSignature:
     return MuSignature(
         theta=theta,
         mu=_sparse(an.mu_profile()),
-        p_count=an.p_count,
+        p_count=len(an.p_edges),
         double_mu=an.double_mu_count,
-        q_counts=an.q_counts,
+        q_counts=tuple(map(len, an.q_layers)),
         r=r,
         d=an.max_exit_degree,
         max_kappa_nu=max(an.kappa_nu.values(), default=1),
@@ -264,7 +264,7 @@ def weight_bound_check(an: WalkAnalysis, spec: MomentSpec) -> WeightBoundResult:
     """
     if spec.truncation is None:
         raise BoundPreconditionError("weight bound is about truncated specs")
-    s = an.s
+    s = an.walk.s
     cutoff = spec.truncation.cutoff(spec.n)
     v2 = Fraction(spec.law.moment(2))
     chain = [Fraction(spec.entry_moment(2 * m)) for m in range(2, 7)]

@@ -26,15 +26,11 @@ def _check_scale(name: str, value) -> None:
 
 
 class _SampledMagnitudes:
-    """|a| for a law that draws its signs with its values: from the signed draw."""
-
-    def magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """np.abs(self.sample(rng, size))."""
-        return np.abs(self.sample(rng, size))
+    """The largest |a| for a law that draws its signs with its values: from the signed draw."""
 
     def largest_magnitude(self, rng: np.random.Generator, size: int) -> float:
-        """self.magnitudes(rng, size).max(), for size >= 1."""
-        return self.magnitudes(rng, size).max()
+        """np.abs(self.sample(rng, size)).max(), for size >= 1."""
+        return np.abs(self.sample(rng, size)).max()
 
 
 @dataclass(frozen=True)
@@ -156,13 +152,10 @@ class PowerTailLaw:
             return g * self.x0**g * math.log(cutoff / self.x0)
         return g * self.x0**p / (g - p) * (1 - (self.x0 / cutoff) ** (g - p))
 
-    def magnitudes(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """np.abs(self.sample(rng, size)), bit for bit, without drawing the signs."""
-        return self._magnitude_of(rng.random(size))
-
     def largest_magnitude(self, rng: np.random.Generator, size: int) -> float:
-        """self.magnitudes(rng, size).max(), for size >= 1, bit for bit: the
-        map from u to |a| rises with u, so only the largest u goes through it."""
+        """np.abs(self.sample(rng, size)).max(), for size >= 1, bit for bit:
+        the signs, drawn after the magnitudes, are skipped, and the map from u
+        to |a| rises with u, so only the largest u goes through it."""
         return self._magnitude_of(rng.random(size).max(keepdims=True))[0]
 
     def _magnitude_of(self, u: np.ndarray) -> np.ndarray:
@@ -170,8 +163,8 @@ class PowerTailLaw:
         return self.x0 * (1.0 - u) ** (-1.0 / self.gamma)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        # the signs are drawn after the magnitudes, so `magnitudes` may stop short of them
-        mag = self.magnitudes(rng, size)
+        # the signs are drawn after the magnitudes, so `largest_magnitude` may stop short of them
+        mag = self._magnitude_of(rng.random(size))
         return mag * (2.0 * rng.integers(0, 2, size=size) - 1.0)
 
     def descriptor(self) -> dict:

@@ -141,8 +141,7 @@ def sample_matrix(
 
 
 def spectral_stats(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict:
-    """The eigenvalues, ascending, with the largest absolute one and even
-    trace powers from them.
+    """The largest absolute eigenvalue and even trace powers from the eigenvalues.
 
     The spectrum comes from `_eigvalsh`, which equals `np.linalg.eigvalsh`
     bit for bit and, from n = 129 up, releases the GIL while it solves. A
@@ -153,8 +152,8 @@ def spectral_stats(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict:
     lam = np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
     traces = {s: np.sum(eigs ** (2 * s), axis=-1) for s in s_list}
     if matrix.ndim == 2:
-        return {"eigenvalues": eigs, "lambda_max": float(lam), "traces": {s: float(t) for s, t in traces.items()}}
-    return {"eigenvalues": eigs, "lambda_max": lam, "traces": traces}
+        return {"lambda_max": float(lam), "traces": {s: float(t) for s, t in traces.items()}}
+    return {"lambda_max": lam, "traces": traces}
 
 
 def _matrix_power(matrix: np.ndarray, s: int) -> np.ndarray:
@@ -176,8 +175,10 @@ def trace_powers(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict[int, float
 
     A^s comes from repeated squaring; s = 0 gives the dimension n. The
     values agree with the eigenvalue power sums of `spectral_stats` to
-    rounding.
+    rounding. A negative s is refused.
     """
+    if any(s < 0 for s in s_list):
+        raise ValueError("s must be >= 0")
     out = {}
     for s in s_list:
         power = _matrix_power(matrix, s)
@@ -191,30 +192,41 @@ _OPENBLAS_THREAD_CALLS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
+#: (argtypes, restype) of every routine taken from numpy's linalg extension.
+#: The LAPACK routines take 64-bit integers, every argument by pointer, and
+#: then gfortran's hidden lengths of their string arguments.
+_SIGNATURES = {
+    "scipy_openblas_get_num_threads64_": ([], ctypes.c_int),
+    "scipy_openblas_set_num_threads64_": ([ctypes.c_int], None),
+    "openblas_get_num_threads": ([], ctypes.c_int),
+    "openblas_set_num_threads": ([ctypes.c_int], None),
+    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, two lengths
+    "scipy_dsyevd_64_": ([ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2, None),
+    # uplo, n, a, lda, d, e, tau, work, lwork, info, uplo's length
+    "scipy_dsytrd_64_": ([ctypes.c_char_p] + [ctypes.c_void_p] * 9 + [ctypes.c_size_t], None),
+}
 
-def _linalg_library():
-    """numpy's linalg extension as a ctypes library, or None where it cannot be loaded."""
+
+@lru_cache(maxsize=None)
+def _linalg_symbol(name: str):
+    """The routine `name` of numpy's linalg extension, bound to its
+    _SIGNATURES entry, or None where the library or the symbol is missing."""
     try:
-        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        fn = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), name)
     except (AttributeError, OSError):
         return None
+    fn.argtypes, fn.restype = _SIGNATURES[name]
+    return fn
 
 
 @lru_cache(maxsize=None)
 def _openblas_threads():
-    """OpenBLAS's thread-count (getter, setter), looked up through numpy's
-    linalg extension, or None when it exports neither pair."""
-    lib = _linalg_library()
-    if lib is None:
-        return None
+    """OpenBLAS's thread-count (getter, setter), or None when numpy's
+    linalg extension exports neither pair."""
     for get_name, set_name in _OPENBLAS_THREAD_CALLS:
-        try:
-            get, set_ = getattr(lib, get_name), getattr(lib, set_name)
-        except AttributeError:
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
+        get, set_ = _linalg_symbol(get_name), _linalg_symbol(set_name)
+        if get is not None and set_ is not None:
+            return get, set_
     return None
 
 
@@ -254,22 +266,6 @@ def _one_blas_thread():
 
 
 @lru_cache(maxsize=None)
-def _dsyevd():
-    """LAPACK's dsyevd with 64-bit integers, as numpy's linalg extension
-    exports it, or None where it does not."""
-    lib = _linalg_library()
-    try:
-        fn = lib.scipy_dsyevd_64_
-    except AttributeError:  # no library (None) or no such symbol
-        return None
-    # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info, then
-    # gfortran's hidden lengths of the two strings
-    fn.argtypes = [ctypes.c_char_p] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_size_t] * 2
-    fn.restype = None
-    return fn
-
-
-@lru_cache(maxsize=None)
 def _dsyevd_workspace(n: int) -> tuple[int, int]:
     """(lwork, liwork) that LAPACK's own query (lwork = -1) asks for at n.
 
@@ -280,18 +276,9 @@ def _dsyevd_workspace(n: int) -> tuple[int, int]:
     ints = np.array([n, -1, -1, 0, 0], dtype=np.int64)  # n, lwork, liwork, info, iwork
     work, unused = np.zeros(1), np.zeros(1)  # a and w are not read by a query
     at = ints.ctypes.data
-    _dsyevd()(b"N", b"L", at, unused.ctypes.data, at, unused.ctypes.data,
-              work.ctypes.data, at + 8, at + 32, at + 16, at + 24, 1, 1)
+    _linalg_symbol("scipy_dsyevd_64_")(b"N", b"L", at, unused.ctypes.data, at, unused.ctypes.data,
+                                       work.ctypes.data, at + 8, at + 32, at + 16, at + 24, 1, 1)
     return int(work[0]), int(ints[4])
-
-
-def _solves_alone(n: int) -> bool:
-    """Whether one n x n draw fills a stack on its own (n >= 129).
-
-    Such draws go to `_eigvalsh`'s dsyevd route, or the tail's dsytrd
-    (`_tail_stats`), and are spread over threads by `_replicate_loop`.
-    """
-    return n * n > _STACK_DOUBLES // 2
 
 
 def _eigvalsh(stack: np.ndarray) -> np.ndarray:
@@ -299,18 +286,18 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
     stack from its lower triangle: `np.linalg.eigvalsh`, bit for bit.
 
     numpy's eigvalsh holds the GIL for its whole solve, so no other thread
-    overlaps it. A float64 stack of n x n matrices with n >= 129
-    (`_solves_alone`) goes instead to LAPACK's dsyevd (jobz N, uplo L, the
-    queried workspace: numpy's own call) through ctypes, one call per
-    matrix, and ctypes releases the GIL during the call. Below n = 129 the
+    overlaps it. A float64 stack of n x n matrices with n >= 129 (one draw
+    to a stack, `_stack_size`) goes instead to LAPACK's dsyevd (jobz N,
+    uplo L, the queried workspace: numpy's own call) through ctypes, one
+    call per matrix, and ctypes releases the GIL during the call. Below n = 129 the
     per-call set-up made a 36-draw n = 30 stack about 10% slower, so
     smaller matrices, other inputs and every input of a build without the
     symbol take `np.linalg.eigvalsh`, looked up at call time. A solve that
     does not converge raises LinAlgError, as numpy's does.
     """
     n = stack.shape[-1]
-    fits = _solves_alone(n) and stack.shape[-2:] == (n, n) and stack.dtype == np.float64
-    dsyevd = _dsyevd() if fits else None
+    fits = _stack_size(n) == 1 and stack.shape[-2:] == (n, n) and stack.dtype == np.float64
+    dsyevd = _linalg_symbol("scipy_dsyevd_64_") if fits else None
     if dsyevd is None:
         return np.linalg.eigvalsh(stack)
     # LAPACK reads columns: the transposed copy puts each lower triangle
@@ -330,21 +317,6 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
     return eigs.reshape(stack.shape[:-1])
 
 
-@lru_cache(maxsize=None)
-def _tridiagonal_lapack():
-    """LAPACK's dsytrd with 64-bit integers, as numpy's linalg extension
-    exports it, or None where it does not."""
-    lib = _linalg_library()
-    try:
-        dsytrd = lib.scipy_dsytrd_64_
-    except AttributeError:  # no library (None) or no such symbol
-        return None
-    # uplo, n, a, lda, d, e, tau, work, lwork, info, then uplo's hidden length
-    dsytrd.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * 9 + [ctypes.c_size_t]
-    dsytrd.restype = None
-    return dsytrd
-
-
 #: dsytrd's block size, set through its workspace. On one BLAS thread it
 #: reduced faster than LAPACK's default of 32 at every n measured: 0.25
 #: against 0.34 ms at n = 129, 1.14 against 1.31 ms at n = 200 and 4.2
@@ -359,8 +331,8 @@ def _dsytrd_workspace(n: int) -> int:
     ints = np.array([n, -1, 0], dtype=np.int64)  # n (also lda), lwork, info
     work, unused = np.zeros(1), np.zeros(1)  # nothing else is read by a query
     at = ints.ctypes.data
-    _tridiagonal_lapack()(b"L", at, unused.ctypes.data, at, unused.ctypes.data, unused.ctypes.data,
-                          unused.ctypes.data, work.ctypes.data, at + 8, at + 16, 1)
+    _linalg_symbol("scipy_dsytrd_64_")(b"L", at, unused.ctypes.data, at, unused.ctypes.data, unused.ctypes.data,
+                                       unused.ctypes.data, work.ctypes.data, at + 8, at + 16, 1)
     return min(int(work[0]), _DSYTRD_BLOCK * n)
 
 
@@ -383,17 +355,17 @@ def _tail_stats(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each draw of a (k, n, n) stack as a symmetric tridiagonal T with the
     draw's spectrum: T's diagonals, (k, n), and off-diagonals, (k, n - 1).
 
-    A float64 stack with n >= 129 (`_solves_alone`) is reduced draw by draw
-    by dsytrd (`_tridiagonalize`), and ctypes releases the GIL for each
-    call, so replicate threads overlap. Smaller draws, other inputs and
-    every input of a build without the symbol take their eigenvalues from
-    `spectral_stats`, looked up at call time, as the diagonal of a diagonal
-    T. A non-finite diagonal or off-diagonal raises LinAlgError.
+    A float64 stack with n >= 129 (one draw to a stack, `_stack_size`) is
+    reduced draw by draw by dsytrd (`_tridiagonalize`), and ctypes releases
+    the GIL for each call, so replicate threads overlap. Smaller draws,
+    other inputs and every input of a build without the symbol take their
+    eigenvalues from `_eigvalsh`, looked up at call time, as the diagonal of
+    a diagonal T. A non-finite diagonal or off-diagonal raises LinAlgError.
     """
     k, n = stack.shape[:2]
-    dsytrd = _tridiagonal_lapack() if _solves_alone(n) and stack.dtype == np.float64 else None
+    dsytrd = _linalg_symbol("scipy_dsytrd_64_") if _stack_size(n) == 1 and stack.dtype == np.float64 else None
     if dsytrd is None:
-        d, e = spectral_stats(stack, ())["eigenvalues"], np.zeros((k, n - 1))
+        d, e = _eigvalsh(stack), np.zeros((k, n - 1))
     else:
         d, e = np.empty((k, n)), np.empty((k, n - 1))
         for mat, diag, off in zip(stack, d, e):
@@ -557,7 +529,7 @@ def _replicate_loop(
     again are dropped. Returns the statistics, one per stack that was
     filled, and the indices of the dropped replicates, ascending.
 
-    Draws that fill a stack alone (n >= 129, `_solves_alone`) are dealt to
+    Draws that fill a stack alone (n >= 129, `_stack_size`) are dealt to
     min(usable CPUs, stacks) threads, the caller's among them: each thread
     takes the next stack no thread has taken, with its own generator
     re-keyed to each replicate's stream, and the results are gathered by
@@ -605,7 +577,7 @@ def _replicate_loop(
             errors.append(exc)
             halt.set()
 
-    workers = min(_usable_cpus(), len(starts)) if _solves_alone(config.n) else 1
+    workers = min(_usable_cpus(), len(starts)) if _stack_size(config.n) == 1 else 1
     threads = [threading.Thread(target=work) for _ in range(workers - 1)]
     with _one_blas_thread():
         try:
@@ -630,7 +602,7 @@ def sample_stats(
 
     def statistic(stack):
         stats = spectral_stats(stack, s_list)
-        return stats["lambda_max"], stats["traces"]  # the eigenvalues are not kept
+        return stats["lambda_max"], stats["traces"]
 
     filled, failed = _replicate_loop(config, range(replicates), statistic, batch=_stack_size(config.n))
     empty = np.empty(0)
@@ -800,6 +772,8 @@ def universality_compare(
     """
     if config_a.n != config_b.n:
         raise ValueError("configs must share the dimension n")
+    if s < 0:
+        raise ValueError("s must be >= 0")
 
     def trace(stack):
         return trace_powers(stack[0], (s,))[s]

@@ -180,9 +180,9 @@ def criterion_5_worked_example() -> SuiteResult:
         "mu class mu1=4 mu2=0 mu3=1",
         an.mu_profile() == {1: 4, 3: 1},
     )
-    res.add("one p-edge, no q-edges", an.p_count == 1 and an.q_counts == ())
+    res.add("one p-edge, no q-edges", len(an.p_edges) == 1 and an.q_layers == ())
     res.add("one double mu-edge", an.double_mu_count == 1)
-    res.add("a3 primary cell at t=2", an.primary_cells[3] == (2,))
+    res.add("a3 primary cell at t=2", an.marked_arrivals[3] == (2,))
     res.add("a3 imported cell at t=7", an.imported_cells[3] == (7,))
     return res
 

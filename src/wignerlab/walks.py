@@ -118,7 +118,6 @@ class WalkAnalysis:
     """Full structural report for one walk (graph, mu-structure, reduction)."""
 
     walk: Walk
-    s: int
     marked: tuple[bool, ...]
     theta: DyckPath | None
     frame_passes: dict[tuple[int, int], int]
@@ -132,19 +131,12 @@ class WalkAnalysis:
     p_edges: dict[tuple[int, int], int]
     q_layers: tuple[tuple[int, ...], ...]
     kappa_mu: dict[int, int]
-    p_count: int
     double_mu_count: int
-    q_counts: tuple[int, ...]
     reduced: Walk
     bts_instants: tuple[int, ...]
-    primary_cells: dict[int, tuple[int, ...]]
     imported_cells: dict[int, tuple[int, ...]]
     reduced_nonmarked_arrivals: dict[int, tuple[int, ...]]
     max_open_attached: dict[int, int]
-
-    @property
-    def vertices(self) -> range:
-        return range(1, self.walk.n_vertices + 1)
 
     @property
     def bts_total(self) -> int:
@@ -158,9 +150,6 @@ class WalkAnalysis:
         for t in self.bts_instants:
             heads[lab[t]] += 1
         return heads
-
-    def bts_remote(self, beta: int) -> int:
-        return self.bts_total - self.bts_heads[beta]
 
     def nu_profile(self) -> dict[int, int]:
         """nu_k = number of vertices of self-intersection degree k, k >= 2."""
@@ -326,7 +315,6 @@ def analyze(walk: Walk) -> WalkAnalysis:
 
     return WalkAnalysis(
         walk=walk,
-        s=walk.s,
         marked=marked,
         theta=theta,
         frame_passes=frame_passes,
@@ -340,13 +328,10 @@ def analyze(walk: Walk) -> WalkAnalysis:
         p_edges=p_edges,
         q_layers=q_layers,
         kappa_mu=kappa_mu,
-        p_count=len(p_edges),
         double_mu_count=double_mu_count,
-        q_counts=tuple(map(len, q_layers)),
         # the reduction keeps the first and last labels, both the root
         reduced=Walk._unchecked(_relabel(raw)),
         bts_instants=tuple(bts),
-        primary_cells=dict(arrivals),
         imported_cells=imported_cells,
         reduced_nonmarked_arrivals=reduced_nonmarked,
         max_open_attached=max_open,
@@ -476,8 +461,8 @@ def verify_exit_degree_tree_link(an: WalkAnalysis) -> bool:
 def verify_cell_bounds(an: WalkAnalysis) -> bool:
     """Whether the imported-cell bounds J <= remote BTS + kappa and Psi <= 2 kappa + L hold."""
     L = an.bts_total
-    # bts_remote(v) = L - heads[v]
-    heads, kappa_nu, primary_cells = an.bts_heads, an.kappa_nu, an.primary_cells
+    # the remote BTS instants of v are L - heads[v]; its primary cells are its marked arrivals
+    heads, kappa_nu, primary_cells = an.bts_heads, an.kappa_nu, an.marked_arrivals
     for v, imported in an.imported_cells.items():
         j = len(imported)
         kappa = kappa_nu[v]
@@ -494,14 +479,14 @@ def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
     nine hold on every even walk.
     """
     walk = an.walk
-    s = an.s
+    s = walk.s
     n_marked = sum(an.marked)
     L = an.bts_total
     heads, kappa_nu, kappa_mu = an.bts_heads, an.kappa_nu, an.kappa_mu
     return {
         "marked/non-marked balance": n_marked == s and walk.n_steps - n_marked == s,
         "kappa_mu <= kappa_nu": all(mu <= kappa_nu[v] for v, mu in kappa_mu.items()),
-        "mu/p/q partition of marked steps": len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
+        "mu/p/q partition of marked steps": len(an.mu_edges) + len(an.p_edges) + sum(map(len, an.q_layers)) == s,
         "BTS instants are open self-intersections": set(an.bts_instants).issubset(an.open_instants),
         "walk projects to a Dyck path": an.theta is not None and an.theta.k == s,
         "vertex in/out ledger and open-edge bounds": verify_vertex_ledger(an),
@@ -526,7 +511,7 @@ def report_to_dict(an: WalkAnalysis) -> dict:
 
     return {
         "walk": an.walk.to_string(),
-        "s": an.s,
+        "s": an.walk.s,
         "marked_steps": [t for t in range(1, an.walk.n_steps + 1) if an.marked[t - 1]],
         "dyck_path": str(an.theta) if an.theta is not None else None,
         "frame_passes": {f"{a}-{b}": m for (a, b), m in sorted(an.frame_passes.items())},
@@ -537,12 +522,12 @@ def report_to_dict(an: WalkAnalysis) -> dict:
         "max_exit_degree": an.max_exit_degree,
         "mu_instants": {edgekey(e): t for e, t in sorted(an.mu_edges.items())},
         "p_instants": {edgekey(e): t for e, t in sorted(an.p_edges.items())},
-        "q_layer_counts": list(an.q_counts),
-        "p_count": an.p_count,
+        "q_layer_counts": [len(layer) for layer in an.q_layers],
+        "p_count": len(an.p_edges),
         "double_mu_count": an.double_mu_count,
         "reduced_walk": an.reduced.to_string(),
         "bts_instants": list(an.bts_instants),
-        "primary_cells": {str(v): list(ts) for v, ts in sorted(an.primary_cells.items())},
+        "primary_cells": {str(v): list(ts) for v, ts in sorted(an.marked_arrivals.items())},
         "imported_cells": {str(v): list(ts) for v, ts in sorted(an.imported_cells.items())},
     }
 

@@ -339,13 +339,16 @@ def oracle_lemma_failures(s):
         an = analyze(w)
         held = [
             sum(an.marked) == s and w.n_steps - sum(an.marked) == s,
-            all(an.kappa_mu[v] <= an.kappa_nu[v] for v in an.vertices),
-            len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
+            all(an.kappa_mu[v] <= an.kappa_nu[v] for v in range(1, w.n_vertices + 1)),
+            len(an.mu_edges) + len(an.p_edges) + sum(len(layer) for layer in an.q_layers) == s,
             set(an.bts_instants) <= set(an.open_instants),
             an.theta is not None and an.theta.k == s,
             verify_vertex_ledger(an),
             verify_cell_bounds(an),
-            all(len(an.reduced_nonmarked_arrivals[v]) <= an.bts_remote(v) + an.kappa_nu[v] for v in an.vertices),
+            all(
+                len(an.reduced_nonmarked_arrivals[v]) <= an.bts_total - an.bts_heads[v] + an.kappa_nu[v]
+                for v in range(1, w.n_vertices + 1)
+            ),
             verify_exit_degree_tree_link(an),
         ]
         for label, ok in zip(failures, held):

@@ -339,12 +339,14 @@ def test_blas_pin_is_silent_without_a_setter(monkeypatch, cdll):
     cfg = EnsembleConfig(n=12, law=RAD, seed=4)
     want = sample_stats(cfg, 5, s_list=(1, 2))
     mc._openblas_threads.cache_clear()
+    mc._linalg_symbol.cache_clear()
     monkeypatch.setattr(mc.ctypes, "CDLL", cdll)
     try:
         assert mc._openblas_threads() is None
         got = sample_stats(cfg, 5, s_list=(1, 2))
     finally:
         mc._openblas_threads.cache_clear()
+        mc._linalg_symbol.cache_clear()
     assert got.rows() == want.rows()
 
 
@@ -434,6 +436,22 @@ def test_universality_makes_no_eigen_solve(monkeypatch):
     b = EnsembleConfig(n=20, law=GaussianLaw(Fraction(1, 2)), seed=2)
     rep = universality_compare(a, b, s=4, replicates=30)
     assert rep["replicates"] == 30
+
+
+@pytest.mark.parametrize("s", [-1, -3])
+def test_a_negative_trace_power_is_refused(monkeypatch, s):
+    # A^(-1) is no matrix product: the refusal comes before any draw
+    mat = sample_matrix(EnsembleConfig(n=20, law=RAD, seed=1), 0)
+    with pytest.raises(ValueError, match="s must be >= 0"):
+        trace_powers(mat, (2, s))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("universality_compare drew a matrix")
+
+    monkeypatch.setattr(mc, "sample_matrix", no_draw)
+    a, b = EnsembleConfig(n=20, law=RAD, seed=1), EnsembleConfig(n=20, law=RAD, seed=2)
+    with pytest.raises(ValueError, match="s must be >= 0"):
+        universality_compare(a, b, s=s, replicates=10)
 
 
 def test_sample_stats_reproducible():
@@ -571,7 +589,7 @@ def _no_numpy(matrix):
 @pytest.fixture
 def dsyevd_everywhere(monkeypatch):
     """Send every n through `_eigvalsh`'s dsyevd route, with numpy's eigvalsh barred."""
-    if mc._dsyevd() is None:
+    if mc._linalg_symbol("scipy_dsyevd_64_") is None:
         pytest.skip("numpy's linalg extension exports no dsyevd")
     monkeypatch.setattr(mc, "_STACK_DOUBLES", 0)
     monkeypatch.setattr(np.linalg, "eigvalsh", _no_numpy)
@@ -617,15 +635,13 @@ def test_numpy_fallback_without_dsyevd(monkeypatch, cdll):
     calls = []
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda stack: calls.append(stack.shape) or real(stack))
-    mc._dsyevd.cache_clear()
-    mc._tridiagonal_lapack.cache_clear()
+    mc._linalg_symbol.cache_clear()
     monkeypatch.setattr(mc.ctypes, "CDLL", cdll)
     try:
-        assert mc._dsyevd() is None and mc._tridiagonal_lapack() is None
+        assert mc._linalg_symbol("scipy_dsyevd_64_") is None and mc._linalg_symbol("scipy_dsytrd_64_") is None
         got = _edge_outputs(cfg)
     finally:
-        mc._dsyevd.cache_clear()
-        mc._tridiagonal_lapack.cache_clear()
+        mc._linalg_symbol.cache_clear()
     # the tail's bound sums eigenvalue powers here and band products on the dsytrd route
     for got_row, want_row in zip(got[3], want[3]):
         assert got_row.pop("chebyshev_bound") == pytest.approx(want_row.pop("chebyshev_bound"), rel=1e-12)
@@ -647,14 +663,14 @@ def test_band_trace_equals_the_matrix_power(n):
             assert math.isclose(got[i], want, rel_tol=1e-12), (n, s, i)
 
 
-def _no_spectrum(stack, s_list):
-    raise AssertionError("the dsytrd route called spectral_stats")
+def _no_spectrum(stack):
+    raise AssertionError("the dsytrd route called _eigvalsh")
 
 
 @pytest.fixture
 def tail_lapack():
     """Skip where numpy's linalg extension lacks dsytrd."""
-    if mc._tridiagonal_lapack() is None:
+    if mc._linalg_symbol("scipy_dsytrd_64_") is None:
         pytest.skip("numpy's linalg extension exports no dsytrd")
 
 
@@ -669,7 +685,7 @@ def test_tail_statistic_matches_the_full_spectrum(monkeypatch, tail_lapack, n):
     s_list = tuple(range(7))
     draws = [sample_matrix(cfg, rep) for cfg in _tail_route_configs(n) for rep in range(3)]
     monkeypatch.setattr(mc, "_STACK_DOUBLES", 0)
-    monkeypatch.setattr(mc, "spectral_stats", _no_spectrum)  # the dsytrd route takes every draw
+    monkeypatch.setattr(mc, "_eigvalsh", _no_spectrum)  # the dsytrd route takes every draw
     for mat in draws:
         eigs = np.linalg.eigvalsh(mat)
         d, e = mc._tail_stats(mat[np.newaxis])
@@ -763,15 +779,21 @@ def _non_finite_reduction(dsytrd, fails):
     return reduce, calls
 
 
+def _with_dsytrd(monkeypatch, dsytrd):
+    """Make `_linalg_symbol` bind `dsytrd` as scipy_dsytrd_64_, and every other name as before."""
+    real = mc._linalg_symbol
+    monkeypatch.setattr(mc, "_linalg_symbol", lambda name: dsytrd if name == "scipy_dsytrd_64_" else real(name))
+
+
 def test_a_non_finite_reduction_drops_that_replicate(monkeypatch, tail_lapack):
     # on one thread, replicate k makes dsytrd call k; the workspace query is cached first
     cfg = _edge_configs()[0]
     grid = (-1.0, 0.0, 1.0)
     lam = sample_stats(cfg, 100, s_list=()).lambda_max
     mc._dsytrd_workspace(cfg.n)
-    failing_for_replicate_5, calls = _non_finite_reduction(mc._tridiagonal_lapack(), lambda call: call == 5)
+    failing_for_replicate_5, calls = _non_finite_reduction(mc._linalg_symbol("scipy_dsytrd_64_"), lambda call: call == 5)
     monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(mc, "_tridiagonal_lapack", lambda: failing_for_replicate_5)
+    _with_dsytrd(monkeypatch, failing_for_replicate_5)
     curve = tail_curve(cfg, grid, replicates=100)
     assert len(calls) == 100  # one reduction per replicate
     kept = np.delete(lam, 5)
@@ -785,12 +807,12 @@ def test_tail_statistic_raises_on_a_non_finite_draw(monkeypatch, tail_lapack, n,
     stack = np.zeros((1, n, n))
     stack[0, 1, 1] = bad
     monkeypatch.setattr(mc, "_STACK_DOUBLES", 0)
-    monkeypatch.setattr(mc, "spectral_stats", _no_spectrum)
+    monkeypatch.setattr(mc, "_eigvalsh", _no_spectrum)
     with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
         mc._tail_stats(stack)
 
 
-def _failing_statistic(stack, s_list=()):
+def _failing_statistic(stack):
     raise np.linalg.LinAlgError("did not converge")
 
 
@@ -799,13 +821,13 @@ def _failing_statistic(stack, s_list=()):
 def test_a_tail_with_every_replicate_dropped_raises(request, monkeypatch, route, chebyshev_s):
     if route == "stacked":
         n = 20
-        monkeypatch.setattr(mc, "spectral_stats", _failing_statistic)
+        monkeypatch.setattr(mc, "_eigvalsh", _failing_statistic)
     else:  # every reduction gives a non-finite diagonal
         n = 200
         request.getfixturevalue("tail_lapack")
         mc._dsytrd_workspace(n)
-        failing, _ = _non_finite_reduction(mc._tridiagonal_lapack(), lambda call: True)
-        monkeypatch.setattr(mc, "_tridiagonal_lapack", lambda: failing)
+        failing, _ = _non_finite_reduction(mc._linalg_symbol("scipy_dsytrd_64_"), lambda call: True)
+        _with_dsytrd(monkeypatch, failing)
     cfg = EnsembleConfig(n=n, law=RAD, seed=23)
     with pytest.raises(np.linalg.LinAlgError, match="all 100 replicates failed"):
         tail_curve(cfg, (0.0,), replicates=100, chebyshev_s=chebyshev_s)
@@ -822,22 +844,15 @@ def test_the_tail_command_reports_every_replicate_dropped(monkeypatch, capsys):
 _LAWS = [RAD, GaussianLaw(Fraction(1)), GoeLaw(Fraction(1, 2)), ThreePointLaw(), PowerTailLaw(v=1.0, gamma=24.0)]
 
 
-@pytest.mark.parametrize("law", _LAWS + [RademacherLaw(Fraction(0))], ids=lambda law: f"{law.name}-{law.v}")
-def test_magnitudes_are_the_absolute_samples_bit_for_bit(law):
-    for size in (0, 1, 7, 210, 5050):
-        key = np.array([31, size], dtype=np.uint64)
-        got = law.magnitudes(np.random.Generator(np.random.Philox(key=key)), size)
-        want = np.abs(law.sample(np.random.Generator(np.random.Philox(key=key)), size))
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), size
-
-
-@pytest.mark.parametrize("law", _LAWS, ids=lambda law: law.name)
+@pytest.mark.parametrize(
+    "law", _LAWS + [RademacherLaw(Fraction(0))], ids=lambda law: law.name if law.v else f"{law.name}-0"
+)
 def test_largest_magnitude_is_the_largest_magnitude_bit_for_bit(law):
     for seed in range(20):
         for size in (1, 7, 210, 5050):
             key = np.array([seed, size], dtype=np.uint64)
             got = law.largest_magnitude(np.random.Generator(np.random.Philox(key=key)), size)
-            want = law.magnitudes(np.random.Generator(np.random.Philox(key=key)), size).max()
+            want = np.abs(law.sample(np.random.Generator(np.random.Philox(key=key)), size)).max()
             assert np.float64(got).tobytes() == want.tobytes(), (seed, size)
 
 
@@ -867,9 +882,9 @@ def test_import_starts_no_thread_and_loads_nothing_more():
     script = (
         "import sys, threading, wignerlab\n"
         "print(threading.active_count(), 'scipy' in sys.modules, 'concurrent.futures' in sys.modules,\n"
-        "      wignerlab.mc._dsyevd.cache_info().currsize, wignerlab.mc._tridiagonal_lapack.cache_info().currsize)\n"
+        "      wignerlab.mc._linalg_symbol.cache_info().currsize)\n"
     )
-    assert _fresh_python(script) == "1 False False 0 0\n"
+    assert _fresh_python(script) == "1 False False 0\n"
 
 
 def test_replicate_threads_are_joined(monkeypatch):
@@ -929,6 +944,60 @@ def test_an_error_in_a_replicate_thread_reaches_the_caller(monkeypatch):
         sample_stats(cfg, 6, s_list=(1,))
     assert worker_failed.is_set()
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("n", [128, 129])
+def test_one_draw_to_a_stack_is_the_line_for_lapack_and_threads(monkeypatch, n):
+    # below the line draws stack by two or more and stay on numpy and the
+    # caller's thread; from n = 129 up each draw solves alone, through
+    # dsyevd (sample_stats) or dsytrd (tail_curve), on several threads
+    assert (mc._stack_size(128), mc._stack_size(129)) == (2, 1)
+    routes = {"sample_stats": "scipy_dsyevd_64_", "tail_curve": "scipy_dsytrd_64_"}
+    if any(mc._linalg_symbol(name) is None for name in routes.values()):
+        pytest.skip("numpy's linalg extension exports no dsyevd or dsytrd")
+    cfg = EnsembleConfig(n=n, law=RAD, seed=96)
+    caller = threading.get_ident()
+    bound, idents = [], set()
+    another_thread = threading.Event()
+    real_symbol, real_stats, real_tail = mc._linalg_symbol, mc.spectral_stats, mc._tail_stats
+
+    def symbol(name):
+        bound.append(name)
+        return real_symbol(name)
+
+    def meet():
+        # the first thread to take a stack holds it until a second one takes another
+        idents.add(threading.get_ident())
+        if len(idents) > 1:
+            another_thread.set()
+        elif n > 128:
+            another_thread.wait(30)
+
+    def stats(stack, s_list):
+        meet()
+        return real_stats(stack, s_list)
+
+    def tail(stack):
+        meet()
+        return real_tail(stack)
+
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(mc, "_linalg_symbol", symbol)
+    monkeypatch.setattr(mc, "spectral_stats", stats)
+    monkeypatch.setattr(mc, "_tail_stats", tail)
+    for run, name in routes.items():
+        bound.clear()
+        idents.clear()
+        another_thread.clear()
+        if run == "sample_stats":
+            sample_stats(cfg, 8, s_list=(1,))
+        else:
+            tail_curve(cfg, (0.0,), replicates=100)
+        lapack = {b for b in bound if b.startswith("scipy_dsy")}
+        if n == 128:
+            assert lapack == set() and idents == {caller}, run
+        else:
+            assert lapack == {name} and len(idents) > 1, run
 
 
 def test_rekeyed_streams_equal_new_generators():
@@ -1007,17 +1076,19 @@ def test_tail_curve_refuses_a_non_finite_grid_point(point):
 def test_tail_curve_without_a_bound_asks_for_no_traces(monkeypatch):
     cfg = EnsembleConfig(n=40, law=RAD, seed=22)
     grid = (-1.0, 0.0, 1.0)
-    with_bound = tail_curve(cfg, grid, replicates=120, chebyshev_s=2)
     asked = []
-    real = mc.spectral_stats
+    real = mc._band_trace
 
-    def recording(stack, s_list):
-        asked.append(s_list)
-        return real(stack, s_list)
+    def recording(d, e, s):
+        asked.append(s)
+        return real(d, e, s)
 
-    monkeypatch.setattr(mc, "spectral_stats", recording)
+    monkeypatch.setattr(mc, "_band_trace", recording)
+    with_bound = tail_curve(cfg, grid, replicates=120, chebyshev_s=2)
+    assert asked and all(s == 2 for s in asked)
+    asked.clear()
     plain = tail_curve(cfg, grid, replicates=120)
-    assert asked and all(s_list == () for s_list in asked)
+    assert not asked
     want = [{k: v for k, v in row.items() if k != "chebyshev_bound"} for row in with_bound.rows()]
     assert plain.rows() == want
 

@@ -128,11 +128,11 @@ def test_worked_example_structure():
     assert an.kappa_nu == {1: 1, 2: 3, 3: 1, 4: 2, 5: 1}
     assert an.open_instants == (6, 10)
     assert an.mu_profile() == {1: 4, 3: 1}
-    assert an.p_count == 1
+    assert len(an.p_edges) == 1
     assert an.double_mu_count == 1
-    assert an.q_counts == ()
+    assert an.q_layers == ()
     assert an.bts_instants == (6, 10)
-    assert an.primary_cells[3] == (2,)
+    assert an.marked_arrivals[3] == (2,)
     assert an.imported_cells[3] == (7,)
     assert an.exit_degree[3] == 4 and an.max_exit_degree == 4
     assert str(an.theta) == "UUUDUUDUDUDDDD" and an.theta.max_height == 4
@@ -188,8 +188,8 @@ def test_structure_invariants_exhaustive():
             an = analyze(w)
             marked_count = sum(an.marked)
             assert marked_count == s
-            assert all(an.kappa_mu[v] <= an.kappa_nu[v] for v in an.vertices)
-            assert len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s
+            assert all(an.kappa_mu[v] <= an.kappa_nu[v] for v in range(1, an.walk.n_vertices + 1))
+            assert len(an.mu_edges) + len(an.p_edges) + sum(map(len, an.q_layers)) == s
             assert set(an.bts_instants) <= set(an.open_instants)
             assert an.theta is not None and an.theta.k == s
 
@@ -218,7 +218,7 @@ def test_cell_bounds_w14_numbers():
     an = analyze(W14)
     assert verify_cell_bounds(an)
     assert len(an.imported_cells[3]) == 1
-    assert an.bts_remote(3) == 2
+    assert an.bts_total - an.bts_heads[3] == 2
     assert an.kappa_nu[3] == 1
 
 
@@ -233,7 +233,7 @@ def test_lemma_predicates_fail_when_a_bound_breaks():
     imported = replace(an, imported_cells={**an.imported_cells, 2: (1, 6, 10, 12)})
     assert not verify_cell_bounds(imported)
     # the root: Psi = 5 > 2 * 1 + 2, while J = 0 <= remote 2 + kappa 1
-    primary = replace(an, primary_cells={**an.primary_cells, 1: (1, 2, 3, 4, 5)})
+    primary = replace(an, marked_arrivals={**an.marked_arrivals, 1: (1, 2, 3, 4, 5)})
     assert not verify_cell_bounds(primary)
     # vertex 3: deg_e = 13 > tree_max 3 * (2 kappa 1 + L 2)
     exits = replace(an, exit_degree={**an.exit_degree, 3: 13})
@@ -271,7 +271,7 @@ def test_open_simple_intersection_realized_on_a_p_edge():
     assert an.kappa_nu[3] == 2 and an.kappa_mu[3] == 1
     assert an.marked_arrivals[3] == (2, 8)
     assert 8 in an.open_by_vertex[3]
-    assert an.p_count == 1
+    assert len(an.p_edges) == 1
     assert verify_lemma_checks(an)
 
     from wignerlab.classes import classify_mu, classify_nu
@@ -386,7 +386,7 @@ def test_random_trajectory_walk_invariants(body):
     n_steps = walk.n_steps
     assert sum(an.marked) + sum(1 for m in an.marked if not m) == n_steps
     assert sum(an.frame_passes.values()) == n_steps
-    for v in an.vertices:
+    for v in range(1, walk.n_vertices + 1):
         assert an.kappa_mu[v] <= an.kappa_nu[v]
     if walk.is_even():
         assert sum(an.marked) * 2 == n_steps
@@ -397,7 +397,6 @@ def test_random_trajectory_walk_invariants(body):
 def analyze_oracle(walk: Walk) -> WalkAnalysis:
     """The structural analysis pass by pass, with dict tallies and rescans."""
     lab = walk.labels
-    s = walk.s
     two_s = walk.n_steps
     marked = tuple(_marked_flags(lab))
 
@@ -449,7 +448,6 @@ def analyze_oracle(walk: Walk) -> WalkAnalysis:
     q_layers = tuple(
         tuple(sorted(q_layer_map[j])) for j in sorted(q_layer_map)
     )
-    q_counts = tuple(len(layer) for layer in q_layers)
 
     kappa_mu: dict[int, int] = {}
     for v in range(1, walk.n_vertices + 1):
@@ -460,7 +458,6 @@ def analyze_oracle(walk: Walk) -> WalkAnalysis:
     reduced = Walk.from_labels(raw)
     red_marked = [marked[t - 1] for t in step_map]
     bts: list[int] = []
-    primary_cells = {v: tuple(marked_arrivals[v]) for v in range(1, walk.n_vertices + 1)}
     imported: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
     nonmarked_red: dict[int, list[int]] = {v: [] for v in range(1, walk.n_vertices + 1)}
     for r in range(1, len(raw)):
@@ -479,7 +476,6 @@ def analyze_oracle(walk: Walk) -> WalkAnalysis:
 
     return WalkAnalysis(
         walk=walk,
-        s=s,
         marked=marked,
         theta=theta,
         frame_passes=frame_passes,
@@ -493,12 +489,9 @@ def analyze_oracle(walk: Walk) -> WalkAnalysis:
         p_edges=p_edges,
         q_layers=q_layers,
         kappa_mu=kappa_mu,
-        p_count=len(p_edges),
         double_mu_count=sum(1 for a, b in mu_edges if a < b and (b, a) in mu_edges),
-        q_counts=q_counts,
         reduced=reduced,
         bts_instants=tuple(bts),
-        primary_cells=primary_cells,
         imported_cells={v: tuple(ts) for v, ts in imported.items()},
         reduced_nonmarked_arrivals={v: tuple(ts) for v, ts in nonmarked_red.items()},
         max_open_attached=max_open_attached,
@@ -591,7 +584,7 @@ def cell_bounds_oracle(an):
     for v in list(range(1, an.walk.n_vertices + 1)):
         j = len(an.imported_cells[v])
         kappa = an.kappa_nu[v]
-        if j > L - heads[v] + kappa or len(an.primary_cells[v]) + j > 2 * kappa + L:
+        if j > L - heads[v] + kappa or len(an.marked_arrivals[v]) + j > 2 * kappa + L:
             return False
     return True
 
@@ -605,14 +598,14 @@ def tree_link_oracle(an):
 
 
 def walk_lemmas_oracle(an):
-    s = an.s
+    s = an.walk.s
     n_marked = sum(an.marked)
     verts = list(range(1, an.walk.n_vertices + 1))
     heads = Counter(an.walk.labels[t] for t in an.bts_instants)
     return {
         "marked/non-marked balance": n_marked == s and an.walk.n_steps - n_marked == s,
         "kappa_mu <= kappa_nu": all(an.kappa_mu[v] <= an.kappa_nu[v] for v in verts),
-        "mu/p/q partition of marked steps": len(an.mu_edges) + len(an.p_edges) + sum(an.q_counts) == s,
+        "mu/p/q partition of marked steps": len(an.mu_edges) + len(an.p_edges) + sum(len(layer) for layer in an.q_layers) == s,
         "BTS instants are open self-intersections": set(an.bts_instants) <= set(an.open_instants),
         "walk projects to a Dyck path": an.theta is not None and an.theta.k == s,
         "vertex in/out ledger and open-edge bounds": vertex_ledger_oracle(an),
@@ -653,8 +646,8 @@ def test_walk_lemmas_match_oracles_where_they_fail():
     for s in range(5):
         for w in enumerate_even_walks(s):
             an = analyze(w)
-            for v in an.vertices:
-                for name in ("imported_cells", "primary_cells", "reduced_nonmarked_arrivals"):
+            for v in range(1, an.walk.n_vertices + 1):
+                for name in ("imported_cells", "marked_arrivals", "reduced_nonmarked_arrivals"):
                     cells = getattr(an, name)
                     padded = replace(an, **{name: {**cells, v: cells[v] + (0,) * (1 + an.kappa_nu[v])}})
                     assert_lemmas_match_oracles(padded)
