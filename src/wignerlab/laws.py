@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,7 +21,10 @@ def _double_factorial_odd(m: int) -> int:
 
 
 def _check_scale(name: str, value) -> None:
-    """A scale is a magnitude: a negative one would be a second spelling of its absolute value."""
+    """A scale is a finite magnitude: a negative one would be a second
+    spelling of its absolute value."""
+    if not value < math.inf:  # NaN or +inf
+        raise ValueError(f"{name} must be finite")
     if value < 0:
         raise ValueError(f"{name} must be >= 0")
 
@@ -38,7 +42,7 @@ class RademacherLaw(_SampledMagnitudes):
     """a = +-v with equal probability."""
 
     v: Fraction = Fraction(1)
-    name: str = "rademacher"
+    name: ClassVar[str] = "rademacher"
 
     def __post_init__(self):
         _check_scale("v", self.v)
@@ -68,7 +72,7 @@ class GaussianLaw(_SampledMagnitudes):
     """Centered normal with standard deviation v."""
 
     v: Fraction = Fraction(1)
-    name: str = "gaussian"
+    name: ClassVar[str] = "gaussian"
 
     def __post_init__(self):
         _check_scale("v", self.v)
@@ -108,7 +112,7 @@ class GaussianLaw(_SampledMagnitudes):
 class GoeLaw(GaussianLaw):
     """Gaussian off-diagonal law whose diagonal variance is doubled downstream."""
 
-    name: str = "goe"
+    name: ClassVar[str] = "goe"
 
 
 @dataclass(frozen=True)
@@ -121,12 +125,12 @@ class PowerTailLaw:
 
     v: float = 1.0
     gamma: float = 24.0
-    name: str = "power-tail"
+    name: ClassVar[str] = "power-tail"
 
     def __post_init__(self):
         _check_scale("v", self.v)
-        if self.gamma <= 2:
-            raise ValueError("gamma must exceed 2 for a finite variance")
+        if not 2 < self.gamma < math.inf:  # NaN fails both comparisons
+            raise ValueError("gamma must be finite and exceed 2 for a finite variance")
 
     @property
     def x0(self) -> float:
@@ -182,10 +186,12 @@ class ThreePointLaw(_SampledMagnitudes):
 
     spike: Fraction = Fraction(2)
     q: Fraction = Fraction(1, 32)
-    name: str = "three-point"
+    name: ClassVar[str] = "three-point"
 
     def __post_init__(self):
         _check_scale("spike", self.spike)
+        if not 0 <= self.q <= Fraction(1, 2):  # the two spikes carry mass 2q
+            raise ValueError("q must lie in [0, 1/2]")
 
     @property
     def v(self):

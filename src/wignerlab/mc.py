@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .laws import GoeLaw
-from .moments import MomentSpec, TruncationSpec
+from .moments import MomentSpec
 
 
 def fingerprint(payload: dict) -> str:
@@ -32,21 +32,19 @@ def fingerprint(payload: dict) -> str:
 
 
 @dataclass(frozen=True)
-class EnsembleConfig:
-    n: int
-    law: object
-    truncation: TruncationSpec | None = None
-    dilution_c: int | None = None
+class EnsembleConfig(MomentSpec):
+    """An ensemble's `MomentSpec` fields plus the seed of its sampling streams."""
+
     seed: int = 20240229
 
     def __post_init__(self):
-        self.moment_spec()  # checks n, the dilution and the truncation law
+        super().__post_init__()  # checks n, the dilution and the truncation law
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must lie in [0, 2^64)")
 
     def descriptor(self) -> dict:
         """The exact-moment descriptor without its derived kind and cutoff, plus the seed."""
-        out = self.moment_spec().descriptor()
+        out = super().descriptor()
         del out["kind"]
         if self.truncation is not None:
             del out["truncation"]["cutoff"]
@@ -126,7 +124,6 @@ def sample_matrix(
     rng, vals = sample_entries(config, replicate, rng)
     if isinstance(config.law, GoeLaw):
         # double the diagonal variance; the gather's diagonal holds its positions
-        vals = vals.copy()
         vals[_symmetric_gather(n).diagonal()] *= math.sqrt(2.0)
     if config.truncation is not None:
         cutoff = config.truncation.cutoff(n)
@@ -355,15 +352,16 @@ def _tail_stats(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each draw of a (k, n, n) stack as a symmetric tridiagonal T with the
     draw's spectrum: T's diagonals, (k, n), and off-diagonals, (k, n - 1).
 
-    A float64 stack with n >= 129 (one draw to a stack, `_stack_size`) is
-    reduced draw by draw by dsytrd (`_tridiagonalize`), and ctypes releases
-    the GIL for each call, so replicate threads overlap. Smaller draws,
-    other inputs and every input of a build without the symbol take their
-    eigenvalues from `_eigvalsh`, looked up at call time, as the diagonal of
-    a diagonal T. A non-finite diagonal or off-diagonal raises LinAlgError.
+    The draws are `sample_matrix`'s, so float64. With n >= 129 (one draw to
+    a stack, `_stack_size`) they are reduced draw by draw by dsytrd
+    (`_tridiagonalize`), and ctypes releases the GIL for each call, so
+    replicate threads overlap. Smaller draws and every draw of a build
+    without the symbol take their eigenvalues from `_eigvalsh`, looked up at
+    call time, as the diagonal of a diagonal T. A non-finite diagonal or
+    off-diagonal raises LinAlgError.
     """
     k, n = stack.shape[:2]
-    dsytrd = _linalg_symbol("scipy_dsytrd_64_") if _stack_size(n) == 1 and stack.dtype == np.float64 else None
+    dsytrd = _linalg_symbol("scipy_dsytrd_64_") if _stack_size(n) == 1 else None
     if dsytrd is None:
         d, e = _eigvalsh(stack), np.zeros((k, n - 1))
     else:
@@ -461,11 +459,15 @@ def _sample_std(values: np.ndarray) -> float | None:
 class SampleStats:
     """Per-replicate spectral statistics plus aggregates."""
 
-    replicates: int  # filled replicates; the dropped ones are in failed_replicates
     s_list: tuple[int, ...]
     lambda_max: np.ndarray = field(repr=False, default=None)
     traces: dict[int, np.ndarray] = field(repr=False, default_factory=dict)
     failed_replicates: list[int] = field(default_factory=list)
+
+    @property
+    def replicates(self) -> int:
+        """Filled replicates; the dropped ones are in failed_replicates."""
+        return len(self.lambda_max)
 
     def trace_mean(self, s: int) -> float | None:
         """Mean over the filled replicates; None when none was filled."""
@@ -515,19 +517,18 @@ def _stack_size(n: int) -> int:
     return max(1, _STACK_DOUBLES // n**2)
 
 
-def _replicate_loop(
-    config: EnsembleConfig, reps: range, statistic, batch: int = 1
-) -> tuple[list, list[int]]:
+def _replicate_loop(config: EnsembleConfig, reps: range, statistic) -> tuple[list, list[int]]:
     """statistic(stack) over the draws of the replicates in `reps`, in order.
 
     The replicates are absolute indices, which key their Philox streams; a
     range that runs backwards, range(replicates) for a negative count, is
-    refused. The draws go to statistic as (k, n, n) stacks of `batch`
-    consecutive replicates (the last stack may hold fewer), and every
-    statistic runs on one BLAS thread. A stack whose statistic raises
-    LinAlgError is redone one draw at a time, and the draws that raise
-    again are dropped. Returns the statistics, one per stack that was
-    filled, and the indices of the dropped replicates, ascending.
+    refused. The draws go to statistic as (k, n, n) stacks of
+    `_stack_size(n)` consecutive replicates (the last stack may hold
+    fewer), and every statistic runs on one BLAS thread. A stack whose
+    statistic raises LinAlgError is redone one draw at a time, and the
+    draws that raise again are dropped. Returns the statistics, one per
+    stack that was filled, and the indices of the dropped replicates,
+    ascending.
 
     Draws that fill a stack alone (n >= 129, `_stack_size`) are dealt to
     min(usable CPUs, stacks) threads, the caller's among them: each thread
@@ -537,12 +538,13 @@ def _replicate_loop(
     The threads overlap because dsyevd (`_eigvalsh`), the tail's dsytrd
     (`_tail_stats`) and numpy's matrix products release the GIL. Smaller
     draws stay on the caller's thread, where threads saved little wall time
-    for about 45% more CPU. Every thread
-    is joined before the loop returns; the first exception a thread raised
-    is then raised here, and the other threads stop after their stack.
+    for about 45% more CPU. Every thread is joined before the loop returns;
+    the first exception a thread raised is then raised here, and the other
+    threads stop after their stack.
     """
     if reps.stop < reps.start:
         raise ValueError("replicates must be >= 0")
+    batch = _stack_size(config.n)
     starts = range(0, len(reps), batch)
     done: list = [None] * len(starts)  # per stack: (statistics, dropped replicates)
     todo = iter(range(len(starts)))
@@ -577,7 +579,7 @@ def _replicate_loop(
             errors.append(exc)
             halt.set()
 
-    workers = min(_usable_cpus(), len(starts)) if _stack_size(config.n) == 1 else 1
+    workers = min(_usable_cpus(), len(starts)) if batch == 1 else 1
     threads = [threading.Thread(target=work) for _ in range(workers - 1)]
     with _one_blas_thread():
         try:
@@ -604,11 +606,10 @@ def sample_stats(
         stats = spectral_stats(stack, s_list)
         return stats["lambda_max"], stats["traces"]
 
-    filled, failed = _replicate_loop(config, range(replicates), statistic, batch=_stack_size(config.n))
+    filled, failed = _replicate_loop(config, range(replicates), statistic)
     empty = np.empty(0)
     lambda_max = np.concatenate([empty] + [lam for lam, _ in filled])
     return SampleStats(
-        replicates=len(lambda_max),
         s_list=s_list,
         lambda_max=lambda_max,
         traces={s: np.concatenate([empty] + [traces[s] for _, traces in filled]) for s in s_list},
@@ -674,7 +675,7 @@ def _tail_chunk(
     The draws' tridiagonals come from `_replicate_loop` and live only in
     this call, so a tail holds one chunk of them at a time.
     """
-    filled, _ = _replicate_loop(config, reps, _tail_stats, batch=_stack_size(config.n))
+    filled, _ = _replicate_loop(config, reps, _tail_stats)
     if not filled:
         return np.zeros((0, len(thresholds)), dtype=np.int64), None if s is None else np.empty(0)
     d, e = (np.concatenate(parts) for parts in zip(*filled))
@@ -760,8 +761,9 @@ def universality_compare(
 ) -> dict:
     """Compare mean (1/n) Tr A^(2s) between two ensembles of the same (n, v).
 
-    The traces come from matrix products (`trace_powers`): no eigenvalue is
-    needed, so no replicate goes through an eigen-solve.
+    The traces come from matrix products (`trace_powers`), one draw of a
+    stack at a time: no eigenvalue is needed, so no replicate goes through
+    an eigen-solve.
 
     The agreement verdict asks whether the difference of means stays within
     three pooled per-replicate standard deviations: the exact finite-n means
@@ -775,13 +777,13 @@ def universality_compare(
     if s < 0:
         raise ValueError("s must be >= 0")
 
-    def trace(stack):
-        return trace_powers(stack[0], (s,))[s]
+    def traces(stack):
+        return [trace_powers(matrix, (s,))[s] for matrix in stack]
 
-    a, failed_a = _replicate_loop(config_a, range(replicates), trace)
-    b, failed_b = _replicate_loop(config_b, range(replicates), trace)
-    traces_a = np.array(a, dtype=float)
-    traces_b = np.array(b, dtype=float)
+    a, failed_a = _replicate_loop(config_a, range(replicates), traces)
+    b, failed_b = _replicate_loop(config_b, range(replicates), traces)
+    traces_a = np.array([t for stack in a for t in stack], dtype=float)
+    traces_b = np.array([t for stack in b for t in stack], dtype=float)
     n = config_a.n
     filled = min(len(traces_a), len(traces_b))
     # means need one filled replicate a side and spreads two; what is missing is None

@@ -32,6 +32,7 @@ from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -55,8 +56,9 @@ class TruncationSpec:
 
     law: object
     delta: float
-    eta: float = 6.0
     delta0: float | None = None
+    #: the paper's E|a|^(12 + 2 delta0) hypothesis puts the cutoff at n^(1/6 - delta)
+    eta: ClassVar[float] = 6.0
 
     def __post_init__(self):
         if not 0 < self.delta < 1 / self.eta:

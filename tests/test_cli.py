@@ -755,6 +755,18 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys, kind):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["moments", "mc"])
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_a_non_finite_gamma_is_one_error_line(capsys, command, gamma):
+    # the law is refused at construction, before any value is printed
+    args = [command, "--n", "3", "--ensemble", "power-tail", "--gamma", gamma, "--no-timestamp"]
+    assert run(args + (["--s", "2"] if command == "moments" else ["--replicates", "5"])) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "gamma must be finite" in captured.err
+
+
 def test_three_point_reads_v(capsys):
     for v, exact in (("1", "20"), ("1/2", "5/4"), ("0.5", "5/4")):
         code = run(["moments", "--n", "3", "--s", "2", "--ensemble", "three-point", "--v", v, "--no-timestamp"])

@@ -751,8 +751,8 @@ def test_a_chunked_tail_equals_one_chunk(monkeypatch):
     calls = []
     real = mc._replicate_loop
 
-    def recording(config, reps, statistic, batch=1):
-        filled, failed = real(config, reps, statistic, batch)
+    def recording(config, reps, statistic):
+        filled, failed = real(config, reps, statistic)
         calls.append((reps, failed))
         return filled, failed
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 import subprocess
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from wignerlab import moments
+from wignerlab import mc, moments
 from wignerlab.classes import weight_bound_check
 from wignerlab.laws import (
     GaussianLaw,
@@ -43,6 +44,7 @@ from wignerlab.moments import (
     z_decomposition,
 )
 from wignerlab.errors import EnumerationCeilingError
+from wignerlab.mc import EnsembleConfig, SampleStats, sample_stats
 from wignerlab.suites import criterion_7_moment_oracle
 from wignerlab.walks import WALK_ENUMERATION_CEILING, _even_walk_dfs, analyze, enumerate_even_walks
 
@@ -362,9 +364,32 @@ def test_dilute_spec_validation():
         dilute_spec(RAD, 10, 11)
 
 
+#: Every settable value of the laws, the ensemble specs, the sampled
+#: statistics and the replicate loop; a new option means editing this table.
+OPTIONS = {
+    RademacherLaw: ["v"],
+    GaussianLaw: ["v"],
+    GoeLaw: ["v"],
+    PowerTailLaw: ["v", "gamma"],
+    ThreePointLaw: ["spike", "q"],
+    TruncationSpec: ["law", "delta", "delta0"],
+    MomentSpec: ["n", "law", "truncation", "dilution_c"],
+    EnsembleConfig: ["n", "law", "truncation", "dilution_c", "seed"],
+    SampleStats: ["s_list", "lambda_max", "traces", "failed_replicates"],
+    mc._replicate_loop: ["config", "reps", "statistic"],
+}
+
+
 def test_spec_fields_and_validation():
     # the ensemble kind follows from the fields; nothing sets it
     assert [f.name for f in fields(MomentSpec)] == ["n", "law", "truncation", "dilution_c"]
+    assert {obj: list(inspect.signature(obj).parameters) for obj in OPTIONS} == OPTIONS
+    assert sum(map(len, OPTIONS.values())) == 26
+    # the constants that replaced options read as they did
+    laws = (RademacherLaw(), GaussianLaw(), GoeLaw(), PowerTailLaw(), ThreePointLaw())
+    assert [law.name for law in laws] == ["rademacher", "gaussian", "goe", "power-tail", "three-point"]
+    assert TruncationSpec(RAD, delta=0.05).eta == 6.0
+    assert sample_stats(EnsembleConfig(n=3, law=RAD, seed=1), 4, s_list=(1,)).replicates == 4
     with pytest.raises(TypeError):
         MomentSpec(n=3, law=GOE, kind="goe")
     with pytest.raises(ValueError, match="n must be >= 1"):
@@ -749,6 +774,37 @@ def test_laws_refuse_a_negative_scale(law):
     with pytest.raises(ValueError, match="must be >= 0"):
         law(-1)
     assert law(0).moment(2) == 0
+
+
+@pytest.mark.parametrize("law", [RademacherLaw, GaussianLaw, GoeLaw, PowerTailLaw, ThreePointLaw])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_laws_refuse_a_non_finite_scale(law, value):
+    # a NaN scale passes `< 0`; at power-tail it made x0 NaN, and +inf made it inf
+    with pytest.raises(ValueError, match="must be finite"):
+        law(value)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf])
+def test_power_tail_refuses_a_non_finite_gamma(gamma):
+    # NaN passes `gamma <= 2`, and either value made x0 NaN
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        PowerTailLaw(v=1.0, gamma=gamma)
+
+
+@pytest.mark.parametrize("q", [Fraction(3, 4), Fraction(-1, 8)], ids=str)
+def test_three_point_refuses_q_outside_the_unit_half(q):
+    # at q = 3/4 moment(2) read 6 for a law whose every sample is +-2; at -1/8 it read -1
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1/2\]"):
+        ThreePointLaw(q=q)
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(1, 2)], ids=str)
+def test_three_point_q_at_the_ends_is_its_samples_law(q):
+    # q = 0 is the point mass at 0, q = 1/2 the two spikes alone: moment(2) is E a^2 exactly
+    law = ThreePointLaw(q=q)
+    samples = law.sample(np.random.default_rng(0), 1000)
+    assert set(np.abs(samples)) == {float(law.spike) if q else 0.0}
+    assert law.moment(2) == Fraction(float(np.mean(samples**2)))
 
 
 def test_walk_sum_identity_for_arbitrary_moment_assignments():
