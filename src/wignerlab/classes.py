@@ -66,44 +66,40 @@ class MuSignature(NamedTuple):
         return dict(self.mu)
 
 
-def _sparse(profile: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((k, c) for k, c in profile.items() if c))
-
-
 def classify_nu(an: WalkAnalysis) -> NuSignature:
     """Self-intersection signature of a walk.
 
     r counts simple self-intersections whose closing arrival is open; p counts
     the remaining simple ones whose two arrivals ride the same oriented edge
-    (the same-orientation double edges). Open wins when both apply.
+    (the same-orientation double edges). Open wins when both apply. One sweep
+    over the vertices tallies the nu profile and r, p together.
     """
+    lab = an.walk.labels
+    arrivals_of, open_by = an.marked_arrivals, an.open_by_vertex
+    nu: dict[int, int] = {}
     r = 0
     p = 0
     for v, kappa in an.kappa_nu.items():
+        if kappa < 2:
+            continue
+        nu[kappa] = nu.get(kappa, 0) + 1
         if kappa != 2:
             continue
-        arrivals = an.marked_arrivals[v]
-        closing = arrivals[-1] if arrivals else None
-        if closing is not None and closing in an.open_by_vertex[v]:
+        # a simple vertex has two marked arrivals; the simple root has one, plus its +1
+        arrivals = arrivals_of[v]
+        if arrivals[-1] in open_by[v]:
             r += 1
-        elif v != ROOT and len(arrivals) == 2:
-            lab = an.walk.labels
-            if lab[arrivals[0] - 1] == lab[arrivals[1] - 1]:
-                p += 1
-    theta = tuple(an.theta.steps) if an.theta is not None else None
-    root_kappa = an.kappa_nu.get(ROOT, 1)
-    root_open = bool(
-        an.marked_arrivals[ROOT]
-        and an.marked_arrivals[ROOT][-1] in an.open_by_vertex[ROOT]
-    )
+        elif v != ROOT and lab[arrivals[0] - 1] == lab[arrivals[1] - 1]:
+            p += 1
+    root_arrivals = arrivals_of[ROOT]
     return NuSignature(
-        theta=theta,
-        nu=_sparse(an.nu_profile()),
+        theta=an.theta.steps if an.theta is not None else None,
+        nu=tuple(sorted(nu.items())),
         r=r,
         p=p,
         d=an.max_exit_degree,
-        root_kappa=root_kappa,
-        root_open=root_open,
+        root_kappa=an.kappa_nu.get(ROOT, 1),
+        root_open=bool(root_arrivals and root_arrivals[-1] in open_by[ROOT]),
     )
 
 
@@ -113,25 +109,29 @@ def classify_mu(an: WalkAnalysis) -> MuSignature:
     r here counts only the open simple nu-intersections realized as double
     mu-arrivals (kappa_mu = 2); an open simple vertex whose second arrival is
     a p-edge is charged to the p-window instead, which is what the counting
-    bound's (mu_2 - r)! factor requires.
+    bound's (mu_2 - r)! factor requires. One sweep over the vertices tallies
+    the mu profile, r and the largest kappa_nu together.
     """
+    kappa_nu, arrivals_of, open_by = an.kappa_nu, an.marked_arrivals, an.open_by_vertex
+    mu: dict[int, int] = {}
     r = 0
-    for v, kappa in an.kappa_nu.items():
-        if kappa != 2 or an.kappa_mu[v] != 2:
-            continue
-        arrivals = an.marked_arrivals[v]
-        if arrivals and arrivals[-1] in an.open_by_vertex[v]:
+    max_kappa_nu = 1
+    for v, m in an.kappa_mu.items():
+        mu[m] = mu.get(m, 0) + 1
+        kappa = kappa_nu[v]
+        if kappa > max_kappa_nu:
+            max_kappa_nu = kappa
+        if kappa == 2 and m == 2 and arrivals_of[v][-1] in open_by[v]:
             r += 1
-    theta = tuple(an.theta.steps) if an.theta is not None else None
     return MuSignature(
-        theta=theta,
-        mu=_sparse(an.mu_profile()),
+        theta=an.theta.steps if an.theta is not None else None,
+        mu=tuple(sorted(mu.items())),
         p_count=len(an.p_edges),
         double_mu=an.double_mu_count,
         q_counts=tuple(map(len, an.q_layers)),
         r=r,
         d=an.max_exit_degree,
-        max_kappa_nu=max(an.kappa_nu.values(), default=1),
+        max_kappa_nu=max_kappa_nu,
     )
 
 

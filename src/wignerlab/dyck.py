@@ -262,10 +262,15 @@ def exit_degree_tail_bound(s: int, d: int) -> Fraction:
 
 
 @lru_cache(maxsize=8)
-def _binomial_row(n: int) -> tuple[int, ...]:
-    row = [1] * (n + 1)
+def _binomial_difference_row(n: int) -> tuple[int, ...]:
+    """row[i] = C(n, i) - C(n, i - 1) for i = 0..n+1, one binomial held at a time."""
+    row = [1] * (n + 2)
+    c = 1
     for j in range(n):
-        row[j + 1] = row[j] * (n - j) // (j + 1)
+        nxt = c * (n - j) // (j + 1)
+        row[j + 1] = nxt - c
+        c = nxt
+    row[n + 1] = -c
     return tuple(row)
 
 
@@ -273,19 +278,16 @@ def paths_with_max_height_le(k: int, h: int) -> int:
     """Number of 2k-step Dyck paths with maximal height <= h.
 
     Exact double-reflection sum over the strip [0, h]:
-        sum_j C(2k, k + j(h+2)) - C(2k, k + j(h+2) - 1),
-    where only |j| <= k // (h+2) + 1 can give a nonzero term.
+        sum_j C(2k, k + j(h+2)) - C(2k, k + j(h+2) - 1).
+    A term is nonzero only for 0 <= k + j(h+2) <= 2k + 1, so with the
+    difference row D[i] = C(2k, i) - C(2k, i - 1), i = 0..2k+1, the sum is
+    one strided slice: sum(D[k % (h+2) :: h+2]).
     """
     if h < 0:
         return 1 if k == 0 else 0
     if h >= k:
         return catalan(k)
-    row = _binomial_row(2 * k)
-    span = k // (h + 2) + 1
-    return sum(
-        (row[i] if 0 <= i <= 2 * k else 0) - (row[i - 1] if 0 < i <= 2 * k + 1 else 0)
-        for i in (k + j * (h + 2) for j in range(-span, span + 1))
-    )
+    return sum(_binomial_difference_row(2 * k)[k % (h + 2) :: h + 2])
 
 
 @lru_cache(maxsize=8)
@@ -294,6 +296,8 @@ def height_counts(k: int) -> tuple[int, ...]:
 
     Index m runs 0..k; cnt[0] is 1 only for k = 0.
     """
+    if k < 0:
+        raise ValueError("k must be a nonnegative integer")
     if k == 0:
         return (1,)
     counts = [0] * (k + 1)

@@ -63,6 +63,9 @@ class TruncationSpec:
     def __post_init__(self):
         if not 0 < self.delta < 1 / self.eta:
             raise ValueError("delta must lie in (0, 1/eta)")
+        # the hypothesis asks for a moment beyond the twelfth: delta0 > 0
+        if self.delta0 is not None and not (math.isfinite(self.delta0) and self.delta0 > 0):
+            raise ValueError("delta0 must be finite and positive")
 
     def cutoff(self, n: int) -> float:
         return float(n) ** (1 / self.eta - self.delta)

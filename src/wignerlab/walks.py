@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .dyck import DyckPath, exit_degree_profile
 from .errors import EnumerationCeilingError
@@ -446,6 +447,13 @@ def verify_vertex_ledger(an: WalkAnalysis) -> bool:
     return True
 
 
+# 1024 holds the 626 Dyck paths of half-length k <= 7 that walks up to the ceiling project to
+@lru_cache(maxsize=1024)
+def _tree_max_exit_degree(steps: tuple[int, ...]) -> int:
+    """Largest exit degree of the tree of a Dyck step sequence, once per path."""
+    return max(exit_degree_profile(steps))
+
+
 def verify_exit_degree_tree_link(an: WalkAnalysis) -> bool:
     """Whether each vertex's exit cluster splits into at most 2 kappa + L
     groups, every group living inside one exit cluster of the underlying tree;
@@ -453,9 +461,13 @@ def verify_exit_degree_tree_link(an: WalkAnalysis) -> bool:
     deg_e(beta) / (2 kappa(beta) + L)."""
     if an.theta is None:
         return True
-    tree_max = max(exit_degree_profile(an.theta.steps))
+    tree_max = _tree_max_exit_degree(an.theta.steps)
     L = an.bts_total
-    return all(d <= tree_max * (2 * an.kappa_nu[v] + L) for v, d in an.exit_degree.items())
+    kappa_nu = an.kappa_nu
+    for v, d in an.exit_degree.items():
+        if d > tree_max * (2 * kappa_nu[v] + L):
+            return False
+    return True
 
 
 def verify_cell_bounds(an: WalkAnalysis) -> bool:
@@ -480,21 +492,33 @@ def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
     """
     walk = an.walk
     s = walk.s
-    n_marked = sum(an.marked)
-    L = an.bts_total
-    heads, kappa_nu, kappa_mu = an.bts_heads, an.kappa_nu, an.kappa_mu
+    n_marked = an.marked.count(True)
+    kappa_nu = an.kappa_nu
+    mu_below_nu = True
+    for v, mu in an.kappa_mu.items():
+        if mu > kappa_nu[v]:
+            mu_below_nu = False
+            break
+    n_pq = len(an.p_edges)
+    for layer in an.q_layers:
+        n_pq += len(layer)
+    bts = an.bts_instants
+    L = len(bts)
+    heads = an.bts_heads
+    unfiltered_ok = True
+    for v, arrivals in an.reduced_nonmarked_arrivals.items():
+        if len(arrivals) > L - heads[v] + kappa_nu[v]:
+            unfiltered_ok = False
+            break
     return {
         "marked/non-marked balance": n_marked == s and walk.n_steps - n_marked == s,
-        "kappa_mu <= kappa_nu": all(mu <= kappa_nu[v] for v, mu in kappa_mu.items()),
-        "mu/p/q partition of marked steps": len(an.mu_edges) + len(an.p_edges) + sum(map(len, an.q_layers)) == s,
-        "BTS instants are open self-intersections": set(an.bts_instants).issubset(an.open_instants),
+        "kappa_mu <= kappa_nu": mu_below_nu,
+        "mu/p/q partition of marked steps": len(an.mu_edges) + n_pq == s,
+        "BTS instants are open self-intersections": not L or set(bts).issubset(an.open_instants),
         "walk projects to a Dyck path": an.theta is not None and an.theta.k == s,
         "vertex in/out ledger and open-edge bounds": verify_vertex_ledger(an),
         "imported-cell count bounds": verify_cell_bounds(an),
-        "cells bound holds for unfiltered reduced arrivals too": all(
-            len(arrivals) <= L - heads[v] + kappa_nu[v]
-            for v, arrivals in an.reduced_nonmarked_arrivals.items()
-        ),
+        "cells bound holds for unfiltered reduced arrivals too": unfiltered_ok,
         "exit clusters fit the cell bound on the underlying tree": verify_exit_degree_tree_link(an),
     }
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wignerlab import classes, cli
+from wignerlab import classes, cli, walks
 from wignerlab.classes import (
     MuSignature,
     NuSignature,
@@ -361,6 +361,22 @@ def test_census_lemma_tallies_match_per_walk_oracle(s):
     expected = oracle_lemma_failures(s)
     assert lemma_failures(s) == expected
     assert not any(expected.values())
+
+
+def test_tree_link_reads_each_dyck_path_once(monkeypatch):
+    # the exit-degree tree link memoizes the tree of each Dyck path: C_5 = 42 at s = 5
+    calls = []
+    real = walks.exit_degree_profile
+    monkeypatch.setattr(walks, "exit_degree_profile", lambda steps: calls.append(steps) or real(steps))
+    walks._tree_max_exit_degree.cache_clear()
+    classes._census.cache_clear()
+    try:
+        failures = lemma_failures(5)
+    finally:
+        walks._tree_max_exit_degree.cache_clear()
+        classes._census.cache_clear()
+    assert len(calls) == len(set(calls)) == 42
+    assert failures == oracle_lemma_failures(5)
 
 
 def test_census_returns_fresh_dicts():

@@ -276,3 +276,29 @@ def test_random_path_heights_consistent(k, data):
     assert min(heights) >= 0
     assert p.max_height == max(heights)
     assert len(exit_degree_profile(p.steps)) == k + 1
+
+
+def _double_reflection_le(k, h, row):
+    """The strip count as a sum over reflections j, each term two binomials of row = C(2k, .)."""
+    if h < 0:
+        return 1 if k == 0 else 0
+    if h >= k:
+        return catalan(k)
+    span = k // (h + 2) + 1
+    return sum(
+        (row[i] if 0 <= i <= 2 * k else 0) - (row[i - 1] if 0 < i <= 2 * k + 1 else 0)
+        for i in (k + j * (h + 2) for j in range(-span, span + 1))
+    )
+
+
+def test_height_strip_is_the_double_reflection_sum():
+    for k in [*range(61), 200, 400, 2000]:
+        row = [math.comb(2 * k, i) for i in range(2 * k + 1)]
+        for h in range(-1, k + 2):
+            assert paths_with_max_height_le(k, h) == _double_reflection_le(k, h, row), (k, h)
+
+
+def test_height_counts_refuse_a_negative_k():
+    with pytest.raises(ValueError, match="nonnegative"):
+        height_counts(-1)
+    assert height_counts(0) == (1,)

@@ -1,6 +1,8 @@
 """Every imported name is used: an ast scan standing in for a linter."""
 
 import ast
+import re
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -121,3 +123,15 @@ def test_ensemble_layers_import_no_walk_layer(name):
     tree = ast.parse((ROOT / "src" / "wignerlab" / name).read_text())
     parts = {part for module in _imported_modules(tree) for part in module.split(".")}
     assert not parts & {"walks", "classes"}, f"{name} imports {sorted(parts & {'walks', 'classes'})}"
+
+
+def test_runtime_dependencies_are_imported_by_the_package():
+    # a package only the tests import belongs in the test extra, not in [project] dependencies
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in project["dependencies"]}
+    imported = {
+        module.split(".")[0]
+        for path in sorted((ROOT / "src" / "wignerlab").glob("*.py"))
+        for module in _imported_modules(ast.parse(path.read_text()))
+    }
+    assert declared and declared <= imported, f"declared but not imported: {sorted(declared - imported)}"

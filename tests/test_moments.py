@@ -405,6 +405,15 @@ def test_spec_fields_and_validation():
     assert {kind: spec.descriptor()["kind"] for kind, spec in kinds.items()} == {k: k for k in kinds}
 
 
+@pytest.mark.parametrize("delta0", [math.nan, math.inf, -math.inf, 0.0, -3.0])
+def test_truncation_refuses_a_delta0_outside_the_hypothesis(delta0):
+    # E|a|^(12 + 2 delta0) is a moment beyond the twelfth only for a finite delta0 > 0
+    with pytest.raises(ValueError, match="delta0 must be finite and positive"):
+        TruncationSpec(RAD, delta=0.05, delta0=delta0)
+    assert TruncationSpec(RAD, delta=0.05).delta0 is None
+    assert TruncationSpec(RAD, delta=0.05, delta0=0.5).delta0 == 0.5
+
+
 FIVE_LAWS = (RAD, GAU, GOE, PowerTailLaw(), ThreePointLaw())
 
 

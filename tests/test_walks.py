@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab.classes import MuSignature, NuSignature, classify_mu, classify_nu
 from wignerlab.cli import GOLDEN_DIR
 from wignerlab.dyck import DyckPath, catalan, exit_degree_profile
 from wignerlab.errors import EnumerationCeilingError
 from wignerlab.walks import (
+    ROOT,
     Walk,
     WalkAnalysis,
     _marked_flags,
@@ -373,6 +375,71 @@ def test_one_pass_reduction_matches_fixed_point():
         assert (raw, step_ids) == _reduce_fixed_point(lab), lab
         # the surviving steps keep their flags, as analyze assumes
         assert [marked[t - 1] for t in step_ids] == _marked_flags(raw)
+
+
+# The classifiers before their one-sweep rewrite, kept as their oracle.
+
+
+def oracle_classify_nu(an):
+    r = 0
+    p = 0
+    for v, kappa in an.kappa_nu.items():
+        if kappa != 2:
+            continue
+        arrivals = an.marked_arrivals[v]
+        closing = arrivals[-1] if arrivals else None
+        if closing is not None and closing in an.open_by_vertex[v]:
+            r += 1
+        elif v != ROOT and len(arrivals) == 2:
+            lab = an.walk.labels
+            if lab[arrivals[0] - 1] == lab[arrivals[1] - 1]:
+                p += 1
+    theta = tuple(an.theta.steps) if an.theta is not None else None
+    root_open = bool(
+        an.marked_arrivals[ROOT]
+        and an.marked_arrivals[ROOT][-1] in an.open_by_vertex[ROOT]
+    )
+    return NuSignature(
+        theta=theta,
+        nu=tuple(sorted((k, c) for k, c in an.nu_profile().items() if c)),
+        r=r,
+        p=p,
+        d=an.max_exit_degree,
+        root_kappa=an.kappa_nu.get(ROOT, 1),
+        root_open=root_open,
+    )
+
+
+def oracle_classify_mu(an):
+    r = 0
+    for v, kappa in an.kappa_nu.items():
+        if kappa != 2 or an.kappa_mu[v] != 2:
+            continue
+        arrivals = an.marked_arrivals[v]
+        if arrivals and arrivals[-1] in an.open_by_vertex[v]:
+            r += 1
+    theta = tuple(an.theta.steps) if an.theta is not None else None
+    return MuSignature(
+        theta=theta,
+        mu=tuple(sorted((m, c) for m, c in an.mu_profile().items() if c)),
+        p_count=len(an.p_edges),
+        double_mu=an.double_mu_count,
+        q_counts=tuple(map(len, an.q_layers)),
+        r=r,
+        d=an.max_exit_degree,
+        max_kappa_nu=max(an.kappa_nu.values(), default=1),
+    )
+
+
+def test_classifiers_match_their_oracles():
+    cases = [w.labels for s in range(7) for w in enumerate_even_walks(s)]
+    n_even = len(cases)
+    cases += [lab for steps in range(9) for lab in _closed_label_sequences(steps)]
+    assert n_even == 70_331
+    for lab in cases:
+        an = analyze(Walk(lab))
+        assert classify_nu(an) == oracle_classify_nu(an), lab
+        assert classify_mu(an) == oracle_classify_mu(an), lab
 
 
 @settings(max_examples=120, deadline=None)
