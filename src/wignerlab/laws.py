@@ -29,6 +29,26 @@ def _check_scale(name: str, value) -> None:
         raise ValueError(f"{name} must be >= 0")
 
 
+def _signs(rng: np.random.Generator, size: int) -> np.ndarray:
+    """size signs +-1.0: 2.0 * rng.integers(0, 2, size=size) - 1.0, bit for bit,
+    for a 64-bit bit generator such as Philox with no 32-bit half left over
+    (every new or re-keyed one).
+
+    integers draws each entry from one 32-bit half of a 64-bit word, low
+    half first, and for a range of two Lemire's bounded method keeps
+    just that half's top bit, so the halves are read straight from
+    ceil(size / 2) raw words. The halves are taken in little-endian order
+    whatever the machine's. After an odd size the last word's high half is
+    dropped where integers would keep it for the next 32-bit draw; 64-bit
+    draws such as `rng.random` come out the same either way. The array is
+    fresh, so callers scale it in place.
+    """
+    raw = rng.bit_generator.random_raw((size + 1) // 2)
+    signs = 2.0 * (raw.astype("<u8", copy=False).view("<u4")[:size] >> 31)
+    signs -= 1.0
+    return signs
+
+
 class _SampledMagnitudes:
     """The largest |a| for a law that draws its signs with its values: from the signed draw."""
 
@@ -61,7 +81,9 @@ class RademacherLaw(_SampledMagnitudes):
         return self.moment(order) if Fraction(self.v) <= Fraction(cutoff) else Fraction(0)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return (2.0 * rng.integers(0, 2, size=size) - 1.0) * float(self.v)
+        out = _signs(rng, size)
+        out *= float(self.v)
+        return out
 
     def descriptor(self) -> dict:
         return {"law": self.name, "v": str(self.v)}
@@ -159,8 +181,11 @@ class PowerTailLaw:
     def largest_magnitude(self, rng: np.random.Generator, size: int) -> float:
         """np.abs(self.sample(rng, size)).max(), for size >= 1, bit for bit:
         the signs, drawn after the magnitudes, are skipped, and the map from u
-        to |a| rises with u, so only the largest u goes through it."""
-        return self._magnitude_of(rng.random(size).max(keepdims=True))[0]
+        to |a| rises with u, so only the largest u goes through it. That u is
+        the largest raw word's: `rng.random` maps each 64-bit word w to
+        (w >> 11) 2^-53, exactly and rising with w."""
+        largest = rng.bit_generator.random_raw(size).max(keepdims=True)
+        return self._magnitude_of((largest >> 11) * 2.0**-53)[0]
 
     def _magnitude_of(self, u: np.ndarray) -> np.ndarray:
         """|a| = x0 (1 - u)^(-1/gamma) for uniforms u in [0, 1)."""
@@ -169,7 +194,8 @@ class PowerTailLaw:
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # the signs are drawn after the magnitudes, so `largest_magnitude` may stop short of them
         mag = self._magnitude_of(rng.random(size))
-        return mag * (2.0 * rng.integers(0, 2, size=size) - 1.0)
+        mag *= _signs(rng, size)
+        return mag
 
     def descriptor(self) -> dict:
         return {"law": self.name, "v": repr(self.v), "gamma": repr(self.gamma)}

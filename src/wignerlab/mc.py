@@ -68,13 +68,14 @@ def _rng(
     re-keyed in place to counter 0 with an empty buffer, which draws what a
     new generator would, bit for bit, at a fraction of its set-up cost.
     """
-    key = np.array([config.seed, replicate], dtype=np.uint64)
     if rng is None:
+        key = np.array([config.seed, replicate], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+    # the setter reads the words one at a time, from plain ints faster than from arrays
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": (0, 0, 0, 0), "key": (config.seed, replicate)},
+        "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -121,7 +122,7 @@ def sample_matrix(
     `rng`, when given, is re-keyed to the replicate's stream (`sample_entries`).
     """
     n = config.n
-    rng, vals = sample_entries(config, replicate, rng)
+    rng, vals = sample_entries(config, replicate, rng)  # fresh, so scaled in place
     if isinstance(config.law, GoeLaw):
         # double the diagonal variance; the gather's diagonal holds its positions
         vals[_symmetric_gather(n).diagonal()] *= math.sqrt(2.0)
@@ -130,10 +131,10 @@ def sample_matrix(
         vals = np.where(np.abs(vals) <= cutoff, vals, 0.0)
     if config.dilution_c is not None:
         c = config.dilution_c
-        mask = rng.random(vals.shape[0]) < c / n
-        vals = vals * mask / math.sqrt(c)
+        vals *= rng.random(vals.shape[0]) < c / n
+        vals /= math.sqrt(c)
     else:
-        vals = vals / math.sqrt(n)
+        vals /= math.sqrt(n)
     return vals[_symmetric_gather(n)]
 
 
@@ -335,10 +336,15 @@ def _dsytrd_workspace(n: int) -> int:
 
 def _tridiagonalize(matrix: np.ndarray, dsytrd, d: np.ndarray, e: np.ndarray) -> None:
     """Write into d and e the diagonal and off-diagonal of a tridiagonal T
-    orthogonally similar to the symmetric `matrix`: dsytrd with uplo L on a
-    column-major copy."""
+    orthogonally similar to the symmetric `matrix`: dsytrd with uplo L,
+    which overwrites `matrix`.
+
+    A symmetric C-ordered matrix is its own transpose, and that transpose
+    is column-major, so dsytrd reduces it where it lies; any other layout
+    is copied to column-major first.
+    """
     n = len(matrix)
-    a = np.array(matrix, order="F")  # dsytrd overwrites its input
+    a = np.asfortranarray(matrix.T)
     tau = np.empty(n - 1)
     lwork = _dsytrd_workspace(n)
     work = np.empty(lwork)
@@ -354,11 +360,13 @@ def _tail_stats(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The draws are `sample_matrix`'s, so float64. With n >= 129 (one draw to
     a stack, `_stack_size`) they are reduced draw by draw by dsytrd
-    (`_tridiagonalize`), and ctypes releases the GIL for each call, so
-    replicate threads overlap. Smaller draws and every draw of a build
-    without the symbol take their eigenvalues from `_eigvalsh`, looked up at
-    call time, as the diagonal of a diagonal T. A non-finite diagonal or
-    off-diagonal raises LinAlgError.
+    (`_tridiagonalize`) in place, so the stack is consumed: its draws are
+    overwritten. `_replicate_loop` redoes only stacks of two or more draws,
+    so it never reads a consumed one. ctypes releases the GIL for each
+    call, so replicate threads overlap. Smaller draws and every draw of a
+    build without the symbol take their eigenvalues from `_eigvalsh`,
+    looked up at call time, as the diagonal of a diagonal T. A non-finite
+    diagonal or off-diagonal raises LinAlgError.
     """
     k, n = stack.shape[:2]
     dsytrd = _linalg_symbol("scipy_dsytrd_64_") if _stack_size(n) == 1 else None

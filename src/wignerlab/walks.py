@@ -11,7 +11,7 @@ point, instants of broken tree structure, and primary/imported cells.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .dyck import DyckPath, exit_degree_profile
@@ -138,19 +138,20 @@ class WalkAnalysis:
     imported_cells: dict[int, tuple[int, ...]]
     reduced_nonmarked_arrivals: dict[int, tuple[int, ...]]
     max_open_attached: dict[int, int]
+    # bts_heads[v] = number of BTS instants at vertex v, indexed by label:
+    # counted once per analysis from bts_instants, for the two checks that read it
+    bts_heads: list[int] = field(init=False, repr=False, compare=False)
 
-    @property
-    def bts_total(self) -> int:
-        return len(self.bts_instants)
-
-    @property
-    def bts_heads(self) -> list[int]:
-        """bts_heads[v] = number of BTS instants at vertex v, indexed by label."""
+    def __post_init__(self):
         lab = self.walk.labels
         heads = [0] * (self.walk.n_vertices + 1)
         for t in self.bts_instants:
             heads[lab[t]] += 1
-        return heads
+        self.bts_heads = heads
+
+    @property
+    def bts_total(self) -> int:
+        return len(self.bts_instants)
 
     def nu_profile(self) -> dict[int, int]:
         """nu_k = number of vertices of self-intersection degree k, k >= 2."""

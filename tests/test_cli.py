@@ -972,6 +972,19 @@ def test_mc_summary_is_strict_json(replicates, tmp_path, capsys):
     assert _strict_json(out_file.with_suffix(".summary.json").read_text()) == summary
 
 
+def test_mc_with_no_replicates_reports_the_exact_moments_alone(capsys):
+    # an empty sample is a run, not an error: exit 0, no statistic and every exact moment;
+    # a tail curve needs 100 replicates for its probabilities and refuses fewer with exit 1
+    assert run(["mc", "--n", "10", "--s", "2", "--replicates", "0", "--no-timestamp"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[:2] == ["2s=2: mean=n/a", "2s=4: mean=n/a"]
+    summary = _strict_json(out[out.index("{") :])
+    assert (summary["replicates"], summary["failed_replicates"], summary["lambda_max_mean"]) == (0, [], None)
+    assert [entry["exact"] for entry in summary["traces"].values()] == [2.5, 1.1875]
+    assert run(["tail", "--n", "10", "--replicates", "0", "--no-timestamp"]) == 1
+    assert capsys.readouterr().err == "error: at least 100 replicates are required for a tail curve\n"
+
+
 def test_tail_json_has_no_bound_below_zero_threshold(capsys):
     # the Markov bound needs a positive threshold; at x = -5, n = 8 it is -0.25
     argv = ["tail", "--n", "8", "--x=-5,0", "--chebyshev-s", "2", "--replicates", "100"]

@@ -696,6 +696,35 @@ def test_tail_statistic_matches_the_full_spectrum(monkeypatch, tail_lapack, n):
             assert math.isclose(mc._band_trace(d, e, s)[0], np.sum(eigs ** (2 * s)), rel_tol=1e-12), s
 
 
+def _dsytrd_on_a_column_major_copy(mat):
+    """(d, e) of dsytrd with uplo L run on np.array(mat, order="F"), leaving mat as it is."""
+    n = len(mat)
+    a = np.array(mat, order="F")
+    d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+    lwork = mc._dsytrd_workspace(n)
+    work = np.empty(lwork)
+    ints = np.array([n, lwork, 0], dtype=np.int64)  # n (also lda), lwork, info
+    at = ints.ctypes.data
+    mc._linalg_symbol("scipy_dsytrd_64_")(b"L", at, a.ctypes.data, at, d.ctypes.data, e.ctypes.data,
+                                          tau.ctypes.data, work.ctypes.data, at + 8, at + 16, 1)
+    assert ints[2] == 0
+    return d, e
+
+
+@pytest.mark.parametrize("n", [129, 200, 257])
+def test_tail_reduction_in_place_equals_a_column_major_copy(tail_lapack, n):
+    # the draw is reduced where it lies, as its own transpose; the copy is the reference
+    for cfg in _tail_route_configs(n):
+        for rep in range(2):
+            mat = sample_matrix(cfg, rep)
+            want_d, want_e = _dsytrd_on_a_column_major_copy(mat)
+            stack = mat[np.newaxis]
+            d, e = mc._tail_stats(stack)
+            assert d[0].tobytes() == want_d.tobytes() and e[0].tobytes() == want_e.tobytes(), (cfg, rep)
+            # the stack is consumed: dsytrd wrote its reflectors over the draw
+            assert cfg.law.v == 0 or not np.array_equal(stack[0], sample_matrix(cfg, rep))
+
+
 def test_tail_counts_equal_the_eigvalsh_counts(tail_lapack):
     # 2,000 n = 200 draws over four ensembles, counted against thresholds both ways
     grid = (-2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
@@ -854,6 +883,101 @@ def test_largest_magnitude_is_the_largest_magnitude_bit_for_bit(law):
             got = law.largest_magnitude(np.random.Generator(np.random.Philox(key=key)), size)
             want = np.abs(law.sample(np.random.Generator(np.random.Philox(key=key)), size)).max()
             assert np.float64(got).tobytes() == want.tobytes(), (seed, size)
+
+
+def _integers_rademacher(law, rng, size):
+    """RademacherLaw.sample as numpy's bounded integers draw it: the oracle of the raw-word signs."""
+    return (2.0 * rng.integers(0, 2, size=size) - 1.0) * float(law.v)
+
+
+def _integers_power_tail(law, rng, size):
+    """PowerTailLaw.sample with its signs from numpy's bounded integers."""
+    mag = law.x0 * (1.0 - rng.random(size)) ** (-1.0 / law.gamma)
+    return mag * (2.0 * rng.integers(0, 2, size=size) - 1.0)
+
+
+def _uniform_largest_power_tail(law, rng, size):
+    """PowerTailLaw.largest_magnitude through the largest of rng.random's uniforms."""
+    return (law.x0 * (1.0 - rng.random(size).max(keepdims=True)) ** (-1.0 / law.gamma))[0]
+
+
+_RAW_WORD_SIZES = (1, 2, 3, 465, 5050, 20100, 20101)
+
+
+def _philox(*key):
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+
+
+@pytest.mark.parametrize(
+    "law, oracle",
+    [
+        (RAD, _integers_rademacher),
+        (RademacherLaw(Fraction(3, 7)), _integers_rademacher),
+        (RademacherLaw(Fraction(0)), _integers_rademacher),
+        (PowerTailLaw(v=1.0, gamma=24.0), _integers_power_tail),
+        (PowerTailLaw(v=0.5, gamma=4.5), _integers_power_tail),
+    ],
+    ids=["rademacher", "rademacher-3/7", "rademacher-0", "power-tail", "power-tail-4.5"],
+)
+def test_raw_word_signs_equal_the_integers_draw_bit_for_bit(law, oracle):
+    # odd sizes leave the last word's high half unread; the dilution mask's uniforms after it agree
+    for size in _RAW_WORD_SIZES:
+        for key in ((0, 0), (7, size), (20240229, 3), (2**64 - 1, 2**40)):
+            got_rng, want_rng = _philox(*key), _philox(*key)
+            got, want = law.sample(got_rng, size), oracle(law, want_rng, size)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (size, key)
+            assert got_rng.random(size % 7 + 5).tobytes() == want_rng.random(size % 7 + 5).tobytes(), (size, key)
+
+
+@pytest.mark.parametrize("law", [PowerTailLaw(v=1.0, gamma=24.0), PowerTailLaw(v=0.5, gamma=4.5)], ids=repr)
+def test_power_tail_largest_raw_word_equals_the_largest_uniform_bit_for_bit(law):
+    for size in _RAW_WORD_SIZES:
+        for key in ((0, 0), (7, size), (20240229, 3), (2**64 - 1, 2**40)):
+            got_rng, want_rng = _philox(*key), _philox(*key)
+            got, want = law.largest_magnitude(got_rng, size), _uniform_largest_power_tail(law, want_rng, size)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (size, key)
+            assert got_rng.random(4).tobytes() == want_rng.random(4).tobytes(), (size, key)
+
+
+def test_raw_word_signs_read_the_halves_in_little_endian_order():
+    # a big-endian machine hands random_raw's words over in its own byte order
+    class BigEndianWords:
+        def __init__(self, key):
+            self.bit_generator = self
+            self._words = np.random.Philox(key=np.array(key, dtype=np.uint64))
+
+        def random_raw(self, size):
+            return self._words.random_raw(size).astype(">u8")
+
+    for size in (1, 2, 3, 465):
+        want = _integers_rademacher(RAD, _philox(5, size), size)
+        assert RAD.sample(BigEndianWords((5, size)), size).tobytes() == want.tobytes(), size
+
+
+def _integers_matrix(cfg, rep):
+    """sample_matrix of a rademacher config with the integers-drawn signs and out-of-place scaling."""
+    n = cfg.n
+    rng = _philox(cfg.seed, rep)
+    vals = _integers_rademacher(cfg.law, rng, n * (n + 1) // 2)
+    if cfg.dilution_c is not None:
+        mask = rng.random(vals.shape[0]) < cfg.dilution_c / n
+        vals = vals * mask / math.sqrt(cfg.dilution_c)
+    else:
+        vals = vals / math.sqrt(n)
+    return vals[mc._symmetric_gather(n)]
+
+
+@pytest.mark.parametrize("n", [5, 6, 13, 201])  # n(n + 1) / 2 = 15, 21, 91, 20301: all odd
+def test_sample_matrix_keeps_its_bits_with_raw_word_signs(n):
+    # v = 3/7 is no power of two, so a scale taken as a product with 1/sqrt(n) changes bits
+    for cfg in (
+        EnsembleConfig(n=n, law=RAD, dilution_c=max(1, n // 3), seed=95),
+        EnsembleConfig(n=n, law=RademacherLaw(Fraction(3, 7)), dilution_c=max(1, n // 2), seed=96),
+        EnsembleConfig(n=n, law=RademacherLaw(Fraction(1)), seed=97),
+        EnsembleConfig(n=n, law=RademacherLaw(Fraction(3, 7)), seed=98),
+    ):
+        for rep in (0, 1, 2**40):
+            assert sample_matrix(cfg, rep).tobytes() == _integers_matrix(cfg, rep).tobytes(), (cfg, rep)
 
 
 def test_truncation_hits_are_unchanged_on_criterion_13():

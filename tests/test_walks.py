@@ -248,6 +248,16 @@ def test_lemma_predicates_fail_when_a_bound_breaks():
         assert check_walk_lemmas(padded)[unfiltered] is holds
 
 
+def test_bts_heads_are_counted_once_per_analysis():
+    # W14's BTS instants 6 and 10 both sit at vertex 2
+    an = analyze(W14)
+    assert an.bts_heads == [0, 0, 2, 0, 0, 0]
+    assert an.bts_heads is an.bts_heads  # both lemma checks read the one list
+    # a copy with other instants counts its own heads
+    assert replace(an, bts_instants=(6, 9)).bts_heads == [0, 0, 1, 1, 0, 0]
+    assert an.bts_heads == [0, 0, 2, 0, 0, 0]
+
+
 def test_report_json_stable():
     payload = report_to_json(analyze(W14))
     data = json.loads(payload)
