@@ -6,11 +6,12 @@ and the exponential moment of the normalized maximal height of a uniform
 Dyck path (computed from the exact height distribution, never by sampling).
 
 Root-degree and exit-degree counts are closed forms (ballot numbers and
-Lagrange inversion), so they have no enumeration ceiling. `_dyck_dfs` is the
-one walk over paths and serves as their test oracle: it meets in the middle,
-joining each first half to the second halves that close it, and hands each
-path's step tuple to a leaf, so the oracles count without building paths,
-and `enumerate_dyck` is the leaf that keeps them.
+Lagrange inversion), so they have no enumeration ceiling. `_dyck_halves` is
+the one walk over paths and serves as their test oracle: it meets in the
+middle, handing each first half with the list of second halves that close
+it, so the oracles count and sum without joining them. `_dyck_dfs` joins
+each pair into one path's step tuple, and `enumerate_dyck` is its leaf that
+keeps the paths.
 
 All counts are arbitrary-precision integers; bounds that must be compared
 against exact counts are returned as `Fraction`.
@@ -98,16 +99,18 @@ class PlaneTree:
         return out
 
 
-def _dyck_dfs(k: int, leaf) -> None:
+def _dyck_halves(k: int, visit) -> None:
     """Search over the Dyck paths of half-length k, met in the middle.
 
-    Calls leaf(steps) once per path, lexicographic with up-steps first, with
-    steps a tuple of +-1 steps. A path is a first half, a ballot prefix of k
-    steps, followed by a second half, k steps from the first half's end
-    height h down to 0 that never dip below 0. The second halves are the
-    ballot prefixes ending at h, reversed and negated; they are listed once
-    per call, grouped by h. A depth-first search over the first halves then
-    joins each one to every second half in seconds[h].
+    A path is a first half, a ballot prefix of k steps, followed by a second
+    half, k steps from the first half's end height h down to 0 that never
+    dip below 0. The second halves are the ballot prefixes ending at h,
+    reversed and negated; they are listed once per call, grouped by h and
+    sorted up-steps first. A depth-first search over the first halves then
+    calls visit(first, seconds) once per first half, in lexicographic order
+    with up-steps first, with seconds the list of every second half that
+    closes it. Each is a tuple of +-1 steps, and first + second runs over
+    the paths in the same order as a search over whole paths.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -115,27 +118,36 @@ def _dyck_dfs(k: int, leaf) -> None:
         raise EnumerationCeilingError("enumerate_dyck", k, DYCK_ENUMERATION_CEILING)
     steps: list[int] = []
 
-    def ballot(h: int, visit) -> None:
-        # visit(prefix, end height) for each ballot prefix of k steps extending steps, up-steps first
+    def ballot(h: int, found) -> None:
+        # found(prefix, end height) for each ballot prefix of k steps extending steps, up-steps first
         if len(steps) == k:
-            visit(tuple(steps), h)
+            found(tuple(steps), h)
             return
         for st in (1, -1):
             if h + st >= 0:
                 steps.append(st)
-                ballot(h + st, visit)
+                ballot(h + st, found)
                 steps.pop()
 
     seconds: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
     ballot(0, lambda first, h: seconds[h].append(tuple(-st for st in reversed(first))))
     for halves in seconds:
         halves.sort(reverse=True)  # +1 > -1: up-steps first
+    ballot(0, lambda first, h: visit(first, seconds[h]))
 
-    def join(first: tuple[int, ...], h: int) -> None:
-        for second in seconds[h]:
+
+def _dyck_dfs(k: int, leaf) -> None:
+    """Calls leaf(steps) once per Dyck path of half-length k, lexicographic with up-steps first.
+
+    steps is the path's tuple of +-1 steps, a first half of `_dyck_halves`
+    joined to one of its second halves.
+    """
+
+    def join(first: tuple[int, ...], seconds: list[tuple[int, ...]]) -> None:
+        for second in seconds:
             leaf(first + second)
 
-    ballot(0, join)
+    _dyck_halves(k, join)
 
 
 def enumerate_dyck(k: int) -> list[DyckPath]:

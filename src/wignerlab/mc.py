@@ -283,9 +283,15 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
     """Eigenvalues, ascending, of each symmetric matrix of an (..., n, n)
     stack from its lower triangle: `np.linalg.eigvalsh`, bit for bit.
 
-    numpy's eigvalsh holds the GIL for its whole solve, so no other thread
-    overlaps it. A float64 stack of n x n matrices with n >= 129 (one draw
-    to a stack, `_stack_size`) goes instead to LAPACK's dsyevd (jobz N,
+    numpy 2.4.6's eigvalsh, on one BLAS thread, held the GIL for calls on
+    one or two matrices: two threads each solving one n = 200 matrix 60
+    times took 0.265 s wall against 0.126 s for one thread alone. Larger
+    stacks did overlap: 100 solves of a 36-draw n = 30 stack took 0.187 s
+    on one thread and 0.215 s on each of two at once, and 20 solves of a
+    4-draw n = 200 stack 0.192 s and 0.198 s (best of three, 2-vCPU Xeon).
+    A lone draw is such a one-matrix call, so a float64 stack of n x n
+    matrices with n >= 129 (one draw to a stack, `_stack_size`) goes
+    instead to LAPACK's dsyevd (jobz N,
     uplo L, the queried workspace: numpy's own call) through ctypes, one
     call per matrix, and ctypes releases the GIL during the call. Below n = 129 the
     per-call set-up made a 36-draw n = 30 stack about 10% slower, so
@@ -546,7 +552,10 @@ def _replicate_loop(config: EnsembleConfig, reps: range, statistic) -> tuple[lis
     The threads overlap because dsyevd (`_eigvalsh`), the tail's dsytrd
     (`_tail_stats`) and numpy's matrix products release the GIL. Smaller
     draws stay on the caller's thread, where threads saved little wall time
-    for about 45% more CPU. Every thread is joined before the loop returns;
+    for much more CPU: two threads on the benchmark's two n = 30
+    `sample_stats` calls (1,000 replicates each) took 108-127 ms wall
+    against 129-152 ms on one, for 37-60% more CPU (medians, 2-vCPU Xeon).
+    Every thread is joined before the loop returns;
     the first exception a thread raised is then raised here, and the other
     threads stop after their stack.
     """

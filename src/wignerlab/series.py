@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dyck import _dyck_dfs, catalan, exit_degree_profile
+from .dyck import _dyck_halves, catalan
 from math import comb
 
 
@@ -154,20 +154,41 @@ def nm_bound(m: int, s: int) -> int:
     return (2**m) * s * catalan(s)
 
 
+def _closed_pairs(stack: list[int], steps, m: int) -> int:
+    """Runs the exit-degree stack of `dyck.exit_degree_profile` over steps, in
+    place, and sums C(deg, m) over the vertices the steps close."""
+    total = 0
+    for st in steps:
+        if st == 1:
+            stack[-1] += 1
+            stack.append(0)
+        else:
+            deg = stack.pop()
+            if deg >= m:
+                total += comb(deg, m)
+    return total
+
+
 def brute_force_same_cluster_pairs(s: int, m: int = 2) -> int:
     """Oracle: sum over all plane trees with s edges of C(exit degree, m).
 
-    Streams the step sequences from the Dyck search and builds no path.
+    Runs the exit-degree stack over each first half of the Dyck search once,
+    then a copy of it over each second half that closes it, so each tree's
+    degrees still come from its own steps and no path is built or joined.
     """
+    if m < 0:
+        raise ValueError("m must be >= 0")
     total = 0
 
-    def leaf(steps) -> None:
+    def visit(first, seconds) -> None:
         nonlocal total
-        for deg in exit_degree_profile(steps):
-            if deg >= m:
-                total += comb(deg, m)
+        stack = [0]
+        total += _closed_pairs(stack, first, m) * len(seconds)
+        for second in seconds:
+            rest = stack.copy()
+            total += _closed_pairs(rest, second, m) + comb(rest[0], m)  # rest[0]: the root
 
-    _dyck_dfs(s, leaf)
+    _dyck_halves(s, visit)
     return total
 
 

@@ -57,14 +57,14 @@ def _timed(fn):
 
 
 def _count_dyck_paths(k: int) -> int:
-    """Leaves of the Dyck search at half-length k, counted without building paths."""
+    """Paths of the Dyck search at half-length k, counted per first half without joining any."""
     count = 0
 
-    def leaf(steps) -> None:
+    def visit(first, seconds) -> None:
         nonlocal count
-        count += 1
+        count += len(seconds)
 
-    dyck._dyck_dfs(k, leaf)
+    dyck._dyck_halves(k, visit)
     return count
 
 

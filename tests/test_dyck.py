@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab import suites
 from wignerlab.dyck import (
     DyckPath,
     _dyck_dfs,
+    _dyck_halves,
     catalan,
     count_trees_root_degree,
     count_trees_with_exit_degree_eq,
@@ -67,11 +69,13 @@ def test_enumeration_order_matches_filtered_product(k):
 
 @pytest.mark.parametrize("k, error", [(15, EnumerationCeilingError), (-1, ValueError)])
 def test_search_refuses_before_any_leaf(k, error):
-    def leaf(steps):
+    def leaf(*args):
         raise AssertionError("a leaf was called")
 
     with pytest.raises(error):
         _dyck_dfs(k, leaf)
+    with pytest.raises(error):
+        _dyck_halves(k, leaf)
 
 
 def recursive_dyck_dfs(k, leaf):
@@ -102,6 +106,19 @@ def test_search_matches_recursive_oracle(k):
     _dyck_dfs(k, seen.append)
     assert seen == expected
     assert all(type(steps) is tuple for steps in seen)
+
+
+def test_halves_count_every_path_of_the_search():
+    # criterion 1 counts len(seconds) per first half; the joined search emits every path
+    for k in range(13):
+        leaves = 0
+
+        def leaf(steps):
+            nonlocal leaves
+            leaves += 1
+
+        _dyck_dfs(k, leaf)
+        assert suites._count_dyck_paths(k) == leaves
 
 
 def test_path_validation():

@@ -1,8 +1,9 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from wignerlab import dyck, suites
+from wignerlab import dyck, series, suites
 from wignerlab.dyck import catalan
 from wignerlab.series import (
     Series,
@@ -71,6 +72,24 @@ def test_oracles_build_no_dyck_path(monkeypatch):
     assert suites.criterion_1_catalan().passed
     for s in range(11):
         assert brute_force_same_cluster_pairs(s) == n2_count(s)
+
+
+def test_brute_force_matches_tree_exit_degrees():
+    # each tree's degrees from its built PlaneTree, not from the halves' shared stack
+    for s in range(10):
+        degrees = [dyck.dyck_to_tree(p).exit_degrees() for p in dyck.enumerate_dyck(s)]
+        for m in range(1, 5):
+            expected = sum(comb(d, m) for tree in degrees for d in tree if d >= m)
+            assert brute_force_same_cluster_pairs(s, m) == expected
+
+
+def test_brute_force_refuses_negative_m(monkeypatch):
+    def no_search(k, visit):
+        raise AssertionError("the Dyck search started")
+
+    monkeypatch.setattr(series, "_dyck_halves", no_search)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        brute_force_same_cluster_pairs(4, -1)
 
 
 def test_n2_series_and_shifted_closed_form():
