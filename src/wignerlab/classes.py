@@ -11,9 +11,13 @@ rationals so comparisons never suffer rounding; a class bound multiplies its
 integer numerators and denominators and becomes one `Fraction` at the end,
 so no fraction is reduced factor by factor.
 
-The census is the one loop over the even walks of 2s steps: it streams them
-from the walk search, analyzes each once, and from that analysis tallies the
-class signatures and checks the per-walk lemmas of the walk structure suite.
+The census is the one pass over the even walks of 2s steps. It takes them
+from the walk search in blocks of label rows and steps through all walks of
+a block at once in numpy arrays (`_walk_arrays`), from which it reads the
+per-walk lemmas of the walk structure suite and the class signatures
+(`_read_walks`), tallied once per distinct signature. `walks.analyze` and
+the two classifiers serve single walks; with the per-walk lemma checks of
+the tests they are the census's oracle.
 """
 
 from __future__ import annotations
@@ -24,10 +28,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .dyck import DyckPath
 from .errors import BoundPreconditionError
 from .moments import MomentSpec
-from .walks import ROOT, Walk, WalkAnalysis, _even_walk_dfs, analyze, check_walk_lemmas
+from .walks import ROOT, WALK_LEMMAS, WalkAnalysis, _even_walk_dfs, _tree_max_exit_degree
 
 
 class NuSignature(NamedTuple):
@@ -313,30 +319,302 @@ class ClassCensusRow:
         return float(Fraction(self.bound) / self.exact)
 
 
+#: Walks per kernel call: a block's arrays peak at under 2 MB up to s = 7, and
+#: larger blocks ran no faster at s = 5 but raised `verify`'s peak memory.
+_BLOCK = 1024
+
+
+class _WalkArrays(NamedTuple):
+    """The structure of W closed walks of T steps, one row per walk.
+
+    Step and instant t = 1..T is column t - 1; a vertex is the column of its
+    label (column 0 and labels a walk lacks stay empty). Each field is the
+    array form of a `walks.WalkAnalysis` field, as the comments say.
+    """
+
+    marked: np.ndarray  # (W, T) bool: marked
+    opened: np.ndarray  # (W, T) bool: open_instants
+    bts: np.ndarray  # (W, T) bool: bts_instants
+    kappa_nu: np.ndarray  # (W, V): kappa_nu, the root's +1 included
+    primary: np.ndarray  # (W, V): len(marked_arrivals), the primary cells
+    last_open: np.ndarray  # (W, V) bool: the last marked arrival is in open_by_vertex
+    exits: np.ndarray  # (W, V): exit_degree
+    nonmarked_exits: np.ndarray  # (W, V): non-marked steps leaving the vertex
+    max_open: np.ndarray  # (W, V): max_open_attached
+    edges: np.ndarray  # (W, V, V): marked passes of each directed edge (tail, head)
+    bts_heads: np.ndarray  # (W, V): bts_heads
+    imported: np.ndarray  # (W, V): len(imported_cells)
+    reduced_nonmarked: np.ndarray  # (W, V): len(reduced_nonmarked_arrivals)
+
+
+def _walk_arrays(labels: np.ndarray) -> _WalkArrays:
+    """The structure of every walk of a (W, T + 1) label block, one step t at a time.
+
+    Each step runs `walks.analyze`'s pass and `walks._reduce_raw`'s push and
+    erasure on all W walks together; the per-vertex tallies are then counted
+    from the step columns. The labels must be canonical and closed at the root.
+    """
+    n_walks, width = labels.shape
+    n_steps = width - 1
+    nv = int(labels.max()) + 1
+    lab = labels.astype(np.intp)
+    tails, heads = lab[:, :-1], lab[:, 1:]
+    walk_v = (np.arange(n_walks) * nv)[:, None]
+    # flat indices, step-major: tail and head of each step, and its frame edge
+    at_tail = (walk_v + tails).T.copy()
+    at_head = (walk_v + heads).T.copy()
+    at_frame = ((walk_v + np.minimum(tails, heads)) * nv + np.maximum(tails, heads)).T.copy()
+    odd = np.zeros(n_walks * nv * nv, bool)
+    open_count = np.zeros(n_walks * nv, np.intp)
+    max_open = np.zeros(n_walks * nv, np.intp)
+    last_open = np.zeros(n_walks * nv, bool)
+    marked = np.empty((n_steps, n_walks), bool)
+    opened = np.empty((n_steps, n_walks), bool)
+    # the reduction's stack: the root, then each kept step's head, mark and instant
+    at_stack = np.arange(n_walks) * width
+    stack_lab = np.zeros((n_walks, width), np.intp)
+    stack_lab[:, 0] = lab[:, 0]
+    stack_marked = np.zeros((n_walks, width), bool)
+    stack_t = np.zeros((n_walks, width), np.intp)
+    flat_lab, flat_marked, flat_t = stack_lab.ravel(), stack_marked.ravel(), stack_t.ravel()
+    depth = np.zeros(n_walks, np.intp)
+    for t in range(1, width):
+        fa, fb, fe = at_tail[t - 1], at_head[t - 1], at_frame[t - 1]
+        mk = ~odd[fe]
+        odd[fe] = mk
+        # openness is judged before this step flips anything
+        op = mk & (open_count[fb] > 0)
+        marked[t - 1] = mk
+        opened[t - 1] = op
+        last_open[fb] = np.where(mk, op, last_open[fb])
+        delta = np.where(mk, 1, -1)
+        open_count[fa] += delta
+        max_open[fa] = np.maximum(max_open[fa], open_count[fa])
+        open_count[fb] += np.where(fa != fb, delta, 0)
+        max_open[fb] = np.maximum(max_open[fb], open_count[fb])
+        depth += 1
+        top = at_stack + depth
+        flat_lab[top] = lab[:, t]
+        flat_marked[top] = mk
+        flat_t[top] = t
+        # a marked step below the top that the top step walks back over is a backtrack: erase both
+        below = at_stack + np.maximum(depth - 2, 0)
+        back = (depth >= 2) & (flat_lab[top] == flat_lab[below]) & flat_marked[top - 1]
+        depth -= 2 * back
+    marked, opened = marked.T, opened.T
+
+    def per_vertex(cols: np.ndarray, where: np.ndarray) -> np.ndarray:
+        return np.bincount((walk_v + cols)[where], minlength=n_walks * nv).reshape(n_walks, nv)
+
+    # position r = 1..depth of the reduced walk: its head, whether its step is
+    # marked, and whether a step follows it and is marked
+    pos = np.arange(1, width)
+    kept = pos <= depth[:, None]
+    inner = pos < depth[:, None]
+    red_lab, red_marked = stack_lab[:, 1:], stack_marked[:, 1:]
+    next_marked = np.zeros_like(red_marked)
+    next_marked[:, :-1] = stack_marked[:, 2:]
+    next_marked &= inner
+    bts_at = kept & red_marked & inner & ~next_marked
+    nonmarked_at = kept & ~red_marked
+    bts = np.zeros((n_walks, width), bool)
+    bts[np.nonzero(bts_at)[0], stack_t[:, 1:][bts_at]] = True
+    primary = per_vertex(heads, marked)
+    kappa_nu = primary.copy()
+    kappa_nu[:, ROOT] += 1
+    edges = np.bincount(
+        ((walk_v + tails) * nv + heads)[marked], minlength=n_walks * nv * nv
+    ).reshape(n_walks, nv, nv)
+    return _WalkArrays(
+        marked=marked,
+        opened=opened,
+        bts=bts[:, 1:],
+        kappa_nu=kappa_nu,
+        primary=primary,
+        last_open=last_open.reshape(n_walks, nv),
+        exits=per_vertex(tails, marked),
+        nonmarked_exits=per_vertex(tails, ~marked),
+        max_open=max_open.reshape(n_walks, nv),
+        edges=edges,
+        bts_heads=per_vertex(red_lab, bts_at),
+        imported=per_vertex(red_lab, nonmarked_at & next_marked),
+        reduced_nonmarked=per_vertex(red_lab, nonmarked_at),
+    )
+
+
+# 1024 holds the 626 Dyck paths of half-length k <= 7 that walks up to the ceiling project to
+@lru_cache(maxsize=1024)
+def _theta_steps(key: int, n_steps: int) -> tuple[int, ...] | None:
+    """The Dyck path of a walk from its marked-step bits (bit t - 1 for step t); None for -1."""
+    if key < 0:
+        return None
+    return tuple([1 if key >> i & 1 else -1 for i in range(n_steps)])
+
+
+def _histogram(values: np.ndarray, size: int) -> np.ndarray:
+    """Per row, how many of its entries equal 0, 1, ..., size - 1."""
+    rows = values.shape[0]
+    flat = (np.arange(rows)[:, None] * size + values.reshape(rows, -1)).ravel()
+    return np.bincount(flat, minlength=rows * size).reshape(rows, size)
+
+
+def _read_walks(wa: _WalkArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nine lemma verdicts and both signatures of every walk of a block.
+
+    Returns (verdicts, nu rows, mu rows): verdicts[:, i] holds where lemma
+    `walks.WALK_LEMMAS[i]` holds on the walk's analysis, and `_nu_signature`
+    and `_mu_signature` turn a signature row into its class key. A walk's
+    Dyck path is the integer of its marked-step bits, -1 where it has none;
+    the tree link reads each path's tree once.
+    """
+    n_walks, n_steps = wa.marked.shape
+    s = (n_steps + 1) // 2
+    n_marked = wa.marked.sum(1)
+    # every frame edge has even passes exactly when half the steps are marked
+    dyck = 2 * n_marked == n_steps
+    theta = np.where(dyck, wa.marked @ (1 << np.arange(n_steps, dtype=np.int64)), -1)
+    paths, path_of = np.unique(theta, return_inverse=True)
+    tree_max = np.array(
+        [_tree_max_exit_degree(_theta_steps(key, n_steps)) if key >= 0 else 0 for key in paths.tolist()]
+    )[path_of.reshape(-1)][:, None]
+    kappa_nu, primary, edges, last_open = wa.kappa_nu, wa.primary, wa.edges, wa.last_open
+    into = edges > 0
+    kappa_mu = into.sum(1)
+    kappa_mu[:, ROOT] += 1
+    bts_total = wa.bts.sum(1)[:, None]
+    # the bound on a vertex's imported cells and unfiltered reduced arrivals:
+    # the BTS instants at other vertices plus its kappa_nu
+    remote = bts_total - wa.bts_heads + kappa_nu
+    verdicts = np.column_stack(
+        [
+            (n_marked == s) & (n_steps - n_marked == s),
+            (kappa_mu <= kappa_nu).all(1),
+            edges.sum((1, 2)) == s,
+            ~(wa.bts & ~wa.opened).any(1),
+            dyck & (n_marked == s),
+            (
+                # the mu, p and q arrivals at a vertex are all marked passes into it
+                (wa.nonmarked_exits == primary)
+                & (edges.sum(1) == primary)
+                & (wa.max_open <= np.minimum(2 * kappa_nu, kappa_mu + wa.exits))
+            ).all(1),
+            ((wa.imported <= remote) & (primary + wa.imported <= 2 * kappa_nu + bts_total)).all(1),
+            (wa.reduced_nonmarked <= remote).all(1),
+            ~dyck | (wa.exits <= tree_max * (2 * kappa_nu + bts_total)).all(1),
+        ]
+    )
+    simple = kappa_nu == 2
+    non_root = np.arange(kappa_nu.shape[1]) != ROOT
+    max_exit = wa.exits.max(1)
+    # a kappa_nu or kappa_mu is at most T + 1, an edge's marked passes at most T;
+    # passes[:, c] counts the directed edges with c or more marked passes, c <= T + 2
+    passes = np.cumsum(_histogram(edges, n_steps + 3)[:, ::-1], 1)[:, ::-1]
+    double = into & into.transpose(0, 2, 1)
+    nu_rows = np.column_stack(
+        [
+            theta,
+            _histogram(kappa_nu, n_steps + 2)[:, 2:],
+            (simple & last_open).sum(1),
+            # the two arrivals of a simple vertex ride one oriented edge
+            (simple & ~last_open & non_root & (edges.max(1) == 2)).sum(1),
+            max_exit,
+            kappa_nu[:, ROOT],
+            last_open[:, ROOT],
+        ]
+    )
+    mu_rows = np.column_stack(
+        [
+            theta,
+            # every vertex of a canonical walk has kappa_mu >= 1; 0 marks an empty column
+            _histogram(kappa_mu, n_steps + 2)[:, 1:],
+            passes[:, 2:],
+            (double.sum((1, 2)) - double.trace(0, 1, 2)) // 2,
+            (simple & (kappa_mu == 2) & last_open).sum(1),
+            max_exit,
+            np.maximum(kappa_nu.max(1), 1),
+        ]
+    )
+    return verdicts, nu_rows, mu_rows
+
+
+def _nu_signature(row: list[int], n_steps: int) -> NuSignature:
+    """The nu class key of a `_read_walks` nu row."""
+    theta, *profile, r, p, d, root_kappa, root_open = row
+    return NuSignature(
+        theta=_theta_steps(theta, n_steps),
+        nu=tuple([(k, c) for k, c in enumerate(profile, start=2) if c]),
+        r=r,
+        p=p,
+        d=d,
+        root_kappa=root_kappa,
+        root_open=bool(root_open),
+    )
+
+
+def _mu_signature(row: list[int], n_steps: int) -> MuSignature:
+    """The mu class key of a `_read_walks` mu row."""
+    theta, *rest, double_mu, r, d, max_kappa_nu = row
+    profile, passes = rest[: n_steps + 1], rest[n_steps + 1 :]
+    return MuSignature(
+        theta=_theta_steps(theta, n_steps),
+        mu=tuple([(m, c) for m, c in enumerate(profile, start=1) if c]),
+        p_count=passes[0],
+        double_mu=double_mu,
+        # layer j holds the directed edges with j + 2 or more marked passes
+        q_counts=tuple([c for c in passes[1:] if c]),
+        r=r,
+        d=d,
+        max_kappa_nu=max_kappa_nu,
+    )
+
+
+def _tally(rows: np.ndarray, key, n_steps: int, counts: dict) -> None:
+    """Add each distinct row's walks to counts under its key, in order of first walk."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(1)])
+    firsts = np.minimum.reduceat(order, starts)
+    sizes = np.diff(np.r_[starts, len(order)])
+    by_first = np.argsort(firsts)
+    for row, size in zip(rows[firsts[by_first]].tolist(), sizes[by_first].tolist()):
+        sig = key(row, n_steps)
+        counts[sig] = counts.get(sig, 0) + size
+
+
 @lru_cache(maxsize=None)
 def _census(s: int) -> tuple[dict[NuSignature, int], dict[MuSignature, int], dict[str, int]]:
-    """One pass over the even walks of 2s steps, streamed from the walk search.
+    """One pass over the even walks of 2s steps, a block of walks at a time.
 
-    Each walk is analyzed once. Returns the exact nu and mu class sizes and,
-    for each lemma of `walks.check_walk_lemmas`, the number of walks where it
-    fails. No walk list is kept.
+    The walk search fills blocks of `_BLOCK` label rows; `_walk_arrays` and
+    `_read_walks` turn each block into lemma verdicts and class keys, which
+    are tallied once per distinct key. Returns the exact nu and mu class
+    sizes, keyed in order of each class's first walk in the search, and for
+    each lemma of `walks.WALK_LEMMAS` the number of walks where it fails.
+    No walk list is kept.
     """
     nu: dict[NuSignature, int] = {}
     mu: dict[MuSignature, int] = {}
-    failures: dict[str, int] = {}
+    failures = np.zeros(len(WALK_LEMMAS), np.int64)
+    width = 2 * s + 1
+    buf: list[int] = []
+
+    def flush() -> None:
+        labels = np.array(buf, dtype=np.int8).reshape(-1, width)
+        buf.clear()
+        verdicts, nu_rows, mu_rows = _read_walks(_walk_arrays(labels))
+        failures[:] += (~verdicts).sum(0)
+        _tally(nu_rows, _nu_signature, 2 * s, nu)
+        _tally(mu_rows, _mu_signature, 2 * s, mu)
 
     def leaf(labels, *_):
-        # the search's labels are canonical and closed at the root
-        an = analyze(Walk._unchecked(tuple(labels)))
-        sig_nu = classify_nu(an)
-        nu[sig_nu] = nu.get(sig_nu, 0) + 1
-        sig_mu = classify_mu(an)
-        mu[sig_mu] = mu.get(sig_mu, 0) + 1
-        for label, held in check_walk_lemmas(an).items():
-            failures[label] = failures.get(label, 0) + (not held)
+        buf.extend(labels)
+        if len(buf) == _BLOCK * width:
+            flush()
 
     _even_walk_dfs(s, True, leaf)
-    return nu, mu, failures
+    if buf:
+        flush()
+    return nu, mu, dict(zip(WALK_LEMMAS, failures.tolist()))
 
 
 def nu_census(s: int) -> dict[NuSignature, int]:
@@ -350,7 +628,7 @@ def mu_census(s: int) -> dict[MuSignature, int]:
 
 
 def lemma_failures(s: int) -> dict[str, int]:
-    """Per lemma of `walks.check_walk_lemmas`, how many even walks of 2s steps break it."""
+    """Per lemma of `walks.WALK_LEMMAS`, how many even walks of 2s steps break it."""
     return dict(_census(s)[2])
 
 

@@ -131,7 +131,10 @@ def sample_matrix(
         vals = np.where(np.abs(vals) <= cutoff, vals, 0.0)
     if config.dilution_c is not None:
         c = config.dilution_c
-        vals *= rng.random(vals.shape[0]) < c / n
+        # the mask rng.random(k) < c / n from the same raw words: a uniform is
+        # (word >> 11) * 2^-53, below c / n exactly when word >> 11 is below
+        # ceil(c / n * 2^53), and the scaling by 2^53 is exact
+        vals *= (rng.bit_generator.random_raw(vals.shape[0]) >> 11) < math.ceil(c / n * 2.0**53)
         vals /= math.sqrt(c)
     else:
         vals /= math.sqrt(n)

@@ -3,8 +3,9 @@
 Each suite returns a SuiteResult whose checks are (name, ok, detail) rows;
 the CLI prints one line per criterion and exits nonzero on any failure, the
 test suite asserts on the same objects. The walk suites 4 and 6 read the
-class census (`classes._census`), which analyzes each even walk once for
-both the per-walk lemmas and the class sizes.
+class census (`classes._census`), one array pass per s over the even walks
+that gives both the per-walk lemma tallies and the class sizes; suite 4
+also checks the worked example's lemmas on its own analysis.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import classes as cls
 from . import dyck, moments, series
 from .laws import GaussianLaw, GoeLaw, RademacherLaw, ThreePointLaw
 from .errors import EnumerationCeilingError
-from .walks import WALK_ENUMERATION_CEILING, Walk, analyze
+from .walks import WALK_ENUMERATION_CEILING, Walk, analyze, check_walk_lemmas
 
 W14 = Walk((1, 2, 3, 4, 3, 5, 2, 3, 4, 3, 2, 5, 3, 2, 1))
 
@@ -159,10 +160,12 @@ def criterion_3_genfun() -> SuiteResult:
 @_timed
 def criterion_4_walk_structure(s_max: int = 5) -> SuiteResult:
     res = SuiteResult("4 walk structure suite")
-    failures: dict[str, int] = {}
+    # the worked example (s = 7) through the per-walk checks, then every even
+    # walk with s <= s_max through the class census
+    failures = {label: int(not held) for label, held in check_walk_lemmas(analyze(W14)).items()}
     for s in range(s_max + 1):
         for label, count in cls.lemma_failures(s).items():
-            failures[label] = failures.get(label, 0) + count
+            failures[label] += count
     for label, count in failures.items():
         res.add(label, count == 0, f"failing walks: {count}" if count else "")
     return res
@@ -324,12 +327,15 @@ def run_verify_suites(max_halfsteps: int = 5, k0: int = 4) -> list[SuiteResult]:
     """The identity/bound suites behind `verify` (the exact, seedless criteria).
 
     max_halfsteps is the largest s of the walk suites 4 and 6. It runs from 1
-    up to the walk ceiling (2s <= 14) and is refused outside, before any suite.
+    up to the walk ceiling (2s <= 14) and is refused outside, before any suite;
+    so is a k0, suite 6's cap on kappa_nu, below 1.
     """
     if max_halfsteps < 1:
         raise ValueError("max_halfsteps must be >= 1")
     if 2 * max_halfsteps > WALK_ENUMERATION_CEILING:
         raise EnumerationCeilingError("walk suites", 2 * max_halfsteps, WALK_ENUMERATION_CEILING)
+    if k0 < 1:
+        raise ValueError("k0 must be >= 1")
     return [
         criterion_1_catalan(),
         criterion_2_exit_degree_tail(),

@@ -50,8 +50,8 @@ class Walk:
         """A walk from labels known to be canonical and closed at the root.
 
         Skips `__post_init__`: only for labels that hold by construction,
-        such as the walk search's or a canonical relabelling of a sequence
-        that starts and ends at the root.
+        such as a canonical relabelling of a sequence that starts and ends
+        at the root.
         """
         walk = object.__new__(cls)
         walk.__dict__["labels"] = labels
@@ -352,8 +352,9 @@ def _even_walk_dfs(s: int, allow_loops: bool, leaf) -> None:
     exits[v] counts the marked steps leaving v, a step being marked when its
     edge had an even pass count before it (as in analyze's exit degrees).
     The arguments are live state: a leaf must copy what it keeps. The class
-    census (`classes._census`) streams its walks from here, and the tests
-    rebuild the committed walk-shape table (`moments.SHAPE_TABLE`) from it.
+    census (`classes._census`) copies the labels into blocks of rows, and
+    the tests rebuild the committed walk-shape table (`moments.SHAPE_TABLE`)
+    from it.
     """
     if s < 0:
         raise ValueError("s must be >= 0")
@@ -484,12 +485,29 @@ def verify_cell_bounds(an: WalkAnalysis) -> bool:
     return True
 
 
+#: The per-walk lemmas of the walk structure suite, in report order. The
+#: class census reads them for every even walk at once (`classes._read_walks`).
+WALK_LEMMAS = (
+    "marked/non-marked balance",
+    "kappa_mu <= kappa_nu",
+    "mu/p/q partition of marked steps",
+    "BTS instants are open self-intersections",
+    "walk projects to a Dyck path",
+    "vertex in/out ledger and open-edge bounds",
+    "imported-cell count bounds",
+    "cells bound holds for unfiltered reduced arrivals too",
+    "exit clusters fit the cell bound on the underlying tree",
+)
+
+
 def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
     """Every per-walk lemma of the walk structure suite, by label: True where it holds.
 
     Six are read off the analysis here; the vertex ledger, the cell bounds
     and the exit-degree tree link are the three `verify_*` checks above. All
-    nine hold on every even walk.
+    nine hold on every even walk. The class census reads the same nine for
+    a block of walks at once from arrays (`classes._read_walks`), and this
+    per-walk reading is its test oracle.
     """
     walk = an.walk
     s = walk.s
@@ -511,17 +529,18 @@ def check_walk_lemmas(an: WalkAnalysis) -> dict[str, bool]:
         if len(arrivals) > L - heads[v] + kappa_nu[v]:
             unfiltered_ok = False
             break
-    return {
-        "marked/non-marked balance": n_marked == s and walk.n_steps - n_marked == s,
-        "kappa_mu <= kappa_nu": mu_below_nu,
-        "mu/p/q partition of marked steps": len(an.mu_edges) + n_pq == s,
-        "BTS instants are open self-intersections": not L or set(bts).issubset(an.open_instants),
-        "walk projects to a Dyck path": an.theta is not None and an.theta.k == s,
-        "vertex in/out ledger and open-edge bounds": verify_vertex_ledger(an),
-        "imported-cell count bounds": verify_cell_bounds(an),
-        "cells bound holds for unfiltered reduced arrivals too": unfiltered_ok,
-        "exit clusters fit the cell bound on the underlying tree": verify_exit_degree_tree_link(an),
-    }
+    held = (
+        n_marked == s and walk.n_steps - n_marked == s,
+        mu_below_nu,
+        len(an.mu_edges) + n_pq == s,
+        not L or set(bts).issubset(an.open_instants),
+        an.theta is not None and an.theta.k == s,
+        verify_vertex_ledger(an),
+        verify_cell_bounds(an),
+        unfiltered_ok,
+        verify_exit_degree_tree_link(an),
+    )
+    return dict(zip(WALK_LEMMAS, held))
 
 
 # ---------------------------------------------------------------------------

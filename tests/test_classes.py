@@ -312,11 +312,29 @@ def oracle_class_size(s, signature):
     return total
 
 
-@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("s", range(7))
 def test_census_matches_per_walk_oracle(s):
+    # equal keys in equal order, with Python-int fields: the repr orders the mu rows
     nu, mu = oracle_census(s)
-    assert nu_census(s) == nu
-    assert mu_census(s) == mu
+    assert list(nu_census(s).items()) == list(nu.items())
+    assert list(mu_census(s).items()) == list(mu.items())
+    assert repr(nu_census(s)) == repr(nu)
+    assert repr(mu_census(s)) == repr(mu)
+
+
+@pytest.mark.parametrize("block", [1, 100, 433])
+def test_census_blocks_keep_the_order_of_first_walks(block, monkeypatch):
+    # 433 walks at s = 4: one block per walk, five blocks with a short last one, one full block
+    monkeypatch.setattr(classes, "_BLOCK", block)
+    classes._census.cache_clear()
+    try:
+        nu, mu, failures = classes._census(4)
+    finally:
+        classes._census.cache_clear()
+    want_nu, want_mu = oracle_census(4)
+    assert list(nu.items()) == list(want_nu.items())
+    assert list(mu.items()) == list(want_mu.items())
+    assert failures == oracle_lemma_failures(4)
 
 
 def oracle_lemma_failures(s):
@@ -356,7 +374,7 @@ def oracle_lemma_failures(s):
     return failures
 
 
-@pytest.mark.parametrize("s", range(6))
+@pytest.mark.parametrize("s", range(7))
 def test_census_lemma_tallies_match_per_walk_oracle(s):
     expected = oracle_lemma_failures(s)
     assert lemma_failures(s) == expected
@@ -414,27 +432,31 @@ def test_exact_class_size_matches_oracle():
     assert sizes[:2] == [14, 0] and max(sizes) > 1
 
 
-def test_census_analyzes_each_walk_once(monkeypatch):
+def test_census_searches_each_depth_once(monkeypatch):
+    # one walk search per s, no per-walk analysis or classifier, and every
+    # reader of the census shares its cache
     s = 4
     mu_sig = classify_mu(analyze(enumerate_even_walks(s)[-1]))
-    analyzed = []
-    real = classes.analyze
-    monkeypatch.setattr(classes, "analyze", lambda walk: analyzed.append(walk) or real(walk))
-    # the census looks its classifiers up at call time, as a tracer patches them
-    classified = {"classify_nu": 0, "classify_mu": 0}
-    for name in classified:
-        monkeypatch.setattr(classes, name, _counted(classified, name, getattr(classes, name)))
+    per_walk = {"analyze": 0, "check_walk_lemmas": 0, "classify_nu": 0, "classify_mu": 0}
+    for module in (walks, classes):
+        for name in per_walk:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, _counted(per_walk, name, getattr(module, name)))
+    searches = []
+    real = classes._even_walk_dfs
+    monkeypatch.setattr(classes, "_even_walk_dfs", lambda s, *args: searches.append(s) or real(s, *args))
     classes._census.cache_clear()
     nu_census(s)
     mu_census(s)
+    lemma_failures(s)
     nu_domination_report(s)
     mu_domination_report(s)
     census_csv_rows(s)
     assert exact_class_size(s, NuSignature(theta=None, nu=(), r=0, p=0, d=4)) == 14
     assert exact_class_size(s, mu_sig) >= 1
-    assert len(analyzed) == len(enumerate_even_walks(s)) == 433
-    assert classified == {"classify_nu": 433, "classify_mu": 433}
-    assert sorted(w.labels for w in analyzed) == sorted(w.labels for w in enumerate_even_walks(s))
+    assert searches == [s]
+    assert per_walk == dict.fromkeys(per_walk, 0)
+    assert sum(nu_census(s).values()) == sum(mu_census(s).values()) == 433
 
 
 def _counted(counts, name, fn):

@@ -9,6 +9,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wignerlab import classes as cls
@@ -158,8 +159,10 @@ def fresh_census():
     cls._census.cache_clear()
 
 
-def test_verify_analyzes_each_walk_once(fresh_census, monkeypatch):
-    # one census pass serves the walk lemmas, the class bounds and the goldens
+def test_verify_searches_each_walk_depth_once(fresh_census, monkeypatch):
+    # one census pass per s serves the walk lemmas, the class bounds and the
+    # goldens; only the worked example goes through the per-walk analysis,
+    # once for its lemmas (suite 4) and once for its structure (suite 5)
     calls = []
     real = walks.analyze
 
@@ -167,22 +170,29 @@ def test_verify_analyzes_each_walk_once(fresh_census, monkeypatch):
         calls.append(walk)
         return real(walk)
 
-    for module in (walks, cls, suites, cli):
+    for module in (walks, suites):
         monkeypatch.setattr(module, "analyze", counting)
+    searches = []
+    real_search = cls._even_walk_dfs
+    monkeypatch.setattr(cls, "_even_walk_dfs", lambda s, *args: searches.append(s) or real_search(s, *args))
     suites.run_verify_suites()
     cli.golden_tables()
-    # the 5,299 even walks with s <= 5, plus the worked example
-    assert len(calls) == 5_300
-    assert len(set(calls)) == 5_300
+    assert calls == [suites.W14, suites.W14]
+    assert searches == [0, 1, 2, 3, 4, 5]
 
 
 def test_failing_lemma_turns_suite_and_classify_red(fresh_census, monkeypatch, capsys):
-    real = walks.verify_cell_bounds
+    # one more imported cell than the bound allows at vertex 2 of the walk 1,2,1,2,1
+    real = cls._walk_arrays
 
-    def broken(an):
-        return real(an) and an.walk.labels != (1, 2, 1, 2, 1)
+    def broken(labels):
+        arrays = real(labels)
+        if labels.shape[1] == 5:
+            row = np.flatnonzero((labels == (1, 2, 1, 2, 1)).all(1))
+            arrays.imported[row, 2] += 10
+        return arrays
 
-    monkeypatch.setattr(walks, "verify_cell_bounds", broken)
+    monkeypatch.setattr(cls, "_walk_arrays", broken)
     res = suites.criterion_4_walk_structure(s_max=2)
     assert res.failures() == [("imported-cell count bounds", "failing walks: 1")]
     assert run(["classify", "--s", "2", "--no-timestamp"]) == 1
@@ -227,6 +237,21 @@ def test_max_halfsteps_sets_the_walk_suites_depth(monkeypatch):
             monkeypatch.setattr(suites, name, lambda name=name, **kw: depths.setdefault(name, kw.get("s_max")))
     suites.run_verify_suites(max_halfsteps=7)
     assert depths["criterion_4_walk_structure"] == depths["criterion_6_class_bounds"] == 7
+
+
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_k0_below_one_is_refused_before_any_suite(command, monkeypatch, capsys):
+    ran = []
+    for name in dir(suites):
+        if name.startswith("criterion_"):
+            monkeypatch.setattr(suites, name, lambda name=name, **kw: ran.append(name))
+    with pytest.raises(ValueError, match="k0 must be >= 1"):
+        suites.run_verify_suites(k0=0)
+    assert run([command, "--k0", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: k0 must be >= 1\n"
+    assert ran == []
 
 
 def test_golden_flow(tmp_path, capsys):

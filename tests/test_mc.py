@@ -980,6 +980,35 @@ def test_sample_matrix_keeps_its_bits_with_raw_word_signs(n):
             assert sample_matrix(cfg, rep).tobytes() == _integers_matrix(cfg, rep).tobytes(), (cfg, rep)
 
 
+def _random_mask_matrix(cfg, rep, rng):
+    """sample_matrix of a dilute config with its mask drawn as rng.random(k) < c / n."""
+    n, c = cfg.n, cfg.dilution_c
+    rng, vals = sample_entries(cfg, rep, rng)
+    if isinstance(cfg.law, GoeLaw):
+        vals[mc._symmetric_gather(n).diagonal()] *= math.sqrt(2.0)
+    vals *= rng.random(vals.shape[0]) < c / n
+    vals /= math.sqrt(c)
+    return vals[mc._symmetric_gather(n)]
+
+
+@pytest.mark.parametrize(
+    "law",
+    [RAD, GaussianLaw(Fraction(2, 5)), GoeLaw(Fraction(2, 5)), ThreePointLaw(q=Fraction(1, 8)), PowerTailLaw(v=0.85)],
+    ids=lambda law: law.name,
+)
+def test_raw_word_dilution_mask_equals_the_uniform_mask_bit_for_bit(law):
+    # the stream goes on from the same word too: the next uniform after each draw agrees
+    mine, oracle = _philox(0, 0), _philox(0, 0)
+    for n in (2, 7, 30, 200):
+        for c in sorted({1, max(1, n // 3), n}):
+            cfg = EnsembleConfig(n=n, law=law, dilution_c=c, seed=41)
+            for rep in (0, 1, 2**40):
+                got = sample_matrix(cfg, rep, mine)
+                want = _random_mask_matrix(cfg, rep, oracle)
+                assert got.tobytes() == want.tobytes(), (n, c, rep)
+                assert mine.random() == oracle.random(), (n, c, rep)
+
+
 def test_truncation_hits_are_unchanged_on_criterion_13():
     # criterion 13's configs; the hits are those of the raw-entry check, at 4,000 replicates each
     law = PowerTailLaw(v=1.0, gamma=24.0)

@@ -3,16 +3,19 @@ import json
 from collections import Counter
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wignerlab import classes
 from wignerlab.classes import MuSignature, NuSignature, classify_mu, classify_nu
 from wignerlab.cli import GOLDEN_DIR
 from wignerlab.dyck import DyckPath, catalan, exit_degree_profile
 from wignerlab.errors import EnumerationCeilingError
 from wignerlab.walks import (
     ROOT,
+    WALK_LEMMAS,
     Walk,
     WalkAnalysis,
     _marked_flags,
@@ -734,3 +737,92 @@ def test_walk_lemmas_match_oracles_where_they_fail():
                     assert_lemmas_match_oracles(bumped)
                     broken += not all(check_walk_lemmas(bumped).values())
     assert broken > 0
+
+
+# The class census reads the lemmas and the class keys of a block of walks
+# from arrays (`classes._walk_arrays`, then `classes._read_walks`); the
+# per-walk analysis is its oracle, intact and perturbed alike.
+
+
+def _census_arrays(label_rows):
+    return classes._walk_arrays(np.array(label_rows, dtype=np.int8).reshape(len(label_rows), -1))
+
+
+def _census_verdicts(arrays):
+    verdicts, _, _ = classes._read_walks(arrays)
+    return [dict(zip(WALK_LEMMAS, held)) for held in verdicts.tolist()]
+
+
+def test_census_arrays_match_the_analysis_on_closed_sequences():
+    # odd and uneven sequences too, where four of the lemmas fail
+    failing = Counter()
+    for steps in range(9):
+        seqs = _closed_label_sequences(steps)
+        verdicts, nu_rows, mu_rows = classes._read_walks(_census_arrays(seqs))
+        for lab, held, nu_row, mu_row in zip(seqs, verdicts.tolist(), nu_rows.tolist(), mu_rows.tolist()):
+            an = analyze(Walk(lab))
+            want = check_walk_lemmas(an)
+            assert dict(zip(WALK_LEMMAS, held)) == want, lab
+            assert classes._nu_signature(nu_row, steps) == classify_nu(an), lab
+            assert classes._mu_signature(mu_row, steps) == classify_mu(an), lab
+            failing.update(label for label, ok in want.items() if not ok)
+            failing["sequences"] += 1
+    assert failing == {
+        "sequences": 5_296,
+        "marked/non-marked balance": 4_802,
+        "mu/p/q partition of marked steps": 4_539,
+        "walk projects to a Dyck path": 4_802,
+        "vertex in/out ledger and open-edge bounds": 4_802,
+    }
+
+
+def test_census_arrays_match_the_analysis_where_lemmas_fail():
+    # the perturbations of test_walk_lemmas_match_oracles_where_they_fail, on
+    # both forms, and two more that break the lemmas no sequence above breaks:
+    # kappa_nu one below kappa_mu, and no open instant at all
+    broken = Counter()
+
+    def compare(arrays, analyses):
+        for an, held in zip(analyses, _census_verdicts(arrays)):
+            if an is not None:
+                want = check_walk_lemmas(an)
+                assert held == want, an.walk.to_string()
+                broken.update(label for label, ok in want.items() if not ok)
+
+    for s in range(5):
+        walks_s = enumerate_even_walks(s)
+        arrays = _census_arrays([w.labels for w in walks_s])
+        analyses = [analyze(w) for w in walks_s]
+        compare(arrays._replace(opened=np.zeros_like(arrays.opened)), [replace(an, open_instants=()) for an in analyses])
+        for v in range(1, s + 2):
+            at_v = [an if an.walk.n_vertices >= v else None for an in analyses]
+            for name, field in (
+                ("imported_cells", "imported"),
+                ("marked_arrivals", "primary"),
+                ("reduced_nonmarked_arrivals", "reduced_nonmarked"),
+            ):
+                padded = getattr(arrays, field).copy()
+                padded[:, v] += 1 + arrays.kappa_nu[:, v]
+                compare(
+                    arrays._replace(**{field: padded}),
+                    [an and replace(an, **{name: {**getattr(an, name), v: getattr(an, name)[v] + (0,) * (1 + an.kappa_nu[v])}}) for an in at_v],
+                )
+            for name, field in (("max_open_attached", "max_open"), ("exit_degree", "exits")):
+                bumped = getattr(arrays, field).copy()
+                bumped[:, v] = 4 * s + 2
+                compare(
+                    arrays._replace(**{field: bumped}),
+                    [an and replace(an, **{name: {**getattr(an, name), v: 4 * s + 2}}) for an in at_v],
+                )
+            lowered = arrays.kappa_nu.copy()
+            has_v = np.array([an is not None for an in at_v])
+            lowered[has_v, v] = (arrays.edges[has_v, :, v] > 0).sum(1) + (v == ROOT) - 1
+            compare(
+                arrays._replace(kappa_nu=lowered),
+                [an and replace(an, kappa_nu={**an.kappa_nu, v: an.kappa_mu[v] - 1}) for an in at_v],
+            )
+    assert set(WALK_LEMMAS) - set(broken) == {
+        "marked/non-marked balance",
+        "mu/p/q partition of marked steps",
+        "walk projects to a Dyck path",
+    }
