@@ -23,6 +23,7 @@ the tests they are the census's oracle.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,7 +34,7 @@ import numpy as np
 from .dyck import DyckPath
 from .errors import BoundPreconditionError
 from .moments import MomentSpec
-from .walks import ROOT, WALK_LEMMAS, WalkAnalysis, _even_walk_dfs, _tree_max_exit_degree
+from .walks import ROOT, WALK_LEMMAS, WalkAnalysis, _even_walk_blocks, _tree_max_exit_degree
 
 
 class NuSignature(NamedTuple):
@@ -585,35 +586,22 @@ def _tally(rows: np.ndarray, key, n_steps: int, counts: dict) -> None:
 def _census(s: int) -> tuple[dict[NuSignature, int], dict[MuSignature, int], dict[str, int]]:
     """One pass over the even walks of 2s steps, a block of walks at a time.
 
-    The walk search fills blocks of `_BLOCK` label rows; `_walk_arrays` and
-    `_read_walks` turn each block into lemma verdicts and class keys, which
-    are tallied once per distinct key. Returns the exact nu and mu class
-    sizes, keyed in order of each class's first walk in the search, and for
-    each lemma of `walks.WALK_LEMMAS` the number of walks where it fails.
-    No walk list is kept.
+    The walk search's label blocks are cut into blocks of `_BLOCK` rows;
+    `_walk_arrays` and `_read_walks` turn each into lemma verdicts and class
+    keys, which are tallied once per distinct key. Returns the exact nu and
+    mu class sizes, keyed in order of each class's first walk in the search,
+    and for each lemma of `walks.WALK_LEMMAS` the number of walks where it
+    fails. No walk list is kept.
     """
     nu: dict[NuSignature, int] = {}
     mu: dict[MuSignature, int] = {}
     failures = np.zeros(len(WALK_LEMMAS), np.int64)
-    width = 2 * s + 1
-    buf: list[int] = []
-
-    def flush() -> None:
-        labels = np.array(buf, dtype=np.int8).reshape(-1, width)
-        buf.clear()
-        verdicts, nu_rows, mu_rows = _read_walks(_walk_arrays(labels))
-        failures[:] += (~verdicts).sum(0)
-        _tally(nu_rows, _nu_signature, 2 * s, nu)
-        _tally(mu_rows, _mu_signature, 2 * s, mu)
-
-    def leaf(labels, *_):
-        buf.extend(labels)
-        if len(buf) == _BLOCK * width:
-            flush()
-
-    _even_walk_dfs(s, True, leaf)
-    if buf:
-        flush()
+    for rows in _even_walk_blocks(s):
+        for start in range(0, len(rows), _BLOCK):
+            verdicts, nu_rows, mu_rows = _read_walks(_walk_arrays(rows[start : start + _BLOCK]))
+            failures += (~verdicts).sum(0)
+            _tally(nu_rows, _nu_signature, 2 * s, nu)
+            _tally(mu_rows, _mu_signature, 2 * s, mu)
     return nu, mu, dict(zip(WALK_LEMMAS, failures.tolist()))
 
 
@@ -697,30 +685,44 @@ def mu_domination_report(s: int, k0: int = 4) -> list[ClassCensusRow]:
     return rows
 
 
-def _csv_row(family: str, s: int, row: ClassCensusRow, profile, p_or_pp, ppp="", q="") -> dict:
+#: The columns of a class census row, in CSV order.
+CENSUS_CSV_FIELDS = (
+    "family", "s", "theta", "profile", "r", "p_or_Pp", "Ppp", "Q", "d", "exact", "bound", "slack", "note"
+)
+
+
+def _csv_row(family: str, s: int, row: ClassCensusRow, profile, p_or_pp, ppp="", q="") -> tuple:
     sig = row.signature
-    return {
-        "family": family,
-        "s": s,
-        "theta": "".join("U" if x == 1 else "D" for x in sig.theta),
-        "profile": ";".join(f"{k}:{c}" for k, c in profile),
-        "r": sig.r,
-        "p_or_Pp": p_or_pp,
-        "Ppp": ppp,
-        "Q": q,
-        "d": sig.d,
-        "exact": row.exact,
-        "bound": "" if row.bound is None else str(row.bound),
-        "slack": "" if row.slack is None else f"{row.slack:.6g}",
-        "note": row.note,
-    }
+    return (
+        family,
+        s,
+        "".join("U" if x == 1 else "D" for x in sig.theta),
+        ";".join(f"{k}:{c}" for k, c in profile),
+        sig.r,
+        p_or_pp,
+        ppp,
+        q,
+        sig.d,
+        row.exact,
+        "" if row.bound is None else str(row.bound),
+        "" if row.slack is None else f"{row.slack:.6g}",
+        row.note,
+    )
+
+
+def census_csv_tuples(s: int, k0: int = 4) -> Iterator[tuple]:
+    """Flat census rows (both class families) as tuples in `CENSUS_CSV_FIELDS` order.
+
+    Each family's report is built only when its rows are asked for, so the
+    two are never held at once.
+    """
+    for row in nu_domination_report(s):
+        yield _csv_row("nu", s, row, row.signature.nu, row.signature.p)
+    for row in mu_domination_report(s, k0):
+        sig = row.signature
+        yield _csv_row("mu", s, row, sig.mu, sig.p_count, sig.double_mu, ";".join(str(c) for c in sig.q_counts))
 
 
 def census_csv_rows(s: int, k0: int = 4) -> list[dict]:
     """Flat census rows (both class families) for CSV emission."""
-    out = [_csv_row("nu", s, row, row.signature.nu, row.signature.p) for row in nu_domination_report(s)]
-    for row in mu_domination_report(s, k0):
-        sig = row.signature
-        q = ";".join(str(c) for c in sig.q_counts)
-        out.append(_csv_row("mu", s, row, sig.mu, sig.p_count, sig.double_mu, q))
-    return out
+    return [dict(zip(CENSUS_CSV_FIELDS, row)) for row in census_csv_tuples(s, k0)]

@@ -19,8 +19,11 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from typing import TextIO
 
 from . import __version__
 from . import classes as cls
@@ -45,6 +48,10 @@ GOLDEN_DIR = Path(__file__).parent / "goldens"
 #: keys that do not affect the computation and stay out of the fingerprint
 _VOLATILE_KEYS = {"out", "func", "no_timestamp", "format", "bless", "golden_dir"}
 
+#: json.dumps settings of every JSON output. Strict JSON: a NaN or infinity
+#: is an error here, never a bare token in the file.
+_JSON = {"indent": 2, "sort_keys": True, "default": str, "allow_nan": False}
+
 #: defaults of --gamma and moments --delta, flags that only some runs read
 _GAMMA = 24.0
 _MOMENTS_DELTA = 0.05
@@ -61,36 +68,65 @@ def _meta(params: dict, no_timestamp: bool) -> dict:
     return meta
 
 
-def _emit(path: str | None, text: str) -> None:
+@contextmanager
+def _output(path: str | None) -> Iterator[TextIO]:
+    """The text stream of --out: the file at path, else stdout."""
     if path:
-        Path(path).write_text(text)
+        with open(path, "w") as out:
+            yield out
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
+
+
+def _write_csv(out: TextIO, rows: Iterable[dict]) -> None:
+    """Header plus rows, keyed by the first row, written as they come; nothing for no rows."""
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        writer = csv.DictWriter(out, fieldnames=list(first.keys()), lineterminator="\n")
+        writer.writeheader()
+        writer.writerow(first)
+        writer.writerows(rows)
 
 
 def _rows_to_csv(rows: list[dict]) -> str:
     """Header plus rows, keyed by the first row; empty text for no rows."""
     buf = io.StringIO()
-    if rows:
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    _write_csv(buf, rows)
     return buf.getvalue()
 
 
-def write_rows(path: str | None, rows: list[dict], params: dict, fmt: str, no_timestamp: bool):
+def write_rows(path: str | None, rows: Iterable[dict], params: dict, fmt: str, no_timestamp: bool):
+    """The rows as CSV under a commented header, or as JSON, never held as one list of dicts.
+
+    CSV rows are written as they come. Each JSON row is rendered to text as
+    it comes, and all are rendered before the first write, so a refused
+    value leaves no partial output.
+    """
     if fmt == "json":
-        write_json(path, {"rows": rows}, params, no_timestamp)
+        # the text json.dumps gives {"_meta": ..., "rows": [...]}: "rows" sorts
+        # last, and a row two levels down is indented four more spaces a line
+        items = [json.dumps(row, **_JSON).replace("\n", "\n    ") for row in rows]
+        head = json.dumps({"_meta": _meta(params, no_timestamp), "rows": []}, **_JSON)
+        with _output(path) as out:
+            if not items:
+                out.write(head + "\n")
+                return
+            out.write(head.removesuffix("]\n}"))
+            for i, item in enumerate(items):
+                out.write(("," if i else "") + "\n    " + item)
+            out.write("\n  ]\n}\n")
         return
     meta = _meta(params, no_timestamp)
-    header = "".join(f"# {k}: {v}\n" for k, v in sorted(meta.items()))
-    _emit(path, header + _rows_to_csv(rows))
+    with _output(path) as out:
+        out.write("".join(f"# {k}: {v}\n" for k, v in sorted(meta.items())))
+        _write_csv(out, rows)
 
 
 def write_json(path: str | None, payload: dict, params: dict, no_timestamp: bool):
-    payload = {"_meta": _meta(params, no_timestamp), **payload}
-    # strict JSON: a NaN or infinity is an error here, never a bare token in the file
-    _emit(path, json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n")
+    text = json.dumps({"_meta": _meta(params, no_timestamp), **payload}, **_JSON)
+    with _output(path) as out:
+        out.write(text + "\n")
 
 
 def load_config_tokens(path: str) -> list[str]:
@@ -220,16 +256,17 @@ def cmd_classify(args) -> int:
         raise ValueError("s must be >= 1")
     if 2 * args.s > WALK_ENUMERATION_CEILING:
         raise EnumerationCeilingError("class census", 2 * args.s, WALK_ENUMERATION_CEILING)
+    # rows are held as tuples and become dicts one at a time as they are written
     rows = []
     lemma_failures = 0
     for s in range(1, args.s + 1):
-        rows.extend(cls.census_csv_rows(s, k0=args.k0))
+        rows.extend(cls.census_csv_tuples(s, k0=args.k0))
         lemma_failures += sum(cls.lemma_failures(s).values())
-    violations = [
-        r for r in rows if r["bound"] != "" and Fraction(r["bound"]) < r["exact"]
-    ]
-    print(f"{len(rows)} class rows, {len(violations)} bound violations, {lemma_failures} lemma failures")
-    write_rows(args.out, rows, vars(args).copy(), args.format, args.no_timestamp)
+    exact, bound = cls.CENSUS_CSV_FIELDS.index("exact"), cls.CENSUS_CSV_FIELDS.index("bound")
+    violations = sum(1 for r in rows if r[bound] != "" and Fraction(r[bound]) < r[exact])
+    print(f"{len(rows)} class rows, {violations} bound violations, {lemma_failures} lemma failures")
+    dicts = (dict(zip(cls.CENSUS_CSV_FIELDS, row)) for row in rows)
+    write_rows(args.out, dicts, vars(args).copy(), args.format, args.no_timestamp)
     return 0 if not violations and not lemma_failures else 1
 
 

@@ -7,11 +7,13 @@ Dyck path (computed from the exact height distribution, never by sampling).
 
 Root-degree and exit-degree counts are closed forms (ballot numbers and
 Lagrange inversion), so they have no enumeration ceiling. `_dyck_halves` is
-the one walk over paths and serves as their test oracle: it meets in the
-middle, handing each first half with the list of second halves that close
-it, so the oracles count and sum without joining them. `_dyck_dfs` joins
-each pair into one path's step tuple, and `enumerate_dyck` is its leaf that
-keeps the paths.
+the one search over paths and serves as their test oracle: it meets in the
+middle, building every first half and every second half as numpy arrays
+grouped by the height where they meet. Criterion 1 counts the paths from
+the group sizes, and the same-cluster brute force joins each group into one
+array of paths, so neither builds a path object. `_dyck_dfs` joins each
+first half to its second halves as step tuples, and `enumerate_dyck` is its
+leaf that keeps the paths.
 
 All counts are arbitrary-precision integers; bounds that must be compared
 against exact counts are returned as `Fraction`.
@@ -23,6 +25,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import EnumerationCeilingError
 
@@ -99,41 +103,49 @@ class PlaneTree:
         return out
 
 
-def _dyck_halves(k: int, visit) -> None:
-    """Search over the Dyck paths of half-length k, met in the middle.
+def _step_rows(k: int, start: np.ndarray, to_zero: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every sequence of k +-1 steps from one of the heights in start that never dips below 0.
 
-    A path is a first half, a ballot prefix of k steps, followed by a second
-    half, k steps from the first half's end height h down to 0 that never
-    dip below 0. The second halves are the ballot prefixes ending at h,
-    reversed and negated; they are listed once per call, grouped by h and
-    sorted up-steps first. A depth-first search over the first halves then
-    calls visit(first, seconds) once per first half, in lexicographic order
-    with up-steps first, with seconds the list of every second half that
-    closes it. Each is a tuple of +-1 steps, and first + second runs over
-    the paths in the same order as a search over whole paths.
+    With to_zero, only those that end at 0. Returns (rows, end heights,
+    start heights): an int8 array with one sequence per row, ordered by
+    start (in the order given) and then lexicographically with up-steps
+    first, and each row's end and start height. Every live row is extended
+    at each step at once.
+    """
+    rows = np.zeros((len(start), k), np.int8)
+    height = origin = start
+    for t in range(k):
+        # up unless the row could then no longer come down to 0; down where it is above 0
+        up = height < k - t - 1 if to_zero else np.ones(len(height), bool)
+        parent, down = np.nonzero(np.column_stack([up, height > 0]))
+        step = 1 - 2 * down
+        rows = rows[parent]
+        rows[:, t] = step
+        height = height[parent] + step
+        origin = origin[parent]
+    return rows, height, origin
+
+
+def _dyck_halves(k: int) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The Dyck paths of half-length k, met in the middle, as arrays of halves.
+
+    A path is a first half, a ballot prefix of k steps (never below 0),
+    followed by a second half, k steps from the first half's end height h
+    down to 0 that never dip below 0. Returns (firsts, heights, seconds):
+    firsts is an int8 (n, k) array of every ballot prefix of k steps, one
+    per row in lexicographic order with up-steps first, heights[i] is row
+    i's end height, and seconds[h] holds the second halves from height h as
+    rows in the same order. So firsts in order, each joined to every row of
+    seconds[heights[i]] in order, run over the paths in the order of a
+    search over whole paths.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     if k > DYCK_ENUMERATION_CEILING:
         raise EnumerationCeilingError("enumerate_dyck", k, DYCK_ENUMERATION_CEILING)
-    steps: list[int] = []
-
-    def ballot(h: int, found) -> None:
-        # found(prefix, end height) for each ballot prefix of k steps extending steps, up-steps first
-        if len(steps) == k:
-            found(tuple(steps), h)
-            return
-        for st in (1, -1):
-            if h + st >= 0:
-                steps.append(st)
-                ballot(h + st, found)
-                steps.pop()
-
-    seconds: list[list[tuple[int, ...]]] = [[] for _ in range(k + 1)]
-    ballot(0, lambda first, h: seconds[h].append(tuple(-st for st in reversed(first))))
-    for halves in seconds:
-        halves.sort(reverse=True)  # +1 > -1: up-steps first
-    ballot(0, lambda first, h: visit(first, seconds[h]))
+    firsts, heights, _ = _step_rows(k, np.zeros(1, np.intp), to_zero=False)
+    ends, _, origin = _step_rows(k, np.arange(k + 1), to_zero=True)
+    return firsts, heights, [ends[origin == h] for h in range(k + 1)]
 
 
 def _dyck_dfs(k: int, leaf) -> None:
@@ -142,12 +154,11 @@ def _dyck_dfs(k: int, leaf) -> None:
     steps is the path's tuple of +-1 steps, a first half of `_dyck_halves`
     joined to one of its second halves.
     """
-
-    def join(first: tuple[int, ...], seconds: list[tuple[int, ...]]) -> None:
-        for second in seconds:
+    firsts, heights, seconds = _dyck_halves(k)
+    closing = [list(map(tuple, halves.tolist())) for halves in seconds]
+    for first, h in zip(map(tuple, firsts.tolist()), heights.tolist()):
+        for second in closing[h]:
             leaf(first + second)
-
-    _dyck_halves(k, join)
 
 
 def enumerate_dyck(k: int) -> list[DyckPath]:

@@ -124,7 +124,9 @@ class GaussianLaw(_SampledMagnitudes):
         return sigma**order * val
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.standard_normal(size) * float(self.v)
+        out = rng.standard_normal(size)
+        out *= float(self.v)
+        return out
 
     def descriptor(self) -> dict:
         return {"law": self.name, "v": str(self.v)}
@@ -188,8 +190,12 @@ class PowerTailLaw:
         return self._magnitude_of((largest >> 11) * 2.0**-53)[0]
 
     def _magnitude_of(self, u: np.ndarray) -> np.ndarray:
-        """|a| = x0 (1 - u)^(-1/gamma) for uniforms u in [0, 1)."""
-        return self.x0 * (1.0 - u) ** (-1.0 / self.gamma)
+        """|a| = x0 (1 - u)^(-1/gamma) for a float array of uniforms u in [0, 1),
+        computed in u's own buffer, which it overwrites and returns."""
+        np.subtract(1.0, u, out=u)
+        np.power(u, -1.0 / self.gamma, out=u)
+        u *= self.x0
+        return u
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # the signs are drawn after the magnitudes, so `largest_magnitude` may stop short of them

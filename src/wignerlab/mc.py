@@ -128,7 +128,8 @@ def sample_matrix(
         vals[_symmetric_gather(n).diagonal()] *= math.sqrt(2.0)
     if config.truncation is not None:
         cutoff = config.truncation.cutoff(n)
-        vals = np.where(np.abs(vals) <= cutoff, vals, 0.0)
+        # a NaN fails every comparison, so it is zeroed too
+        vals[~(np.abs(vals) <= cutoff)] = 0.0
     if config.dilution_c is not None:
         c = config.dilution_c
         # the mask rng.random(k) < c / n from the same raw words: a uniform is

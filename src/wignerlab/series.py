@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+
+import numpy as np
 
 from .dyck import _dyck_halves, catalan
-from math import comb
 
 
 @dataclass(frozen=True)
@@ -154,42 +156,39 @@ def nm_bound(m: int, s: int) -> int:
     return (2**m) * s * catalan(s)
 
 
-def _closed_pairs(stack: list[int], steps, m: int) -> int:
-    """Runs the exit-degree stack of `dyck.exit_degree_profile` over steps, in
-    place, and sums C(deg, m) over the vertices the steps close."""
-    total = 0
-    for st in steps:
-        if st == 1:
-            stack[-1] += 1
-            stack.append(0)
-        else:
-            deg = stack.pop()
-            if deg >= m:
-                total += comb(deg, m)
-    return total
-
-
 def brute_force_same_cluster_pairs(s: int, m: int = 2) -> int:
     """Oracle: sum over all plane trees with s edges of C(exit degree, m).
 
-    Runs the exit-degree stack over each first half of the Dyck search once,
-    then a copy of it over each second half that closes it, so each tree's
-    degrees still come from its own steps and no path is built or joined.
+    Joins the Dyck search's halves height group by height group and runs the
+    exit-degree stack of `dyck.exit_degree_profile` over all paths of a
+    group at once: an up-step adds a child to the top vertex and pushes a
+    new one, a down-step closes the top vertex. Each tree's degrees still
+    come from its own steps; they are tallied by value, and C(deg, m) is
+    taken once per degree. A group's arrays stay below 100 KB up to s = 10.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    total = 0
-
-    def visit(first, seconds) -> None:
-        nonlocal total
-        stack = [0]
-        total += _closed_pairs(stack, first, m) * len(seconds)
-        for second in seconds:
-            rest = stack.copy()
-            total += _closed_pairs(rest, second, m) + comb(rest[0], m)  # rest[0]: the root
-
-    _dyck_halves(s, visit)
-    return total
+    firsts, heights, seconds = _dyck_halves(s)
+    width = s + 2
+    closed = np.zeros(s + 1, np.int64)
+    for h, ends in enumerate(seconds):
+        n = len(ends)
+        if not n:
+            continue
+        starts = firsts[heights == h]
+        # path i n + j is the i-th first half ending at h, then the j-th second half from h;
+        # its stack row holds the child counts (at most s) of the open vertices, the root at depth 0
+        stack = np.zeros(n * n * width, np.int8)
+        top = np.arange(0, stack.size, width)
+        for t in range(2 * s):
+            up = (np.repeat(starts[:, t], n) if t < s else np.tile(ends[:, t - s], n)) > 0
+            deg = stack[top]
+            stack[top] = deg + up
+            stack[top + 1] = 0  # the pushed child; a popped row never reads above its top
+            closed += np.bincount(deg[~up], minlength=s + 1)
+            top += np.where(up, 1, -1)
+        closed += np.bincount(stack[::width], minlength=s + 1)
+    return sum(comb(deg, m) * count for deg, count in enumerate(closed.tolist()))
 
 
 def coefficient_table(order: int) -> list[dict]:

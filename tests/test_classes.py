@@ -443,8 +443,8 @@ def test_census_searches_each_depth_once(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, _counted(per_walk, name, getattr(module, name)))
     searches = []
-    real = classes._even_walk_dfs
-    monkeypatch.setattr(classes, "_even_walk_dfs", lambda s, *args: searches.append(s) or real(s, *args))
+    real = classes._even_walk_blocks
+    monkeypatch.setattr(classes, "_even_walk_blocks", lambda s, *args: searches.append(s) or real(s, *args))
     classes._census.cache_clear()
     nu_census(s)
     mu_census(s)

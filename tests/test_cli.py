@@ -173,8 +173,8 @@ def test_verify_searches_each_walk_depth_once(fresh_census, monkeypatch):
     for module in (walks, suites):
         monkeypatch.setattr(module, "analyze", counting)
     searches = []
-    real_search = cls._even_walk_dfs
-    monkeypatch.setattr(cls, "_even_walk_dfs", lambda s, *args: searches.append(s) or real_search(s, *args))
+    real_search = cls._even_walk_blocks
+    monkeypatch.setattr(cls, "_even_walk_blocks", lambda s, *args: searches.append(s) or real_search(s, *args))
     suites.run_verify_suites()
     cli.golden_tables()
     assert calls == [suites.W14, suites.W14]
@@ -657,7 +657,7 @@ def test_golden_walk_counts_build_no_walk(monkeypatch):
         raise AssertionError("a walk was built or searched for the golden counts")
 
     monkeypatch.setattr(walks, "Walk", no_walks)
-    monkeypatch.setattr(walks, "_even_walk_dfs", no_walks)
+    monkeypatch.setattr(walks, "_even_walk_blocks", no_walks)
     rows = [cli._walk_count_row(s) for s in range(6)]
     assert cli._rows_to_csv(rows) == (cli.GOLDEN_DIR / "walk_counts.csv").read_text()
 
@@ -1023,6 +1023,20 @@ def test_tail_json_has_no_bound_below_zero_threshold(capsys):
 def test_write_json_refuses_non_finite_values(capsys):
     with pytest.raises(ValueError):
         cli.write_json(None, {"x": float("nan")}, {}, True)
+    assert capsys.readouterr().out == ""
+
+
+def test_json_rows_equal_one_dump_of_the_payload(capsys):
+    # write_rows renders row by row; the text is write_json's single dump of the whole payload
+    nested = {"b": [1, [2, None]], "a": Fraction(1, 3), "c": {"x": "y\nz", "w": []}}
+    for rows in ([], [{"a": 1}], [nested, {"a": 2.5}, {}]):
+        cli.write_json(None, {"rows": rows}, {"k": 1}, True)
+        want = capsys.readouterr().out
+        cli.write_rows(None, iter(rows), {"k": 1}, "json", True)
+        assert capsys.readouterr().out == want
+    # every row is rendered before the first write, so a refused value writes nothing
+    with pytest.raises(ValueError):
+        cli.write_rows(None, [{"x": 1.0}, {"x": float("nan")}], {}, "json", True)
     assert capsys.readouterr().out == ""
 
 

@@ -75,7 +75,7 @@ def test_search_refuses_before_any_leaf(k, error):
     with pytest.raises(error):
         _dyck_dfs(k, leaf)
     with pytest.raises(error):
-        _dyck_halves(k, leaf)
+        _dyck_halves(k)
 
 
 def recursive_dyck_dfs(k, leaf):
@@ -109,7 +109,7 @@ def test_search_matches_recursive_oracle(k):
 
 
 def test_halves_count_every_path_of_the_search():
-    # criterion 1 counts len(seconds) per first half; the joined search emits every path
+    # criterion 1 multiplies the halves' group sizes; the joined search emits every path
     for k in range(13):
         leaves = 0
 

@@ -1009,6 +1009,51 @@ def test_raw_word_dilution_mask_equals_the_uniform_mask_bit_for_bit(law):
                 assert mine.random() == oracle.random(), (n, c, rep)
 
 
+def test_in_place_draws_equal_the_out_of_place_formulas_bit_for_bit():
+    # v = 3/7 is no power of two, so a scale applied in another order would change bits
+    gauss, tail = GaussianLaw(Fraction(3, 7)), PowerTailLaw(v=3 / 7)
+    for size in _RAW_WORD_SIZES:
+        for key in ((0, 0), (7, size), (20240229, 3), (2**64 - 1, 2**40)):
+            want = _philox(*key).standard_normal(size) * float(gauss.v)
+            assert gauss.sample(_philox(*key), size).tobytes() == want.tobytes(), (size, key)
+            u = _philox(*key).random(size)
+            want = tail.x0 * (1.0 - u) ** (-1.0 / tail.gamma)
+            assert tail._magnitude_of(u.copy()).tobytes() == want.tobytes(), (size, key)
+
+
+def _where_truncated_matrix(cfg, rep):
+    """sample_matrix of a truncated config with the cutoff applied by an out-of-place np.where."""
+    n = cfg.n
+    _, vals = sample_entries(cfg, rep)
+    if isinstance(cfg.law, GoeLaw):
+        vals[mc._symmetric_gather(n).diagonal()] *= math.sqrt(2.0)
+    vals = np.where(np.abs(vals) <= cfg.truncation.cutoff(n), vals, 0.0)
+    return vals[mc._symmetric_gather(n)] / math.sqrt(n)
+
+
+@pytest.mark.parametrize(
+    "law",
+    [GaussianLaw(Fraction(3, 7)), GoeLaw(Fraction(3, 7)), PowerTailLaw(v=3 / 7, gamma=4.5)],
+    ids=lambda law: law.name,
+)
+def test_in_place_truncation_equals_the_where_formula_bit_for_bit(law, monkeypatch):
+    cut = 0
+    for n in (2, 7, 30, 101):
+        cfg = EnsembleConfig(n=n, law=law, truncation=TruncationSpec(law, delta=0.16), seed=35)
+        for rep in (0, 1, 2**40):
+            got, want = sample_matrix(cfg, rep), _where_truncated_matrix(cfg, rep)
+            assert got.tobytes() == want.tobytes(), (n, rep)
+            cut += int(np.count_nonzero(got == 0))
+    assert cut > 0
+    # a NaN fails every comparison with the cutoff and is zeroed like an infinity
+    bad = np.array([np.nan, np.inf, -np.inf, 0.5, -0.5, -0.0, 2.0])
+    monkeypatch.setattr(type(law), "sample", lambda self, rng, size: bad[np.arange(size) % bad.size].copy())
+    cfg = EnsembleConfig(n=4, law=law, truncation=TruncationSpec(law, delta=0.16), seed=35)
+    got = sample_matrix(cfg, 0)
+    assert got.tobytes() == _where_truncated_matrix(cfg, 0).tobytes()
+    assert np.isfinite(got).all() and np.count_nonzero(got) > 0
+
+
 def test_truncation_hits_are_unchanged_on_criterion_13():
     # criterion 13's configs; the hits are those of the raw-entry check, at 4,000 replicates each
     law = PowerTailLaw(v=1.0, gamma=24.0)

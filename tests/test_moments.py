@@ -46,7 +46,7 @@ from wignerlab.moments import (
 from wignerlab.errors import EnumerationCeilingError
 from wignerlab.mc import EnsembleConfig, SampleStats, sample_stats
 from wignerlab.suites import criterion_7_moment_oracle
-from wignerlab.walks import WALK_ENUMERATION_CEILING, _even_walk_dfs, analyze, enumerate_even_walks
+from wignerlab.walks import WALK_ENUMERATION_CEILING, _even_walk_blocks, analyze, enumerate_even_walks
 
 
 @dataclass(frozen=True)
@@ -479,23 +479,68 @@ def _shapes_by_analyzer(s: int) -> tuple:
     return tuple((*key, cnt) for key, cnt in sorted(groups.items()))
 
 
+def _block_shapes(labels: np.ndarray) -> Counter:
+    """How many walks of a (W, 2s + 1) label block take each shape.
+
+    A shape is keyed here by the bytes of an int8 row: per pass count
+    m = 1..2s the number of non-loop frame edges passed m times, the same
+    for loops, then |V|, the largest pass count and the largest exit degree.
+    A step is marked when its frame edge has an even pass count before it,
+    as in analyze's exit degrees.
+    """
+    n_walks, width = labels.shape
+    lab = labels.astype(np.intp)
+    nv = int(lab.max()) + 1
+    tails, heads = lab[:, :-1], lab[:, 1:]
+    walk = np.arange(n_walks)[:, None]
+    frame = (walk * nv + np.minimum(tails, heads)) * nv + np.maximum(tails, heads)
+    odd = np.zeros(n_walks * nv * nv, bool)
+    marked = np.empty(frame.shape, bool)
+    for t in range(width - 1):
+        marked[:, t] = ~odd[frame[:, t]]
+        odd[frame[:, t]] = marked[:, t]
+    passes = np.bincount(frame.ravel(), minlength=n_walks * nv * nv).reshape(n_walks, nv, nv)
+    exits = np.bincount((walk * nv + tails)[marked], minlength=n_walks * nv).reshape(n_walks, nv)
+
+    def per_count(cells: np.ndarray) -> np.ndarray:
+        # per walk, how many of its cells hold each pass count 1..2s
+        flat = (np.arange(n_walks)[:, None] * width + cells).ravel()
+        return np.bincount(flat, minlength=n_walks * width).reshape(n_walks, width)[:, 1:]
+
+    rows, cols = np.triu_indices(nv, 1)
+    keys = np.column_stack(
+        [
+            per_count(passes[:, rows, cols]),
+            per_count(passes.diagonal(0, 1, 2)),
+            lab.max(1),
+            passes.max((1, 2)),
+            exits.max(1),
+        ]
+    ).astype(np.int8)
+    # each key row's bytes, counted as one hashable value
+    return Counter(keys.view(np.dtype((np.void, keys.shape[1]))).ravel().tolist())
+
+
 @lru_cache(maxsize=None)
 def walk_shapes(s: int) -> tuple[tuple[tuple, int, int, int, int], ...]:
-    """The rows of `moments._walk_shapes(s)`, rebuilt by the even-walk search.
+    """The rows of `moments._walk_shapes(s)`, rebuilt from the even-walk search.
 
     A walk's shape is (sorted (pass count, is_loop) profile of the frame
     edges, |V|, max pass count, max exit degree): all that an exact trace
     moment and its four-way census split read from a walk.
     """
-    groups: dict[tuple[tuple, int, int, int], int] = {}
-
-    def leaf(labels, passes, exits, n_vertices) -> None:
-        profile = tuple(sorted([(m, a == b) for (a, b), m in passes.items()]))
-        key = (profile, n_vertices, profile[-1][0] if profile else 0, max(exits))
-        groups[key] = groups.get(key, 0) + 1
-
-    _even_walk_dfs(s, True, leaf)
-    return tuple((*key, cnt) for key, cnt in sorted(groups.items()))
+    groups: Counter = Counter()
+    for block in _even_walk_blocks(s):
+        groups.update(_block_shapes(block))
+    rows = []
+    for raw, count in groups.items():
+        key = np.frombuffer(raw, np.int8).tolist()
+        edges, loops, (n_vertices, max_passes, max_exit) = key[: 2 * s], key[2 * s : 4 * s], key[4 * s :]
+        profile = []
+        for m in range(1, 2 * s + 1):
+            profile += [(m, False)] * edges[m - 1] + [(m, True)] * loops[m - 1]
+        rows.append((tuple(profile), n_vertices, max_passes, max_exit, count))
+    return tuple(sorted(rows))
 
 
 def shape_table_csv() -> str:
@@ -513,7 +558,7 @@ def shape_table_csv() -> str:
 
 
 def test_shape_table_matches_walk_search():
-    # every committed row, rebuilt from _even_walk_dfs: byte for byte, and as read
+    # every committed row, rebuilt from the walk search: byte for byte, and as read
     assert moments.SHAPE_TABLE.read_text() == shape_table_csv()
     for s in range(WALK_ENUMERATION_CEILING // 2 + 1):
         assert _walk_shapes(s) == walk_shapes(s)

@@ -62,7 +62,7 @@ def test_n2_counts():
 
 
 def test_oracles_build_no_dyck_path(monkeypatch):
-    # criterion 1's counts and the same-cluster brute force stream step lists
+    # criterion 1's counts and the same-cluster brute force read arrays of steps
     def no_paths(steps):
         raise AssertionError("a DyckPath was built")
 
@@ -75,16 +75,16 @@ def test_oracles_build_no_dyck_path(monkeypatch):
 
 
 def test_brute_force_matches_tree_exit_degrees():
-    # each tree's degrees from its built PlaneTree, not from the halves' shared stack
+    # each tree's degrees from its built PlaneTree, not from the stack run over all paths at once
     for s in range(10):
         degrees = [dyck.dyck_to_tree(p).exit_degrees() for p in dyck.enumerate_dyck(s)]
-        for m in range(1, 5):
+        for m in range(5):
             expected = sum(comb(d, m) for tree in degrees for d in tree if d >= m)
             assert brute_force_same_cluster_pairs(s, m) == expected
 
 
 def test_brute_force_refuses_negative_m(monkeypatch):
-    def no_search(k, visit):
+    def no_search(k):
         raise AssertionError("the Dyck search started")
 
     monkeypatch.setattr(series, "_dyck_halves", no_search)

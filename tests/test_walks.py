@@ -2,13 +2,14 @@ import csv
 import json
 from collections import Counter
 from dataclasses import fields, replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wignerlab import classes
+from wignerlab import classes, walks
 from wignerlab.classes import MuSignature, NuSignature, classify_mu, classify_nu
 from wignerlab.cli import GOLDEN_DIR
 from wignerlab.dyck import DyckPath, catalan, exit_degree_profile
@@ -18,6 +19,7 @@ from wignerlab.walks import (
     WALK_LEMMAS,
     Walk,
     WalkAnalysis,
+    _even_walk_blocks,
     _marked_flags,
     _reduce_raw,
     analyze,
@@ -65,6 +67,76 @@ def test_enumeration_small():
 def test_enumeration_ceiling():
     with pytest.raises(EnumerationCeilingError):
         enumerate_even_walks(8)
+
+
+def test_walk_search_refuses_before_any_walk():
+    # the search checks s when it is called, before its first block is asked for
+    with pytest.raises(EnumerationCeilingError):
+        _even_walk_blocks(8)
+    with pytest.raises(ValueError):
+        _even_walk_blocks(-1)
+
+
+@lru_cache(maxsize=None)
+def recursive_even_walks(s: int, allow_loops: bool) -> tuple[tuple[int, ...], ...]:
+    """Oracle: the depth-first recursion over canonical even closed walks of 2s steps.
+
+    One call per search-tree node, in lexicographic label order, with the
+    pass counts of the frame edges as live state. Once the open (odd) edges
+    equal the steps left, only closing steps are tried.
+    """
+    out = []
+    labels = [ROOT]
+    passes: dict[tuple[int, int], int] = {}
+
+    def rec(t: int, cur: int, vmax: int, nopen: int) -> None:
+        remaining = 2 * s - t
+        if remaining == 0:
+            if cur == ROOT and nopen == 0:
+                out.append(tuple(labels))
+            return
+        closing_only = nopen == remaining
+        hi = vmax + 1 if (vmax <= s and not closing_only) else vmax
+        for nxt in range(1, hi + 1):
+            if nxt == cur and not allow_loops:
+                continue
+            e = (cur, nxt) if cur <= nxt else (nxt, cur)
+            m = passes.get(e, 0)
+            odd = m & 1
+            if closing_only and not odd:
+                continue
+            passes[e] = m + 1
+            labels.append(nxt)
+            rec(t + 1, nxt, max(nxt, vmax), nopen - 1 if odd else nopen + 1)
+            labels.pop()
+            if m:
+                passes[e] = m
+            else:
+                del passes[e]
+
+    rec(0, ROOT, 1, 0)
+    return tuple(out)
+
+
+def _frontier_rows(s: int, allow_loops: bool) -> list[tuple[int, ...]]:
+    blocks = list(_even_walk_blocks(s, allow_loops))
+    assert all(block.dtype == np.int8 and block.shape[1] == 2 * s + 1 for block in blocks)
+    return [tuple(row) for block in blocks for row in block.tolist()]
+
+
+@pytest.mark.parametrize("allow_loops", [True, False], ids=["loops", "no-loops"])
+def test_walk_search_rows_equal_the_recursive_search(allow_loops):
+    for s in range(7):
+        assert _frontier_rows(s, allow_loops) == list(recursive_even_walks(s, allow_loops)), s
+
+
+@pytest.mark.parametrize("rows, s_max", [(1, 5), (7, 6), (100, 6)])
+def test_no_frontier_chunk_reorders_or_drops_a_walk(monkeypatch, rows, s_max):
+    # a chunk of one row extends one prefix at a time: the recursion's own order
+    monkeypatch.setattr(walks, "_FRONTIER_ROWS", rows)
+    for allow_loops in (True, False):
+        for s in range(s_max + 1):
+            assert _frontier_rows(s, allow_loops) == list(recursive_even_walks(s, allow_loops)), (s, allow_loops)
 
 
 def test_tree_structure_walks_match_catalan():
