@@ -624,6 +624,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--delta applies only with --truncate")
     if args.command == "mc" and args.format is not None and not args.out:
         parser.error("--format applies only with --out")
+    if args.command == "mc" and args.s < 0:
+        parser.error("--s must be >= 0")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -142,20 +142,37 @@ def sample_matrix(
     return vals[_symmetric_gather(n)]
 
 
+def _check_powers(s_list) -> None:
+    """Refuse a negative s: Tr A^(-2) would need A's inverse."""
+    if any(s < 0 for s in s_list):
+        raise ValueError("s must be >= 0")
+
+
 def spectral_stats(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict:
     """The largest absolute eigenvalue and even trace powers from the eigenvalues.
 
     The spectrum comes from `_eigvalsh`, which equals `np.linalg.eigvalsh`
-    bit for bit and, from n = 129 up, releases the GIL while it solves. A
-    (k, n, n) stack gives arrays of k values, each equal bit for bit to what
-    its matrix alone gives; a single matrix gives floats.
+    bit for bit and, from n = 129 up, releases the GIL while it solves.
+    Tr A^(2s) sums (lambda^2)^s, multiplied up one s at a time: 23 us
+    against 241 us for `eigs ** (2 * s)` over a 36-draw n = 30 stack at
+    s = 1-4 (2-vCPU Xeon), and equal to it within a few ulps. A (k, n, n)
+    stack gives arrays of k values, each equal bit for bit to what its
+    matrix alone gives; a single matrix gives floats. A negative s is
+    refused.
     """
+    _check_powers(s_list)
     eigs = _eigvalsh(matrix)
     lam = np.maximum(np.abs(eigs[..., 0]), np.abs(eigs[..., -1]))
-    traces = {s: np.sum(eigs ** (2 * s), axis=-1) for s in s_list}
+    squares, power, up = eigs * eigs, np.ones_like(eigs), 0
+    sums = {}
+    for s in sorted(set(s_list)):
+        for _ in range(up, s):
+            power *= squares
+        up = s
+        sums[s] = np.sum(power, axis=-1)
     if matrix.ndim == 2:
-        return {"lambda_max": float(lam), "traces": {s: float(t) for s, t in traces.items()}}
-    return {"lambda_max": lam, "traces": traces}
+        return {"lambda_max": float(lam), "traces": {s: float(sums[s]) for s in s_list}}
+    return {"lambda_max": lam, "traces": {s: sums[s] for s in s_list}}
 
 
 def _matrix_power(matrix: np.ndarray, s: int) -> np.ndarray:
@@ -179,8 +196,7 @@ def trace_powers(matrix: np.ndarray, s_list: tuple[int, ...]) -> dict[int, float
     values agree with the eigenvalue power sums of `spectral_stats` to
     rounding. A negative s is refused.
     """
-    if any(s < 0 for s in s_list):
-        raise ValueError("s must be >= 0")
+    _check_powers(s_list)
     out = {}
     for s in s_list:
         power = _matrix_power(matrix, s)
@@ -288,11 +304,12 @@ def _eigvalsh(stack: np.ndarray) -> np.ndarray:
     stack from its lower triangle: `np.linalg.eigvalsh`, bit for bit.
 
     numpy 2.4.6's eigvalsh, on one BLAS thread, held the GIL for calls on
-    one or two matrices: two threads each solving one n = 200 matrix 60
-    times took 0.265 s wall against 0.126 s for one thread alone. Larger
-    stacks did overlap: 100 solves of a 36-draw n = 30 stack took 0.187 s
-    on one thread and 0.215 s on each of two at once, and 20 solves of a
-    4-draw n = 200 stack 0.192 s and 0.198 s (best of three, 2-vCPU Xeon).
+    one to three matrices: two threads each solving one n = 200 matrix 60
+    times took 0.265 s wall against 0.126 s for one thread alone, and
+    three-draw n = 30 stacks overlapped not at all. Larger stacks did
+    overlap: 100 solves of a 36-draw n = 30 stack took 0.187 s on one
+    thread and 0.215 s on each of two at once, and 20 solves of a 4-draw
+    n = 200 stack 0.192 s and 0.198 s (best of three, 2-vCPU Xeon).
     A lone draw is such a one-matrix call, so a float64 stack of n x n
     matrices with n >= 129 (one draw to a stack, `_stack_size`) goes
     instead to LAPACK's dsyevd (jobz N,
@@ -424,39 +441,45 @@ def _band_trace(d: np.ndarray, e: np.ndarray, s: int) -> np.ndarray:
     """Tr T^(2s) = ||T^s||_F^2 for each symmetric tridiagonal T of a batch,
     with diagonals d, (k, n), and off-diagonals e, (k, n - 1), in O(k n s^2).
 
-    T^s has 2s + 1 diagonals, and they are built one power at a time. Row r
-    of a draw's `band` holds (T^j)[i, i + r - p] on an index line that pads
-    the n indices with p = s + 1 zeros a side; row r of each window view
-    holds T's diagonal and off-diagonal read from position i + r - p of the
-    same line, so a row's product with T takes three of its neighbours. The
-    padding keeps every read inside the arrays, and T padded with zeros
-    has the same powers on the real indices. T^j fills only the rows
-    p - j to p + j. The draws go through in groups whose bands hold at most
-    _STACK_DOUBLES doubles, which also ran faster than one group.
+    Every power of T is symmetric, so the diagonals r = 0 to s above the
+    main one give ||T^s||_F^2: the main one's squares plus twice the
+    others'. Row r of `diags` holds (T^j)[i, i + r] as (k, n) rows, zero
+    from i = n - r on, and one power gives the next by
+
+        (T^(j+1))[i, i + r] = (T^j)[i, i + r - 1] e[i + r - 1]
+                              + (T^j)[i, i + r] d[i + r] + (T^j)[i, i + r + 1] e[i + r],
+
+    for every r >= 1 at once through windows that read d and e, padded with
+    s zeros, from position r. On the main diagonal (T^j)[i, i - 1] is row 1
+    at i - 1. The draws go through in groups whose diagonals hold at most
+    _STACK_DOUBLES doubles: 2.5-3.4 ms for a 163-draw n = 200 chunk at
+    s = 4, against 7.5-7.9 ms for a zero-padded band of 2s + 3 rows per
+    draw (2-vCPU Xeon).
     """
     k, n = d.shape
-    p = s + 1
-    line = n + 2 * p
-    group = max(1, _STACK_DOUBLES // ((2 * p + 1) * line))
+    group = max(1, _STACK_DOUBLES // ((s + 2) * n))
     if k > group:
         return np.concatenate([_band_trace(d[i : i + group], e[i : i + group], s)
                                for i in range(0, k, group)])
-    diag, upper = np.zeros((k, line + 2 * p)), np.zeros((k, line + 2 * p))
-    diag[:, 2 * p : 2 * p + n] = d
-    upper[:, 2 * p : 2 * p + n - 1] = e
-    diag_at = np.lib.stride_tricks.sliding_window_view(diag, line, axis=-1)
-    upper_at = np.lib.stride_tricks.sliding_window_view(upper, line, axis=-1)
-    band = np.zeros((k, 2 * p + 1, line))
-    band[:, p, p : p + n] = 1.0  # T^0 on the real indices only
+    d_pad, e_pad = np.zeros((k, n + s)), np.zeros((k, n + s))
+    d_pad[:, :n] = d
+    e_pad[:, : n - 1] = e
+    # row r of each is (k, n): d or e read from position i + r
+    d_at = np.lib.stride_tricks.sliding_window_view(d_pad, n, axis=-1).transpose(1, 0, 2)
+    e_at = np.lib.stride_tricks.sliding_window_view(e_pad, n, axis=-1).transpose(1, 0, 2)
+    diags = np.zeros((s + 2, k, n))  # row s + 1 stays zero, the r + 1 neighbour of row s
+    diags[0] = 1.0
     for j in range(1, s + 1):
-        lo, hi = p - j, p + j + 1
-        band[:, lo:hi] = (
-            band[:, lo - 1 : hi - 1] * upper_at[:, lo - 1 : hi - 1]
-            + band[:, lo:hi] * diag_at[:, lo:hi]
-            + band[:, lo + 1 : hi + 1] * upper_at[:, lo:hi]
-        )
-    band = band.reshape(k, -1)
-    return np.einsum("ij,ij->i", band, band)
+        below = diags[1] * e_at[0]  # (T^j)[i, i + 1] e[i], also row i + 1's term from below
+        main = diags[0] * d_at[0]
+        main += below
+        main[:, 1:] += below[:, :-1]
+        upper = diags[:j] * e_at[:j]
+        upper += diags[1 : j + 1] * d_at[1 : j + 1]
+        upper += diags[2 : j + 2] * e_at[1 : j + 1]
+        diags[1 : j + 1] = upper
+        diags[0] = main
+    return np.einsum("ij,ij->i", diags[0], diags[0]) + 2 * np.einsum("rij,rij->i", diags[1:], diags[1:])
 
 
 def _usable_cpus() -> int:
@@ -535,36 +558,39 @@ def _stack_size(n: int) -> int:
     return max(1, _STACK_DOUBLES // n**2)
 
 
-def _replicate_loop(config: EnsembleConfig, reps: range, statistic) -> tuple[list, list[int]]:
+def _replicate_loop(config: EnsembleConfig, reps: range, statistic, draw=None) -> tuple[list, list[int]]:
     """statistic(stack) over the draws of the replicates in `reps`, in order.
 
     The replicates are absolute indices, which key their Philox streams; a
     range that runs backwards, range(replicates) for a negative count, is
-    refused. The draws go to statistic as (k, n, n) stacks of
-    `_stack_size(n)` consecutive replicates (the last stack may hold
-    fewer), and every statistic runs on one BLAS thread. A stack whose
-    statistic raises LinAlgError is redone one draw at a time, and the
-    draws that raise again are dropped. Returns the statistics, one per
-    stack that was filled, and the indices of the dropped replicates,
-    ascending.
+    refused. Each replicate's draw is draw(config, replicate, rng), with
+    `rng` a generator to re-key to the replicate's stream; without `draw`
+    it is `sample_matrix`, looked up at call time. The draws go to
+    statistic stacked, as (k, ...) arrays of `_stack_size(n)` consecutive
+    replicates (the last stack may hold fewer), and every statistic runs on
+    one BLAS thread. A stack whose statistic raises LinAlgError is redone
+    one draw at a time, and the draws that raise again are dropped. Returns
+    the statistics, one per stack that was filled, and the indices of the
+    dropped replicates, ascending.
 
-    Draws that fill a stack alone (n >= 129, `_stack_size`) are dealt to
-    min(usable CPUs, stacks) threads, the caller's among them: each thread
-    takes the next stack no thread has taken, with its own generator
-    re-keyed to each replicate's stream, and the results are gathered by
-    stack index. So the output is the same bits on any number of cores.
-    The threads overlap because dsyevd (`_eigvalsh`), the tail's dsytrd
-    (`_tail_stats`) and numpy's matrix products release the GIL. Smaller
-    draws stay on the caller's thread, where threads saved little wall time
-    for much more CPU: two threads on the benchmark's two n = 30
-    `sample_stats` calls (1,000 replicates each) took 108-127 ms wall
-    against 129-152 ms on one, for 37-60% more CPU (medians, 2-vCPU Xeon).
-    Every thread is joined before the loop returns;
-    the first exception a thread raised is then raised here, and the other
+    The stacks are dealt to min(usable CPUs, stacks) threads, the caller's
+    among them, at every n: each thread takes the next stack no thread has
+    taken, with its own generator re-keyed to each replicate's stream, and
+    the results are gathered by stack index. So the output is the same bits
+    on any number of cores. The threads overlap where the work releases the
+    GIL: dsyevd (`_eigvalsh`) and the tail's dsytrd (`_tail_stats`) from
+    n = 129 up, numpy's eigvalsh on large stacks below it (36 draws at
+    n = 30; not on one to three), numpy's matrix products, and Philox's
+    `random_raw`. On the benchmark's two n = 30 `sample_stats` calls
+    (1,000 replicates each) two threads took 98 ms wall against 134 ms on
+    one, for 170 against 134 ms of CPU (medians of 19 alternated rounds,
+    2-vCPU Xeon). Every thread is joined before the loop returns; the
+    first exception a thread raised is then raised here, and the other
     threads stop after their stack.
     """
     if reps.stop < reps.start:
         raise ValueError("replicates must be >= 0")
+    draw = sample_matrix if draw is None else draw
     batch = _stack_size(config.n)
     starts = range(0, len(reps), batch)
     done: list = [None] * len(starts)  # per stack: (statistics, dropped replicates)
@@ -592,16 +618,15 @@ def _replicate_loop(config: EnsembleConfig, reps: range, statistic) -> tuple[lis
                 if index is None:
                     return
                 stack_reps = reps[starts[index] : starts[index] + batch]
-                mats = [sample_matrix(config, rep, rng) for rep in stack_reps]
+                draws = [draw(config, rep, rng) for rep in stack_reps]
                 filled, failed = done[index] = [], []
                 # a lone draw goes as a view, not a copy
-                solve(np.stack(mats) if len(mats) > 1 else mats[0][np.newaxis], stack_reps, filled, failed)
+                solve(np.array(draws) if len(draws) > 1 else draws[0][np.newaxis], stack_reps, filled, failed)
         except BaseException as exc:
             errors.append(exc)
             halt.set()
 
-    workers = min(_usable_cpus(), len(starts)) if batch == 1 else 1
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    threads = [threading.Thread(target=work) for _ in range(min(_usable_cpus(), len(starts)) - 1)]
     with _one_blas_thread():
         try:
             for thread in threads:
@@ -620,8 +645,10 @@ def _replicate_loop(config: EnsembleConfig, reps: range, statistic) -> tuple[lis
 def sample_stats(
     config: EnsembleConfig, replicates: int, s_list: tuple[int, ...] = (1, 2, 3, 4)
 ) -> SampleStats:
-    """lambda_max and Tr A^(2s) for s in s_list, per replicate, from stacked eigen-solves."""
+    """lambda_max and Tr A^(2s) for s in s_list, per replicate, from stacked
+    eigen-solves. A negative s is refused."""
     s_list = tuple(s_list)
+    _check_powers(s_list)
 
     def statistic(stack):
         stats = spectral_stats(stack, s_list)
@@ -723,8 +750,8 @@ def tail_curve(
     caller's thread, in bulk over a chunk of at most _STACK_DOUBLES // n
     draws: Sturm counts decide ||A|| > t and count the eigenvalues beyond t
     (`_count_beyond`, into `mean_beyond`), and Tr A^(2s) = Tr T^(2s) comes
-    from T's band (`_band_trace`). A replicate whose draw fails is dropped,
-    and LinAlgError is raised when every replicate is.
+    from T^s's diagonals (`_band_trace`). A replicate whose draw fails is
+    dropped, and LinAlgError is raised when every replicate is.
     """
     if replicates < 100:
         raise ValueError("at least 100 replicates are required for a tail curve")
@@ -795,8 +822,7 @@ def universality_compare(
     """
     if config_a.n != config_b.n:
         raise ValueError("configs must share the dimension n")
-    if s < 0:
-        raise ValueError("s must be >= 0")
+    _check_powers((s,))
 
     def traces(stack):
         return [trace_powers(matrix, (s,))[s] for matrix in stack]
@@ -846,18 +872,22 @@ def truncation_event_rate(config: EnsembleConfig, replicates: int) -> dict:
     the largest absolute value of the raw entries `sample_entries` draws,
     bit for bit, so the hits are the same. A law that draws its signs after
     its magnitudes (power-tail) skips them and maps only its largest
-    uniform to a magnitude.
+    uniform to a magnitude. The draws run through `_replicate_loop`, with
+    the largest |a| as each replicate's draw and the count beyond the
+    cutoff as each stack's statistic, so they share its threads: most of a
+    power-tail draw is Philox's `random_raw`, which releases the GIL.
     """
     if config.truncation is None:
         raise ValueError("config has no truncation")
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     n, cutoff = config.n, config.truncation.cutoff(config.n)
-    hits = 0
-    rng = _rng(config, 0)
-    for rep in range(replicates):
-        if config.law.largest_magnitude(_rng(config, rep, rng), n * (n + 1) // 2) > cutoff:
-            hits += 1
+
+    def largest(config, rep, rng):
+        return config.law.largest_magnitude(_rng(config, rep, rng), n * (n + 1) // 2)
+
+    filled, _ = _replicate_loop(config, range(replicates), lambda stack: np.count_nonzero(stack > cutoff), largest)
+    hits = int(sum(filled))
     rate = hits / replicates
     ci = wilson_interval(hits, replicates)
     out = {

@@ -1138,3 +1138,20 @@ def test_mc_format_without_out_is_a_usage_error(tmp_path, capsys):
         assert run(argv + (["--format", fmt] if fmt else [])) == 0
         body = [line for line in out_file.read_text().splitlines() if not line.startswith("#")]
         assert body[0].startswith(first)
+
+
+def test_mc_negative_s_is_a_usage_error(capsys):
+    # --s -2 would give an empty traces object and drop the parameter silently
+    with pytest.raises(SystemExit) as exc:
+        run(["mc", "--n", "5", "--s", "-2", "--replicates", "3", "--no-timestamp"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err_lines = captured.err.splitlines()
+    assert [line for line in err_lines if "error:" in line] == err_lines[-1:]
+    assert "--s must be >= 0" in err_lines[-1]
+    # --s 0 asks for no trace and is still a run
+    assert run(["mc", "--n", "5", "--s", "0", "--replicates", "3", "--no-timestamp"]) == 0
+    out = capsys.readouterr().out
+    summary = _strict_json(out[out.index("{") :])
+    assert (summary["replicates"], summary["traces"]) == (3, {})

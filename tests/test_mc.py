@@ -228,7 +228,8 @@ def two_blas_threads():
 
 
 def test_blas_pin_is_restored_after_sample_stats(monkeypatch, two_blas_threads):
-    # n = 100 stacks three draws per eigen-solve, so 7 replicates make 3 calls
+    # n = 100 stacks three draws per eigen-solve, so 7 replicates make 3
+    # calls, in any order across the replicate threads
     get = two_blas_threads
     seen = []
     real = mc.spectral_stats
@@ -239,7 +240,7 @@ def test_blas_pin_is_restored_after_sample_stats(monkeypatch, two_blas_threads):
 
     monkeypatch.setattr(mc, "spectral_stats", recording)
     sample_stats(EnsembleConfig(n=100, law=RAD, seed=1), 7)
-    assert seen == [(3, 1), (3, 1), (1, 1)] and get() == 2
+    assert sorted(seen) == [(1, 1), (3, 1), (3, 1)] and get() == 2
 
     def failing(stack, s_list):
         raise RuntimeError("not a LinAlgError")
@@ -454,6 +455,35 @@ def test_a_negative_trace_power_is_refused(monkeypatch, s):
         universality_compare(a, b, s=s, replicates=10)
 
 
+@pytest.mark.parametrize("s", [-1, -3])
+def test_spectral_and_sample_stats_refuse_a_negative_power(monkeypatch, s):
+    # Tr A^(-2) is no trace power of the moment method; one near-singular
+    # draw would put A's inverse into the mean. The refusal comes before any draw
+    mat = sample_matrix(EnsembleConfig(n=5, law=RAD, seed=1), 0)
+    with pytest.raises(ValueError, match="s must be >= 0"):
+        spectral_stats(mat, (1, s))
+    with pytest.raises(ValueError, match="s must be >= 0"):
+        spectral_stats(mat[np.newaxis], (s,))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("sample_stats drew a matrix")
+
+    monkeypatch.setattr(mc, "sample_matrix", no_draw)
+    for replicates in (0, 10):
+        with pytest.raises(ValueError, match="s must be >= 0"):
+            sample_stats(EnsembleConfig(n=5, law=RAD, seed=1), replicates, s_list=(2, s))
+
+
+def test_spectral_stats_traces_follow_s_list_order():
+    # the traces multiply lambda^2 up in ascending s; the keys keep the caller's order
+    mat = sample_matrix(EnsembleConfig(n=8, law=RAD, seed=4), 0)
+    eigs = np.linalg.eigvalsh(mat)
+    traces = spectral_stats(mat, (3, 0, 1, 3))["traces"]
+    assert list(traces) == [3, 0, 1]
+    assert traces[0] == 8.0 and traces[1] == float(np.sum(eigs**2))
+    assert math.isclose(traces[3], float(np.sum(eigs**6)), rel_tol=1e-14)
+
+
 def test_sample_stats_reproducible():
     cfg = EnsembleConfig(n=10, law=RAD, seed=1000)
     a = sample_stats(cfg, 50, s_list=(1, 2))
@@ -519,6 +549,7 @@ def test_failure_mid_batch_drops_only_the_failing_replicates(monkeypatch):
     # n = 30 stacks 36 draws: replicates 0-35, 36-71 and 72-99
     cfg = EnsembleConfig(n=30, law=GoeLaw(Fraction(1, 2)), seed=9)
     clean = sample_stats(cfg, 100, s_list=(1, 3))
+    monkeypatch.setattr(mc, "_usable_cpus", lambda: 1)  # one thread solves the stacks in order
     sizes = _poisoned_spectral_stats(monkeypatch, cfg, [40, 41, 99])
     stats = sample_stats(cfg, 100, s_list=(1, 3))
     assert sizes == [36, 36] + [1] * 36 + [28] + [1] * 28
@@ -579,6 +610,32 @@ def test_outputs_do_not_depend_on_the_worker_count(monkeypatch, cfg):
         monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
         runs[workers] = _edge_outputs(cfg)
     assert runs[1][2] == [5] and runs[1][3][0]["replicates"] == 99
+    assert runs[2] == runs[1] and runs[3] == runs[1]
+
+
+def test_small_n_and_truncation_outputs_do_not_depend_on_the_thread_count(monkeypatch):
+    # n = 30 stacks 36 draws and spreads them over the threads too; the stack
+    # of replicates 36-71 is poisoned and redone draw by draw
+    pt = PowerTailLaw(v=0.85)
+    truncated = [
+        EnsembleConfig(n=30, law=pt, truncation=TruncationSpec(pt, delta=0.16), seed=41),
+        EnsembleConfig(n=30, law=RAD, truncation=TruncationSpec(RAD, delta=0.16), seed=42),
+    ]
+    cfg = EnsembleConfig(n=30, law=GoeLaw(Fraction(1, 2)), seed=43)
+    _poisoned_spectral_stats(monkeypatch, cfg, [40])
+    runs = {}
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(mc, "_usable_cpus", lambda: workers)
+        rates = [truncation_event_rate(t, 250) for t in truncated]
+        stats = sample_stats(cfg, 100, s_list=(0, 1, 4))
+        runs[workers] = (
+            rates,
+            stats.lambda_max.tobytes(),
+            {s: t.tobytes() for s, t in stats.traces.items()},
+            stats.failed_replicates,
+        )
+    assert runs[1][3] == [40]
+    assert 0 < runs[1][0][0]["rate"] < 1  # the power-tail hits are neither none nor all
     assert runs[2] == runs[1] and runs[3] == runs[1]
 
 
@@ -661,6 +718,31 @@ def test_band_trace_equals_the_matrix_power(n):
             t = np.diag(d[i]) + np.diag(e[i], 1) + np.diag(e[i], -1)
             want = np.trace(np.linalg.matrix_power(t, 2 * s))
             assert math.isclose(got[i], want, rel_tol=1e-12), (n, s, i)
+
+
+def _tridiagonal_stack(d, e):
+    """The (k, n, n) symmetric tridiagonal matrices with diagonals d and off-diagonals e."""
+    k, n = d.shape
+    t = np.zeros((k, n, n))
+    at = np.arange(n)
+    t[:, at, at] = d
+    t[:, at[:-1], at[1:]] = t[:, at[1:], at[:-1]] = e
+    return t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_band_trace_equals_the_eigenvalue_power_sums(n):
+    # s from 0 to 6, past n where it can be; batches of one draw, of one
+    # group (the draws whose diagonals fit _STACK_DOUBLES) and one more
+    rng = np.random.default_rng(100 + n)
+    for s in range(7):
+        group = max(1, mc._STACK_DOUBLES // ((s + 2) * n))
+        for k in (1, group, group + 1):
+            d, e = rng.standard_normal((k, n)), rng.standard_normal((k, n - 1))
+            want = np.sum(np.linalg.eigvalsh(_tridiagonal_stack(d, e)) ** (2 * s), axis=-1)
+            got = mc._band_trace(d, e, s)
+            assert got.shape == (k,)
+            assert np.all(np.abs(got - want) <= 1e-12 * want), (n, s, k)
 
 
 def _no_spectrum(stack):
@@ -1146,15 +1228,14 @@ def test_an_error_in_a_replicate_thread_reaches_the_caller(monkeypatch):
 
 @pytest.mark.parametrize("n", [128, 129])
 def test_one_draw_to_a_stack_is_the_line_for_lapack_and_threads(monkeypatch, n):
-    # below the line draws stack by two or more and stay on numpy and the
-    # caller's thread; from n = 129 up each draw solves alone, through
-    # dsyevd (sample_stats) or dsytrd (tail_curve), on several threads
+    # below the line draws stack by two or more and stay on numpy; from
+    # n = 129 up each draw solves alone, through dsyevd (sample_stats) or
+    # dsytrd (tail_curve); on both sides the stacks spread over several threads
     assert (mc._stack_size(128), mc._stack_size(129)) == (2, 1)
     routes = {"sample_stats": "scipy_dsyevd_64_", "tail_curve": "scipy_dsytrd_64_"}
     if any(mc._linalg_symbol(name) is None for name in routes.values()):
         pytest.skip("numpy's linalg extension exports no dsyevd or dsytrd")
     cfg = EnsembleConfig(n=n, law=RAD, seed=96)
-    caller = threading.get_ident()
     bound, idents = [], set()
     another_thread = threading.Event()
     real_symbol, real_stats, real_tail = mc._linalg_symbol, mc.spectral_stats, mc._tail_stats
@@ -1168,7 +1249,7 @@ def test_one_draw_to_a_stack_is_the_line_for_lapack_and_threads(monkeypatch, n):
         idents.add(threading.get_ident())
         if len(idents) > 1:
             another_thread.set()
-        elif n > 128:
+        else:
             another_thread.wait(30)
 
     def stats(stack, s_list):
@@ -1192,10 +1273,7 @@ def test_one_draw_to_a_stack_is_the_line_for_lapack_and_threads(monkeypatch, n):
         else:
             tail_curve(cfg, (0.0,), replicates=100)
         lapack = {b for b in bound if b.startswith("scipy_dsy")}
-        if n == 128:
-            assert lapack == set() and idents == {caller}, run
-        else:
-            assert lapack == {name} and len(idents) > 1, run
+        assert lapack == (set() if n == 128 else {name}) and len(idents) > 1, run
 
 
 def test_rekeyed_streams_equal_new_generators():

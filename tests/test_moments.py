@@ -376,7 +376,7 @@ OPTIONS = {
     MomentSpec: ["n", "law", "truncation", "dilution_c"],
     EnsembleConfig: ["n", "law", "truncation", "dilution_c", "seed"],
     SampleStats: ["s_list", "lambda_max", "traces", "failed_replicates"],
-    mc._replicate_loop: ["config", "reps", "statistic"],
+    mc._replicate_loop: ["config", "reps", "statistic", "draw"],
 }
 
 
@@ -384,7 +384,7 @@ def test_spec_fields_and_validation():
     # the ensemble kind follows from the fields; nothing sets it
     assert [f.name for f in fields(MomentSpec)] == ["n", "law", "truncation", "dilution_c"]
     assert {obj: list(inspect.signature(obj).parameters) for obj in OPTIONS} == OPTIONS
-    assert sum(map(len, OPTIONS.values())) == 26
+    assert sum(map(len, OPTIONS.values())) == 27
     # the constants that replaced options read as they did
     laws = (RademacherLaw(), GaussianLaw(), GoeLaw(), PowerTailLaw(), ThreePointLaw())
     assert [law.name for law in laws] == ["rademacher", "gaussian", "goe", "power-tail", "three-point"]
